@@ -21,10 +21,6 @@ _DTYPE = np.float32
 _ACTIVE_TAPE = None
 
 
-def current_dtype():
-    return _DTYPE
-
-
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily change the dtype new tensors are created with."""
@@ -109,11 +105,6 @@ class Gradients:
         hit = self._store.get(id(tensor))
         return None if hit is None else hit[1]
 
-    def __contains__(self, tensor):
-        return id(tensor) in self._store
-
-    def tensors(self):
-        return [t for t, _ in self._store.values()]
 
 
 def backward(tape, loss):
@@ -278,13 +269,6 @@ def sum_all(a):
     return out
 
 
-def scale(a, s):
-    s = float(s)
-    out = Tensor(a.data * s)
-    _record(out, (a,), lambda g: (g * s,))
-    return out
-
-
 def rows(table, ids):
     """Select rows of an embedding table; ids is an int scalar or 1-D array."""
     idx = np.asarray(ids)
@@ -443,9 +427,6 @@ class LSTMParams:
         self.w_ih = w_ih
         self.w_hh = w_hh
         self.b = b
-
-    def tensors(self):
-        return [self.w_ih, self.w_hh, self.b]
 
 
 # ---------------------------------------------------------------------------

@@ -107,3 +107,23 @@ def split_type_tag(named):
         else:
             rest[name] = arr
     return tag, rest
+
+
+class Checkpointed:
+    """save/load for a model that converts to and from named arrays.
+
+    A subclass sets TYPE_TAG and defines to_named() and the classmethod
+    from_named(named); load refuses a file written under another tag.
+    """
+
+    TYPE_TAG = None
+
+    def save(self, path):
+        save_tensors(path, with_type_tag(self.to_named(), self.TYPE_TAG))
+
+    @classmethod
+    def load(cls, path):
+        tag, named = split_type_tag(load_tensors(path))
+        if tag != cls.TYPE_TAG:
+            raise CheckpointError(f"{path}: type tag {tag!r}, want {cls.TYPE_TAG!r}")
+        return cls.from_named(named)

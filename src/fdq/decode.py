@@ -21,6 +21,7 @@ PAD and BOS are never candidates; UNK is an ordinary decodable token.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,6 @@ class DecodeConfig:
     cap: int = None             # max content tokens; defaults to model.max_len
     mask_eos: bool = True       # length protocol: forbid EOS before L+1
     use_length_protocol: bool = False  # apply the L+1 protocol in sbs mode
-    q_candidates: int = None    # partial-backward scorer candidate limit
     emit_timings: bool = False  # keep "ms" fields at 0.0 unless set
 
     def validate(self):
@@ -92,27 +92,6 @@ class CallableScorer(Scorer):
                         dtype=np.float64)
 
 
-class LengthScorer(Scorer):
-    """qterm = -((L - t) - Qhat(h_t))^2 with speculative per-candidate h_t."""
-
-    def __init__(self, regressor, length):
-        if length is None:
-            raise ConfigError("length_q decoding requires a target length L")
-        self.regressor = regressor
-        self.length = int(length)
-        self.model = None
-
-    def prepare(self, model, src, ctx):
-        self.model = model
-
-    def score_candidates(self, hyp, ctx):
-        ids = np.arange(self.model.tgt_vocab)
-        h, _, _, _ = self.model.advance(hyp.state, ctx, ids)
-        qhat = np.asarray(self.regressor.predict(h), dtype=np.float64)
-        remaining = self.length - (len(hyp.tokens) + 1)
-        return -((remaining - qhat) ** 2)
-
-
 class RegressorScorer(Scorer):
     """qterm = estimator.predict(h_t) on speculative candidate states."""
 
@@ -127,6 +106,21 @@ class RegressorScorer(Scorer):
         ids = np.arange(self.model.tgt_vocab)
         h, _, _, _ = self.model.advance(hyp.state, ctx, ids)
         return np.asarray(self.regressor.predict(h), dtype=np.float64)
+
+
+class LengthScorer(RegressorScorer):
+    """qterm = -((L - t) - Qhat(h_t))^2 with speculative per-candidate h_t."""
+
+    def __init__(self, regressor, length):
+        if length is None:
+            raise ConfigError("length_q decoding requires a target length L")
+        super().__init__(regressor)
+        self.length = int(length)
+
+    def score_candidates(self, hyp, ctx):
+        qhat = super().score_candidates(hyp, ctx)
+        remaining = self.length - (len(hyp.tokens) + 1)
+        return -((remaining - qhat) ** 2)
 
 
 class _Hyp:
@@ -241,7 +235,7 @@ def _nbest(pool, limit):
     return NBestList(ordered[:limit] if limit else ordered)
 
 
-def _run(model, scorer, src, config, keep_all=False, eos_min_pos=1, prefix=()):
+def _run(model, scorer, src, config, keep_all=False, prefix=()):
     config.validate()
     cap = config.cap if config.cap is not None else model.max_len
     cap = max(cap, len(prefix))
@@ -252,8 +246,7 @@ def _run(model, scorer, src, config, keep_all=False, eos_min_pos=1, prefix=()):
     for pos in range(len(prefix) + 1, cap + 2):
         if not live:
             break
-        cands = eng.expand(live, allow_content=pos <= cap,
-                           allow_eos=pos >= eos_min_pos)
+        cands = eng.expand(live, allow_content=pos <= cap)
         if not cands:
             break
         cands.sort(key=_hyp_key)
@@ -306,6 +299,21 @@ def exhaustive_decode(model, scorer, src, config=None):
     return _nbest(pool, None).top()
 
 
+def _admitted_eos(cands, beam):
+    """EOS candidates ranked within the top `beam` of their own parent.
+
+    cands is sorted by _hyp_key, so each parent's extensions appear in
+    that parent's own rank order.
+    """
+    seen = Counter()
+    admitted = []
+    for combined, tokens, parent, y, cum, qterm in cands:
+        seen[id(parent)] += 1
+        if y == EOS and seen[id(parent)] <= beam:
+            admitted.append(DecodedHyp(tokens, cum, qterm, combined))
+    return admitted
+
+
 def length_forced_select(model, regressor, src, length, config=None):
     """Decode a sequence of exactly length L when the model permits it.
 
@@ -329,40 +337,18 @@ def length_forced_select(model, regressor, src, length, config=None):
     cap = max(cap, length + 1)
     eng = _Engine(model, scorer, src, config)
     live = [eng.root]
-    eos_floor = length + 1 if config.mask_eos else 1
-    pool = []
-    for pos in range(1, length + 1):
-        cands = eng.expand(live, allow_content=True, allow_eos=pos >= eos_floor)
+    for pos in range(1, cap + 2):
+        cands = eng.expand(live, allow_content=pos <= cap,
+                           allow_eos=pos > length)
         if not cands:
             break
         cands.sort(key=_hyp_key)
-        live, finished = eng.settle(cands[:config.beam])
-        pool.extend(finished)
-        if not live:
-            break
-    # protocol step at position L+1: per-hypothesis top-B admission of EOS
-    selected = []
-    for hyp in live:
-        if len(hyp.tokens) != length:
-            continue
-        cands = eng.expand([hyp], allow_content=True, allow_eos=True)
-        cands.sort(key=_hyp_key)
-        for combined, tokens, _, y, cum, qterm in cands[:config.beam]:
-            if y == EOS:
-                selected.append(DecodedHyp(tokens, cum, qterm, combined))
-    if selected:
-        # footnote rule: the pool competes on likelihood, not combined score
-        return min(selected, key=lambda h: (-h.logp, h.tokens))
-    if pool:
-        return min(pool, key=lambda h: (-h.combined, h.tokens))
-    # no admissible EOS at L+1: continue unmasked to the first finisher
-    for pos in range(length + 1, cap + 2):
-        if not live:
-            break
-        cands = eng.expand(live, allow_content=pos <= cap, allow_eos=True)
-        if not cands:
-            break
-        cands.sort(key=_hyp_key)
+        if pos == length + 1:
+            admitted = _admitted_eos(cands, config.beam)
+            if admitted:
+                # footnote rule: the pool competes on likelihood, not
+                # combined score
+                return min(admitted, key=lambda h: (-h.logp, h.tokens))
         live, finished = eng.settle(cands[:config.beam])
         if finished:
             return min(finished, key=lambda h: (-h.combined, h.tokens))

@@ -18,11 +18,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LSTMParams, Tape, Tensor, backward
-from .checkpoint import load_tensors, save_tensors, split_type_tag, with_type_tag
+from .checkpoint import Checkpointed
 from .data import BOS, EOS, batch_iter, make_batch
 from .errors import CheckpointError, ContractError, TrainingDivergenceError
 from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
+
+# fdqbench wraps these names in this module, so they stay bound here
+from .checkpoint import load_tensors, save_tensors  # noqa: F401
 
 INIT_RANGE = 0.08
 
@@ -66,6 +69,45 @@ class EncoderContext:
         self.owner = owner
 
 
+def init_params(shapes, params, rng):
+    """Check named parameters against shapes; draw them from rng if absent."""
+    if params is None:
+        params = {name: Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
+                  for name, shape in shapes}
+    for name, shape in shapes:
+        if params[name].shape != shape:
+            raise ContractError(
+                f"parameter {name}: shape {params[name].shape}, want {shape}")
+    return params
+
+
+def lstm_params(p, prefix):
+    """The LSTMParams stored under prefix/w_ih, prefix/w_hh, prefix/b."""
+    return LSTMParams(p[prefix + "/w_ih"], p[prefix + "/w_hh"],
+                      p[prefix + "/b"])
+
+
+def masked_lstm(table, lstm, ids, mask):
+    """LSTM over [B,S] ids that holds its state wherever mask is 0.
+
+    Returns (steps, h, c): steps[t] is the state after position t, zeroed
+    where mask is 0, and h, c are the final states.
+    """
+    b = ids.shape[0]
+    hidden = lstm.w_hh.shape[1]
+    h = Tensor(np.zeros((b, hidden)))
+    c = Tensor(np.zeros((b, hidden)))
+    steps = []
+    for t in range(ids.shape[1]):
+        x = ad.rows(table, ids[:, t])
+        h_new, c_new = ad.lstm_step(lstm, x, h, c)
+        m = mask[:, t:t + 1]
+        h = ad.add(ad.mul_const(h_new, m), ad.mul_const(h, 1.0 - m))
+        c = ad.add(ad.mul_const(c_new, m), ad.mul_const(c, 1.0 - m))
+        steps.append(ad.mul_const(h, m))
+    return steps, h, c
+
+
 def _param_shapes(vs, vt, hidden, attention):
     dec_in = 2 * hidden if attention else hidden
     shapes = [
@@ -90,7 +132,7 @@ def _param_shapes(vs, vt, hidden, attention):
     return shapes
 
 
-class Seq2Seq:
+class Seq2Seq(Checkpointed):
     """Encoder-decoder model over token-id sequences."""
 
     TYPE_TAG = "seq2seq"
@@ -104,16 +146,7 @@ class Seq2Seq:
         self.max_len = int(max_len)
         shapes = _param_shapes(self.src_vocab, self.tgt_vocab, self.hidden,
                                self.attention)
-        if params is None:
-            rng = substream(seed, "seq2seq-init")
-            params = {
-                name: Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
-                for name, shape in shapes
-            }
-        for name, shape in shapes:
-            if params[name].shape != shape:
-                raise ContractError(
-                    f"parameter {name}: shape {params[name].shape}, want {shape}")
+        params = init_params(shapes, params, substream(seed, "seq2seq-init"))
         if self.attention and params["att_soft/w"] is params["att_feed/w"]:
             raise ContractError("attention parameter sets must not be aliased")
         self.p = params
@@ -123,9 +156,6 @@ class Seq2Seq:
 
     def params(self):
         return list(self.p.values())
-
-    def named(self):
-        return dict(self.p)
 
     def to_named(self):
         named = {name: t.data for name, t in self.p.items()}
@@ -148,42 +178,17 @@ class Seq2Seq:
         model.trained = trained > 0.5
         return model
 
-    def save(self, path):
-        save_tensors(path, with_type_tag(self.to_named(), self.TYPE_TAG))
-
-    @classmethod
-    def load(cls, path):
-        tag, named = split_type_tag(load_tensors(path))
-        if tag != cls.TYPE_TAG:
-            raise CheckpointError(f"{path}: type tag {tag!r}, want {cls.TYPE_TAG!r}")
-        return cls.from_named(named)
-
-    def _lstm(self, prefix):
-        return LSTMParams(self.p[prefix + "/w_ih"], self.p[prefix + "/w_hh"],
-                          self.p[prefix + "/b"])
-
     # -- batched taped graph ------------------------------------------------
 
     def _encode_graph(self, src_ids, src_mask):
         """Encoder over [B,S] ids; returns (enc Tensor [B,S,H], h, c)."""
-        b, s = src_ids.shape
-        h = Tensor(np.zeros((b, self.hidden)))
-        c = Tensor(np.zeros((b, self.hidden)))
-        enc_params = self._lstm("enc")
-        steps = []
-        for t in range(s):
-            x = ad.rows(self.p["src_embed"], src_ids[:, t])
-            h_new, c_new = ad.lstm_step(enc_params, x, h, c)
-            m = src_mask[:, t:t + 1]
-            h = ad.add(ad.mul_const(h_new, m), ad.mul_const(h, 1.0 - m))
-            c = ad.add(ad.mul_const(c_new, m), ad.mul_const(c, 1.0 - m))
-            steps.append(ad.mul_const(h, m))
-        enc = ad.stack(steps, axis=1)
-        return enc, h, c
+        steps, h, c = masked_lstm(self.p["src_embed"],
+                                  lstm_params(self.p, "enc"), src_ids, src_mask)
+        return ad.stack(steps, axis=1), h, c
 
     def _decode_graph_step(self, enc, src_mask, x, feed, h, c):
         """One decoder step on [B,*] tensors; returns (logits, h, c, feed)."""
-        dec_params = self._lstm("dec")
+        dec_params = lstm_params(self.p, "dec")
         inp = ad.concat([x, feed], axis=-1) if self.attention else x
         h, c = ad.lstm_step(dec_params, inp, h, c)
         if self.attention:
@@ -198,35 +203,35 @@ class Seq2Seq:
             logits = ad.affine(self.p["out/w"], self.p["out/b"], h)
         return logits, h, c, feed
 
-    def mle_loss(self, batch):
-        """Summed teacher-forced cross-entropy and the token count."""
+    def forced(self, batch):
+        """Teacher-forced pass over a batch: yields (t, logits, h) per slot.
+
+        Slot t has consumed batch.tgt_in[:, t] (BOS at t=0) and predicts
+        batch.tgt_out[:, t]; batch.tgt_mask marks valid slots.
+        """
         enc, h, c = self._encode_graph(batch.src, batch.src_mask)
         b, t_max = batch.tgt_in.shape
         feed = Tensor(np.zeros((b, self.hidden)))
-        total = None
         for t in range(t_max):
             x = ad.rows(self.p["tgt_embed"], batch.tgt_in[:, t])
             logits, h, c, feed = self._decode_graph_step(
                 enc, batch.src_mask, x, feed, h, c)
+            yield t, logits, h
+
+    def mle_loss(self, batch):
+        """Summed teacher-forced cross-entropy and the token count."""
+        total = None
+        for t, logits, _ in self.forced(batch):
             step = ad.masked_xent_sum(logits, batch.tgt_out[:, t],
                                       batch.tgt_mask[:, t])
             total = step if total is None else ad.add(total, step)
         return total, float(batch.tgt_mask.sum())
 
     def forced_states(self, batch):
-        """Teacher-forced decoder states, untaped.
-
-        Returns [B, T, H] where slot t holds the state after consuming
-        batch.tgt_in[:, t] (BOS at t=0); batch.tgt_mask marks valid slots.
-        """
-        enc, h, c = self._encode_graph(batch.src, batch.src_mask)
+        """Teacher-forced decoder states [B, T, H], untaped; slots as in forced."""
         b, t_max = batch.tgt_in.shape
-        feed = Tensor(np.zeros((b, self.hidden)))
         out = np.zeros((b, t_max, self.hidden), dtype=np.float32)
-        for t in range(t_max):
-            x = ad.rows(self.p["tgt_embed"], batch.tgt_in[:, t])
-            _, h, c, feed = self._decode_graph_step(
-                enc, batch.src_mask, x, feed, h, c)
+        for t, _, h in self.forced(batch):
             out[:, t] = h.data
         return out
 
@@ -303,33 +308,6 @@ class Seq2Seq:
             total += lp
         return total
 
-    def sample_continuation(self, src, prefix, seed, max_len=None):
-        """Extend a prefix by ancestral sampling until EOS or the cap.
-
-        The cap counts content tokens; if it is hit the sequence is closed
-        with EOS so every return value is a complete target.
-        """
-        if prefix and prefix[-1] == EOS:
-            return list(prefix)
-        if max_len is None:
-            max_len = self.max_len
-        rng = substream(seed, "sample")
-        ctx, state = self.encode(src)
-        prev = BOS
-        for tok in prefix:
-            _, state = self.decode_step(state, prev, ctx)
-            prev = tok
-        out = list(prefix)
-        while len(out) < max_len:
-            logprobs, state = self.decode_step(state, prev, ctx)
-            tok = int(rng.choice(self.tgt_vocab, p=np.exp(logprobs.astype(np.float64))
-                                 / np.exp(logprobs.astype(np.float64)).sum()))
-            if tok == EOS:
-                return out + [EOS]
-            out.append(tok)
-            prev = tok
-        return out + [EOS]
-
 
 def dataset_ce(model, corpus, batch_size=32):
     """Mean per-token cross-entropy over a corpus, untaped."""
@@ -350,72 +328,76 @@ def batch_logprobs(model, pairs):
     if not pairs:
         return np.zeros(0, dtype=np.float64)
     batch = make_batch(pairs)
-    enc, h, c = model._encode_graph(batch.src, batch.src_mask)
-    b, t_max = batch.tgt_in.shape
-    feed = Tensor(np.zeros((b, model.hidden)))
+    b = batch.tgt_in.shape[0]
     out = np.zeros(b, dtype=np.float64)
     rows = np.arange(b)
-    for t in range(t_max):
-        x = ad.rows(model.p["tgt_embed"], batch.tgt_in[:, t])
-        logits, h, c, feed = model._decode_graph_step(
-            enc, batch.src_mask, x, feed, h, c)
+    for t, logits, _ in model.forced(batch):
         lp = ad.log_softmax(logits).data
         out += lp[rows, batch.tgt_out[:, t]] * batch.tgt_mask[:, t]
     return out
 
 
-def train_mle(model, corpus, schedule, dev=None, log=None):
-    """Teacher-forced MLE training; returns the per-epoch loss record."""
-    if len(corpus.pairs) == 0:
-        raise ContractError("cannot train on an empty corpus")
+def fit(params, schedule, epoch_batches, loss_fn, metric, dev_metric=None,
+        log=None):
+    """The training loop every model shares; returns the per-epoch records.
+
+    epoch_batches(seed) yields one epoch's batches.  loss_fn(batch) returns
+    a summed loss Tensor and the count it sums over; gradients are divided
+    by that count before the optimizer step.  Each record holds
+    train_<metric>, the summed loss over the summed count, and dev_<metric>
+    from dev_metric() when given, which stops training early after
+    schedule.patience epochs without improvement (0 never stops).
+    """
     opt = OptimState(schedule.optimizer, schedule.lr, schedule.clip_norm)
-    params = model.params()
     history = []
     best = float("inf")
     stale = 0
     for epoch in range(schedule.epochs):
         epoch_seed = stream_key(schedule.seed, "epoch", epoch) % (2 ** 63)
         total, count = 0.0, 0.0
-        for batch in batch_iter(corpus, schedule.batch_size, seed=epoch_seed):
+        for batch in epoch_batches(epoch_seed):
             with Tape() as tape:
-                loss, tokens = model.mle_loss(batch)
+                loss, norm = loss_fn(batch)
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}")
             grads = backward(tape, loss)
-            # normalize the summed CE to a per-token mean before stepping
             for p in params:
                 g = grads.get(p)
                 if g is not None:
-                    g /= tokens
+                    g /= norm
             optimizer_step(opt, params, grads)
             total += loss_val
-            count += tokens
-        record = {"epoch": epoch, "train_ce": total / max(count, 1.0)}
-        if dev is not None:
-            record["dev_ce"] = dataset_ce(model, dev, schedule.batch_size)
+            count += norm
+        record = {"epoch": epoch, f"train_{metric}": total / max(count, 1.0)}
+        if dev_metric is not None:
+            record[f"dev_{metric}"] = dev_metric()
         history.append(record)
         if log is not None:
             log(record)
-        if dev is not None and schedule.patience > 0:
-            dev_ce = record["dev_ce"]
-            if dev_ce < best - 1e-6:
-                best = dev_ce
+        if dev_metric is not None and schedule.patience > 0:
+            if record[f"dev_{metric}"] < best - 1e-6:
+                best = record[f"dev_{metric}"]
                 stale = 0
             else:
                 stale += 1
                 if stale >= schedule.patience:
                     break
-    model.trained = True
     return history
 
 
-def score_pair(model, pair):
-    """Convenience: log p(Y|X) of a SequencePair."""
-    return model.sequence_logprob(pair.src, pair.tgt)
+def train_mle(model, corpus, schedule, dev=None, log=None):
+    """Teacher-forced MLE training; returns the per-epoch loss record."""
+    if len(corpus.pairs) == 0:
+        raise ContractError("cannot train on an empty corpus")
 
+    def dev_ce():
+        return dataset_ce(model, dev, schedule.batch_size)
 
-def single_batch(pair):
-    """A batch holding one SequencePair."""
-    return make_batch([pair])
+    history = fit(model.params(), schedule,
+                  lambda seed: batch_iter(corpus, schedule.batch_size, seed=seed),
+                  model.mle_loss, "ce",
+                  dev_metric=dev_ce if dev is not None else None, log=log)
+    model.trained = True
+    return history

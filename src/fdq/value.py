@@ -22,18 +22,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import LSTMParams, Tape, Tensor, backward
-from .checkpoint import (load_tensors, save_tensors, split_type_tag,
-                         with_type_tag)
+from .autodiff import Tensor
+from .checkpoint import Checkpointed
 from .data import BOS, EOS, PAD, Corpus, SequencePair, batch_iter
 from .decode import NEG_SENTINEL, DecodeConfig, Scorer, beam_complete
-from .errors import (CheckpointError, ConfigError, ContractError,
-                     DimensionError, LoadError, MissingModelError,
-                     TrainingDivergenceError)
+from .errors import (ConfigError, ContractError, DimensionError, LoadError,
+                     MissingModelError)
 from .metrics import rouge2, sentence_bleu
-from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
-from .seq2seq import INIT_RANGE, Seq2Seq, batch_logprobs, train_mle
+from .seq2seq import (Seq2Seq, batch_logprobs, fit, init_params, lstm_params,
+                      masked_lstm, train_mle)
+
+# fdqbench wraps these names in this module, so they stay bound here
+from .autodiff import backward  # noqa: F401
+from .checkpoint import load_tensors, save_tensors  # noqa: F401
+from .optim import optimizer_step  # noqa: F401
 
 DEFAULT_BUCKETS = ((1, 2), (3, 4), (5, 7), (8, 12), (13, None))
 
@@ -48,10 +51,8 @@ def _require_trained(model, role):
 # -- shared MLP regression head over decoder states ---------------------------
 
 
-class _MlpRegressor:
+class _MlpRegressor(Checkpointed):
     """Two tanh layers of width H and a scalar linear head."""
-
-    TYPE_TAG = None
 
     def __init__(self, hidden, seed=0, params=None):
         self.hidden = int(hidden)
@@ -61,17 +62,8 @@ class _MlpRegressor:
                   ("l2/b", (self.hidden,)),
                   ("out/w", (1, self.hidden)),
                   ("out/b", (1,)))
-        if params is None:
-            rng = substream(seed, "value-init", self.TYPE_TAG)
-            params = {
-                name: Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
-                for name, shape in shapes
-            }
-        for name, shape in shapes:
-            if params[name].shape != shape:
-                raise ContractError(
-                    f"parameter {name}: shape {params[name].shape}, want {shape}")
-        self.p = params
+        self.p = init_params(shapes, params,
+                             substream(seed, "value-init", self.TYPE_TAG))
 
     def params(self):
         return list(self.p.values())
@@ -90,16 +82,13 @@ class _MlpRegressor:
                 f"states must be [B,{self.hidden}], got {h.shape}")
         return self._graph(Tensor(h)).data[:, 0].astype(np.float64)
 
-    def save(self, path):
+    def to_named(self):
         named = {name: t.data for name, t in self.p.items()}
         named["meta"] = np.array([self.hidden], dtype=np.float32)
-        save_tensors(path, with_type_tag(named, self.TYPE_TAG))
+        return named
 
     @classmethod
-    def load(cls, path):
-        tag, named = split_type_tag(load_tensors(path))
-        if tag != cls.TYPE_TAG:
-            raise CheckpointError(f"{path}: type tag {tag!r}, want {cls.TYPE_TAG!r}")
+    def from_named(cls, named):
         hidden = int(named.pop("meta")[0])
         return cls(hidden, params={n: Tensor(a) for n, a in named.items()})
 
@@ -114,15 +103,6 @@ class BackwardRegressor(_MlpRegressor):
     """Predicts the full-pair backward log-probability from h_t."""
 
     TYPE_TAG = "backward_q1"
-
-
-def predict_remaining_length(regressor, h_t):
-    """Remaining-length estimate for a single decoder state [H]."""
-    h_t = np.asarray(h_t)
-    if h_t.shape != (regressor.hidden,):
-        raise DimensionError(
-            f"state must be [{regressor.hidden}], got {h_t.shape}")
-    return float(regressor.predict(h_t[None])[0])
 
 
 # -- training examples from teacher-forced passes ------------------------------
@@ -178,43 +158,39 @@ def backward_examples(forward, backward, corpus, batch_size=32):
     return _forced_examples(forward, corpus, batch_size, label)
 
 
-def _fit_regressor(reg, feats, labels, schedule, dev=None, log=None):
-    """MSE training of a regression head on fixed features."""
-    n = len(feats)
-    if n == 0:
+def _row_batches(n, batch_size):
+    """fit's epoch_batches over n rows: slices of a seeded permutation."""
+    def epoch(seed):
+        order = np.random.default_rng(seed).permutation(n)
+        return [order[start:start + batch_size]
+                for start in range(0, n, batch_size)]
+    return epoch
+
+
+def _sse(pred, labels):
+    """Summed squared error of [B,1] predictions against [B] labels."""
+    return ad.sum_all(ad.square(ad.sub(pred, Tensor(labels[:, None]))))
+
+
+def _fit_regressor(reg, examples, corpus, schedule, dev=None, log=None):
+    """MSE training of a head on the fixed features examples(corpus)."""
+    feats, labels, _ = examples(corpus)
+    if len(feats) == 0:
         raise ContractError("no training examples for the regressor")
-    opt = OptimState(schedule.optimizer, schedule.lr, schedule.clip_norm)
-    params = reg.params()
-    history = []
-    for epoch in range(schedule.epochs):
-        epoch_seed = stream_key(schedule.seed, "epoch", epoch) % (2 ** 63)
-        order = np.random.default_rng(epoch_seed).permutation(n)
-        total = 0.0
-        for start in range(0, n, schedule.batch_size):
-            idx = order[start:start + schedule.batch_size]
-            with Tape() as tape:
-                pred = reg._graph(Tensor(feats[idx]))
-                err = ad.sub(pred, Tensor(labels[idx][:, None]))
-                loss = ad.sum_all(ad.square(err))
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise TrainingDivergenceError(
-                    f"non-finite regression loss at epoch {epoch}")
-            grads = backward(tape, loss)
-            for p in params:
-                g = grads.get(p)
-                if g is not None:
-                    g /= len(idx)
-            optimizer_step(opt, params, grads)
-            total += loss_val
-        record = {"epoch": epoch, "train_mse": total / n}
-        if dev is not None:
-            dev_feats, dev_labels = dev
-            record["dev_mse"] = regression_mse(reg, dev_feats, dev_labels)
-        history.append(record)
-        if log is not None:
-            log(record)
-    return history
+
+    def loss_fn(idx):
+        return _sse(reg._graph(Tensor(feats[idx])), labels[idx]), len(idx)
+
+    dev_mse = None
+    if dev is not None:
+        dev_feats, dev_labels, _ = examples(dev)
+
+        def dev_mse():
+            return regression_mse(reg, dev_feats, dev_labels)
+
+    fit(reg.params(), schedule, _row_batches(len(feats), schedule.batch_size),
+        loss_fn, "mse", dev_metric=dev_mse, log=log)
+    return reg
 
 
 def regression_mse(reg, feats, labels):
@@ -234,14 +210,10 @@ def constant_baseline_mse(train_labels, eval_labels):
 def train_length_q(model, corpus, schedule, dev=None, log=None):
     """Fit a remaining-length head on teacher-forced states."""
     _require_trained(model, "forward")
-    feats, labels, _ = length_examples(model, corpus, schedule.batch_size)
-    reg = LengthRegressor(model.hidden, seed=schedule.seed)
-    dev_pack = None
-    if dev is not None:
-        df, dl, _ = length_examples(model, dev, schedule.batch_size)
-        dev_pack = (df, dl)
-    _fit_regressor(reg, feats, labels, schedule, dev=dev_pack, log=log)
-    return reg
+    return _fit_regressor(
+        LengthRegressor(model.hidden, seed=schedule.seed),
+        lambda c: length_examples(model, c, schedule.batch_size),
+        corpus, schedule, dev, log)
 
 
 # -- backward-probability estimators -------------------------------------------
@@ -273,16 +245,10 @@ def train_backward_q_option1(forward, backward, corpus, schedule,
     """Fit h_t -> log p(X|Y) with the full-pair score as a constant label."""
     _require_trained(forward, "forward")
     _require_trained(backward, "backward")
-    feats, labels, _ = backward_examples(forward, backward, corpus,
-                                         schedule.batch_size)
-    reg = BackwardRegressor(forward.hidden, seed=schedule.seed)
-    dev_pack = None
-    if dev is not None:
-        df, dl, _ = backward_examples(forward, backward, dev,
-                                      schedule.batch_size)
-        dev_pack = (df, dl)
-    _fit_regressor(reg, feats, labels, schedule, dev=dev_pack, log=log)
-    return reg
+    return _fit_regressor(
+        BackwardRegressor(forward.hidden, seed=schedule.seed),
+        lambda c: backward_examples(forward, backward, c, schedule.batch_size),
+        corpus, schedule, dev, log)
 
 
 def _check_buckets(buckets):
@@ -311,7 +277,7 @@ def _bucket_index(buckets, t):
     raise ConfigError(f"no bucket covers length {t}")
 
 
-class PartialBackwardEnsemble:
+class PartialBackwardEnsemble(Checkpointed):
     """One backward seq2seq per prefix-length bucket.
 
     Each bucket model is trained with partial targets y_{1:t} as sources
@@ -353,7 +319,7 @@ class PartialBackwardEnsemble:
         model = self.model_for(len(prefix))
         return model.sequence_logprob(list(prefix), list(src) + [EOS])
 
-    def save(self, path):
+    def to_named(self):
         named = {}
         meta = [float(len(self.buckets))]
         for i, (lo, hi) in enumerate(self.buckets):
@@ -363,13 +329,10 @@ class PartialBackwardEnsemble:
                 for name, arr in self.models[i].to_named().items():
                     named[f"b{i}/{name}"] = arr
         named["meta"] = np.array(meta, dtype=np.float32)
-        save_tensors(path, with_type_tag(named, self.TYPE_TAG))
+        return named
 
     @classmethod
-    def load(cls, path):
-        tag, named = split_type_tag(load_tensors(path))
-        if tag != cls.TYPE_TAG:
-            raise CheckpointError(f"{path}: type tag {tag!r}, want {cls.TYPE_TAG!r}")
+    def from_named(cls, named):
         meta = [float(x) for x in named.pop("meta")]
         count = int(meta[0])
         buckets, present = [], []
@@ -426,21 +389,6 @@ def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
     ensemble.example_counts = {i: len(pairs) for i, pairs in per_bucket.items()
                                if pairs}
     return ensemble
-
-
-def estimate_backward(estimator, src, prefix, h_t=None):
-    """Dispatch a future-backward-probability estimate to either option."""
-    if isinstance(estimator, BackwardRegressor):
-        if h_t is None:
-            raise ContractError("option 1 needs the decoder state h_t")
-        h_t = np.asarray(h_t)
-        if h_t.shape != (estimator.hidden,):
-            raise DimensionError(
-                f"state must be [{estimator.hidden}], got {h_t.shape}")
-        return float(estimator.predict(h_t[None])[0])
-    if isinstance(estimator, PartialBackwardEnsemble):
-        return float(estimator.estimate(src, prefix))
-    raise ConfigError(f"unknown backward estimator {type(estimator).__name__}")
 
 
 # -- rollouts -------------------------------------------------------------------
@@ -577,7 +525,7 @@ def _pad_ids(seqs):
     return ids, mask
 
 
-class OutcomePredictor:
+class OutcomePredictor(Checkpointed):
     """Dual sequence encoders with a two-layer scalar head.
 
     One LSTM reads the source X, another the partial target y_{1:t};
@@ -600,37 +548,16 @@ class OutcomePredictor:
                   ("enc_y/b", (4 * h,)),
                   ("head1/w", (h, 2 * h)), ("head1/b", (h,)),
                   ("head2/w", (1, h)), ("head2/b", (1,)))
-        if params is None:
-            rng = substream(seed, "value-init", self.TYPE_TAG)
-            params = {
-                name: Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
-                for name, shape in shapes
-            }
-        for name, shape in shapes:
-            if params[name].shape != shape:
-                raise ContractError(
-                    f"parameter {name}: shape {params[name].shape}, want {shape}")
-        self.p = params
+        self.p = init_params(shapes, params,
+                             substream(seed, "value-init", self.TYPE_TAG))
 
     def params(self):
         return list(self.p.values())
 
-    def _lstm(self, prefix):
-        return LSTMParams(self.p[prefix + "/w_ih"], self.p[prefix + "/w_hh"],
-                          self.p[prefix + "/b"])
-
-    def _encode(self, emb_name, lstm_prefix, ids, mask):
-        """Masked final LSTM state over [B,S] ids."""
-        b = ids.shape[0]
-        h = Tensor(np.zeros((b, self.hidden)))
-        c = Tensor(np.zeros((b, self.hidden)))
-        lstm = self._lstm(lstm_prefix)
-        for t in range(ids.shape[1]):
-            x = ad.rows(self.p[emb_name], ids[:, t])
-            h_new, c_new = ad.lstm_step(lstm, x, h, c)
-            m = mask[:, t:t + 1]
-            h = ad.add(ad.mul_const(h_new, m), ad.mul_const(h, 1.0 - m))
-            c = ad.add(ad.mul_const(c_new, m), ad.mul_const(c, 1.0 - m))
+    def _encode(self, side, ids, mask):
+        """Final masked LSTM state of the "x" (source) or "y" (prefix) side."""
+        _, h, _ = masked_lstm(self.p["emb_" + side],
+                              lstm_params(self.p, "enc_" + side), ids, mask)
         return h
 
     def _head(self, hx, hy):
@@ -639,8 +566,8 @@ class OutcomePredictor:
         return ad.affine(self.p["head2/w"], self.p["head2/b"], hid)
 
     def _graph(self, src_ids, src_mask, pre_ids, pre_mask):
-        hx = self._encode("emb_x", "enc_x", src_ids, src_mask)
-        hy = self._encode("emb_y", "enc_y", pre_ids, pre_mask)
+        hx = self._encode("x", src_ids, src_mask)
+        hy = self._encode("y", pre_ids, pre_mask)
         return self._head(hx, hy)
 
     def _check_ids(self, seq, vocab, role):
@@ -665,17 +592,14 @@ class OutcomePredictor:
         out = self._graph(src_ids, src_mask, pre_ids, pre_mask)
         return out.data[:, 0].astype(np.float64)
 
-    def save(self, path):
+    def to_named(self):
         named = {name: t.data for name, t in self.p.items()}
         named["meta"] = np.array(
             [self.src_vocab, self.tgt_vocab, self.hidden], dtype=np.float32)
-        save_tensors(path, with_type_tag(named, self.TYPE_TAG))
+        return named
 
     @classmethod
-    def load(cls, path):
-        tag, named = split_type_tag(load_tensors(path))
-        if tag != cls.TYPE_TAG:
-            raise CheckpointError(f"{path}: type tag {tag!r}, want {cls.TYPE_TAG!r}")
+    def from_named(cls, named):
         vs, vt, hidden = (int(x) for x in named.pop("meta"))
         return cls(vs, vt, hidden,
                    params={n: Tensor(a) for n, a in named.items()})
@@ -697,44 +621,19 @@ def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
         raise ContractError("no rollout records to train on")
     predictor = OutcomePredictor(src_vocab, tgt_vocab, hidden=hidden,
                                  seed=schedule.seed)
-    opt = OptimState(schedule.optimizer, schedule.lr, schedule.clip_norm)
-    params = predictor.params()
-    n = len(records)
     labels = np.array([r["q"] for r in records], dtype=np.float64)
-    for epoch in range(schedule.epochs):
-        epoch_seed = stream_key(schedule.seed, "epoch", epoch) % (2 ** 63)
-        order = np.random.default_rng(epoch_seed).permutation(n)
-        total = 0.0
-        for start in range(0, n, schedule.batch_size):
-            idx = order[start:start + schedule.batch_size]
-            src_ids, src_mask = _pad_ids([records[i]["src"] for i in idx])
-            pre_ids, pre_mask = _pad_ids([records[i]["prefix"] for i in idx])
-            with Tape() as tape:
-                pred = predictor._graph(src_ids, src_mask, pre_ids, pre_mask)
-                err = ad.sub(pred, Tensor(labels[idx][:, None]))
-                loss = ad.sum_all(ad.square(err))
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise TrainingDivergenceError(
-                    f"non-finite outcome loss at epoch {epoch}")
-            grads = backward(tape, loss)
-            for p in params:
-                g = grads.get(p)
-                if g is not None:
-                    g /= len(idx)
-            optimizer_step(opt, params, grads)
-            total += loss_val
-        record = {"epoch": epoch, "train_mse": total / n}
-        if dev is not None:
-            record["dev_mse"] = outcome_mse(predictor, dev)
-        if log is not None:
-            log(record)
+
+    def loss_fn(idx):
+        src_ids, src_mask = _pad_ids([records[i]["src"] for i in idx])
+        pre_ids, pre_mask = _pad_ids([records[i]["prefix"] for i in idx])
+        pred = predictor._graph(src_ids, src_mask, pre_ids, pre_mask)
+        return _sse(pred, labels[idx]), len(idx)
+
+    dev_mse = (lambda: outcome_mse(predictor, dev)) if dev is not None else None
+    fit(predictor.params(), schedule,
+        _row_batches(len(records), schedule.batch_size), loss_fn, "mse",
+        dev_metric=dev_mse, log=log)
     return predictor
-
-
-def predict_outcome(predictor, src, prefix):
-    """Spec-level alias for OutcomePredictor.predict."""
-    return predictor.predict(src, prefix)
 
 
 # -- scorers wiring the estimators into guided search ---------------------------
@@ -754,7 +653,7 @@ class OutcomeScorer(Scorer):
 
     def prepare(self, model, src, ctx):
         ids, mask = _pad_ids([list(src)])
-        self.hx = self.q._encode("emb_x", "enc_x", ids, mask).data
+        self.hx = self.q._encode("x", ids, mask).data
 
     def start(self):
         h = np.zeros((1, self.q.hidden), dtype=np.float32)
@@ -763,7 +662,8 @@ class OutcomeScorer(Scorer):
     def advance(self, state, token):
         h, c = state
         x = ad.rows(self.q.p["emb_y"], np.array([token]))
-        h2, c2 = ad.lstm_step(self.q._lstm("enc_y"), x, Tensor(h), Tensor(c))
+        h2, c2 = ad.lstm_step(lstm_params(self.q.p, "enc_y"), x, Tensor(h),
+                              Tensor(c))
         return (h2.data, c2.data)
 
     def score_candidates(self, hyp, ctx):
@@ -772,7 +672,7 @@ class OutcomeScorer(Scorer):
         x = ad.rows(self.q.p["emb_y"], cands)
         hb = Tensor(np.broadcast_to(h, (self.vocab, self.q.hidden)).copy())
         cb = Tensor(np.broadcast_to(c, (self.vocab, self.q.hidden)).copy())
-        h2, _ = ad.lstm_step(self.q._lstm("enc_y"), x, hb, cb)
+        h2, _ = ad.lstm_step(lstm_params(self.q.p, "enc_y"), x, hb, cb)
         hx = Tensor(np.broadcast_to(self.hx, (self.vocab, self.q.hidden)).copy())
         out = self.q._head(hx, h2)
         return out.data[:, 0].astype(np.float64)

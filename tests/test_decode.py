@@ -211,6 +211,21 @@ class TestLengthForced:
                                        DecodeConfig(beam=3, weight=0.0))
         assert with_reg.tokens == without.tokens
 
+    @pytest.mark.parametrize("vt", [6, 9])
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_fallback_when_nothing_is_admitted(self, vt, length):
+        # EOS never reaches a top-B rank, so no hypothesis is admitted at
+        # L+1 and decoding runs on to the cap, exactly as beam search does
+        for seed in range(20):
+            m = tiny_model(seed, vt=vt)
+            m.p["out/b"].data[EOS] = -50.0
+            cfg = DecodeConfig(beam=3, cap=length + 2)
+            got = length_forced_select(m, None, [4, 5], length, cfg)
+            want = beam_search(m, [4, 5], cfg).top()
+            assert len(got.content) == length + 2
+            assert got.tokens == want.tokens
+            assert got.logp == want.logp
+
     def test_requires_positive_length(self):
         with pytest.raises(ConfigError):
             length_forced_select(tiny_model(), None, [4], 0, DecodeConfig())

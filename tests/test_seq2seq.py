@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fdq.autodiff import Tape, Tensor, backward, fd_check
 from fdq.data import BOS, EOS, TaskSpec, gen_task, make_batch, split
 from fdq.errors import ContractError
-from fdq.seq2seq import (Seq2Seq, TrainSchedule, dataset_ce, single_batch,
-                         train_mle, _param_shapes)
+from fdq.seq2seq import (Seq2Seq, TrainSchedule, dataset_ce, train_mle,
+                         _param_shapes)
 
 
 def tiny_model(seed=0, attention=True, vs=6, vt=6, hidden=4):
@@ -135,8 +135,8 @@ class TestSequenceLogprob:
         c = gen_task(TaskSpec("copy", vocab=2, min_len=1, max_len=5, pairs=6, seed=3))
         short, longer = c.pairs[0], max(c.pairs, key=lambda p: len(p.src))
         joint, _ = m.mle_loss(make_batch([short, longer]))
-        alone_a, _ = m.mle_loss(single_batch(short))
-        alone_b, _ = m.mle_loss(single_batch(longer))
+        alone_a, _ = m.mle_loss(make_batch([short]))
+        alone_b, _ = m.mle_loss(make_batch([longer]))
         assert float(joint.data) == pytest.approx(
             float(alone_a.data) + float(alone_b.data), rel=1e-5, abs=1e-4)
         assert m.sequence_logprob(short.src, short.tgt) == pytest.approx(
@@ -217,30 +217,6 @@ class TestTraining:
             prev = tok
         logprobs, _ = m.decode_step(state, prev, ctx)
         assert int(np.argmax(logprobs)) == pair.tgt[2]
-
-
-class TestSampling:
-    def test_finished_prefix_unchanged(self):
-        m = tiny_model()
-        assert m.sample_continuation([4], [5, EOS], seed=0) == [5, EOS]
-
-    def test_always_terminates_with_eos(self):
-        m = tiny_model()
-        for seed in range(5):
-            y = m.sample_continuation([4, 5], [], seed=seed, max_len=6)
-            assert y[-1] == EOS
-            assert len(y) <= 7
-            assert all(0 <= t < m.tgt_vocab for t in y)
-
-    def test_seeds_differ_on_fresh_model(self):
-        m = tiny_model()
-        draws = {tuple(m.sample_continuation([4, 5], [], seed=s)) for s in range(8)}
-        assert len(draws) > 1
-
-    def test_extends_prefix(self):
-        m = tiny_model()
-        y = m.sample_continuation([4], [5, 4], seed=1)
-        assert y[:2] == [5, 4]
 
 
 class TestCheckpointing:

@@ -13,9 +13,8 @@ from fdq.value import (DEFAULT_BUCKETS, BackwardRegressor, LengthRegressor,
                        OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer,
                        RolloutConfig, backward_examples, constant_baseline_mse,
-                       estimate_backward, generate_rollouts, length_examples,
-                       load_rollouts, outcome_mse, predict_outcome,
-                       predict_remaining_length, regression_mse, save_rollouts,
+                       generate_rollouts, length_examples, load_rollouts,
+                       outcome_mse, regression_mse, save_rollouts,
                        swap_corpus, train_backward_model,
                        train_backward_q_option1, train_backward_q_option2,
                        train_length_q, train_outcome_q)
@@ -148,16 +147,16 @@ class TestLengthRegressor:
         reg = train_length_q(model, train, sched)
         pair = next(p for p in dev.pairs if p.n == 6)
         states = model.forced_states(make_batch([pair]))
-        assert abs(predict_remaining_length(reg, states[0, 1]) - 5.0) <= 1.5
+        assert abs(reg.predict(states[0, 1][None])[0] - 5.0) <= 1.5
 
     def test_predict_contract(self):
         reg = LengthRegressor(8, seed=0)
         h = np.linspace(-1, 1, 8).astype(np.float32)
-        a = predict_remaining_length(reg, h)
-        b = predict_remaining_length(reg, h)
+        a = reg.predict(h[None])[0]
+        b = reg.predict(h[None])[0]
         assert a == b and np.isfinite(a)
         with pytest.raises(DimensionError):
-            predict_remaining_length(reg, np.zeros(5))
+            reg.predict(np.zeros(5))
         with pytest.raises(DimensionError):
             reg.predict(np.zeros((2, 5)))
 
@@ -330,29 +329,6 @@ class TestBackwardOption2:
             ensemble.estimate(pair.src, content)
 
 
-class TestEstimateBackwardDispatch:
-    def test_option1_needs_state(self):
-        reg = BackwardRegressor(6, seed=0)
-        with pytest.raises(ContractError):
-            estimate_backward(reg, [4], [5])
-        with pytest.raises(DimensionError):
-            estimate_backward(reg, [4], [5], h_t=np.zeros(3))
-        h = np.ones(6, dtype=np.float32)
-        assert estimate_backward(reg, [4], [5], h_t=h) == \
-            pytest.approx(reg.predict(h[None])[0])
-
-    def test_option2_dispatch(self, dialogue_rig):
-        train, *_, ensemble = dialogue_rig
-        pair = train.pairs[0]
-        content = list(pair.tgt[:-1])
-        assert estimate_backward(ensemble, pair.src, content) == \
-            ensemble.estimate(pair.src, content)
-
-    def test_unknown_estimator(self):
-        with pytest.raises(ConfigError):
-            estimate_backward(object(), [4], [5])
-
-
 class TestRollouts:
     def test_count_and_self_consistency(self, weak_copy_rig):
         corpus, model = weak_copy_rig
@@ -485,8 +461,8 @@ class TestOutcomePredictor:
 
     def test_predict_contract(self, outcome_rig):
         *_, predictor = outcome_rig
-        a = predict_outcome(predictor, [4, 5], [4])
-        assert a == predict_outcome(predictor, [4, 5], [4])
+        a = predictor.predict([4, 5], [4])
+        assert a == predictor.predict([4, 5], [4])
         assert np.isfinite(a)
         with pytest.raises(ContractError):
             predictor.predict([4, 5], [])
