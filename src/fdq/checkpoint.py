@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Tensor
 from .errors import CheckpointError
 
 MAGIC = b"FDQ1"
@@ -110,13 +111,31 @@ def split_type_tag(named):
 
 
 class Checkpointed:
-    """save/load for a model that converts to and from named arrays.
+    """Parameter format and save/load of a model whose Tensor dict is self.p.
 
-    A subclass sets TYPE_TAG and defines to_named() and the classmethod
-    from_named(named); load refuses a file written under another tag.
+    A subclass sets TYPE_TAG and defines meta(), the hyperparameter list
+    stored as the "meta" entry, and the classmethod from_meta(meta, params);
+    load refuses a file written under another tag.
     """
 
     TYPE_TAG = None
+
+    def params(self):
+        return list(self.p.values())
+
+    def to_named(self):
+        named = {name: t.data for name, t in self.p.items()}
+        named["meta"] = np.array(self.meta(), dtype=np.float32)
+        return named
+
+    @classmethod
+    def from_named(cls, named):
+        named = dict(named)
+        if "meta" not in named:
+            raise CheckpointError(f"{cls.TYPE_TAG} checkpoint has no meta entry")
+        meta = [float(x) for x in named.pop("meta")]
+        return cls.from_meta(meta, {name: Tensor(arr)
+                                    for name, arr in named.items()})
 
     def save(self, path):
         save_tensors(path, with_type_tag(self.to_named(), self.TYPE_TAG))

@@ -8,6 +8,8 @@ failure.
 """
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -20,7 +22,8 @@ from .autodiff import Tensor, fd_check, log_softmax, matmul, mul, sum_all, tanh
 from .checkpoint import load_tensors, save_tensors
 from .config import (RunManifest, apply_overrides, config_hash, default_config,
                      load_config, timed, validate_config)
-from .data import Corpus, TaskSpec, gen_task, load_corpus, save_corpus, split
+from .data import (TaskSpec, gen_task, load_corpus, read_ndjson, save_corpus,
+                   split, write_ndjson)
 from .decode import (DecodeConfig, RegressorScorer, beam_search, decode_corpus,
                      exhaustive_decode)
 from .errors import ConfigError, FdqError, TrainingDivergenceError
@@ -29,10 +32,10 @@ from .seeding import stream_key
 from .seq2seq import Seq2Seq, TrainSchedule, dataset_ce, train_mle
 from .value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
                     OutcomeScorer, PartialBackwardEnsemble,
-                    PartialBackwardScorer, RolloutConfig, backward_examples,
-                    constant_baseline_mse, generate_rollouts, length_examples,
-                    load_rollouts, outcome_mse, regression_mse, save_rollouts,
-                    swap_corpus, train_backward_model, train_backward_q_option1,
+                    PartialBackwardScorer, RolloutConfig,
+                    constant_baseline_mse, generate_rollouts, load_rollouts,
+                    outcome_mse, save_rollouts, swap_corpus,
+                    train_backward_model, train_backward_q_option1,
                     train_backward_q_option2, train_length_q, train_outcome_q)
 
 FORWARD = "forward.fdq"
@@ -52,11 +55,6 @@ def _require(path, hint):
     return path
 
 
-def _subcorpus(corpus, pairs):
-    return Corpus(list(pairs), corpus.src_vocab, corpus.tgt_vocab,
-                  dict(corpus.provenance))
-
-
 def load_task(config):
     """Regenerate the task corpus and its split from the global seed."""
     t = config["task"]
@@ -66,9 +64,8 @@ def load_task(config):
     return split(corpus, config["split"], seed=_seed(config, "split"))
 
 
-def _load_forward(config, out):
-    model = Seq2Seq.load(_require(out / FORWARD, "run `fdq train` first"))
-    return model
+def _load_forward(out):
+    return Seq2Seq.load(_require(out / FORWARD, "run `fdq train` first"))
 
 
 def _check_vocab(model, corpus):
@@ -78,23 +75,6 @@ def _check_vocab(model, corpus):
         raise ConfigError(
             f"checkpoint vocab sizes {got} do not match task vocab {want}; "
             f"the checkpoint was trained under a different config")
-    return model
-
-
-def _write_ndjson(path, records):
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-    return path
-
-
-def _read_ndjson(path):
-    records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
 
 
 def _print_epoch(record):
@@ -104,14 +84,10 @@ def _print_epoch(record):
     print(line)
 
 
-def _train_schedule(section, seed):
-    return TrainSchedule(epochs=section["epochs"],
-                         batch_size=section["batch_size"],
-                         optimizer=section.get("optimizer", "adam"),
-                         lr=section["lr"],
-                         clip_norm=section.get("clip_norm", 5.0),
-                         seed=seed,
-                         patience=section.get("patience", 0))
+def _from_section(cls, section, **given):
+    """A cls dataclass from the section keys that name its fields, plus given."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**{k: v for k, v in section.items() if k in names}, **given})
 
 
 def _needs_backward(config):
@@ -124,15 +100,14 @@ def _needs_backward(config):
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_train(config):
-    out = Path(config["out"])
-    manifest = RunManifest("train", config_hash(config), config["seed"])
+def cmd_train(config, out, manifest):
     train, dev, _ = load_task(config)
     m = config["model"]
     model = Seq2Seq(len(train.src_vocab), len(train.tgt_vocab),
                     hidden=m["hidden"], attention=m["attention"],
                     max_len=m["max_len"], seed=_seed(config, "train"))
-    sched = _train_schedule(config["train"], _seed(config, "train"))
+    sched = _from_section(TrainSchedule, config["train"],
+                          seed=_seed(config, "train"))
     with timed(manifest, "train"):
         train_mle(model, train, sched, dev=dev, log=_print_epoch)
     ppl = math.exp(dataset_ce(model, dev))
@@ -142,7 +117,8 @@ def cmd_train(config):
     manifest.artifacts["forward"] = str(out / FORWARD)
     if _needs_backward(config):
         b = config["q"]["backward"]
-        bsched = _train_schedule(b, _seed(config, "train", "backward"))
+        bsched = _from_section(TrainSchedule, b,
+                               seed=_seed(config, "train", "backward"))
         with timed(manifest, "train_backward"):
             backward = train_backward_model(train, bsched, hidden=b["hidden"],
                                             attention=m["attention"],
@@ -157,117 +133,115 @@ def cmd_train(config):
     (out / "config.json").write_text(
         json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     manifest.artifacts["config"] = str(out / "config.json")
-    manifest.write(out / "train.manifest.json")
     print(f"config_hash={manifest.config_hash}")
     return 0
 
 
-def cmd_train_q(config):
-    out = Path(config["out"])
-    manifest = RunManifest("train-q", config_hash(config), config["seed"])
-    model = _load_forward(config, out)
+def _rollouts(config, out, model, train, manifest):
+    """Rollout records, generated or else reused from out.
+
+    Reuse requires the key file to match this run's task, split, seed,
+    q.rollout and forward checkpoint bytes.
+    """
+    rc = config["q"]["rollout"]
+    rpath, kpath = out / ROLLOUTS, out / (ROLLOUTS + ".key")
+    key = config_hash({
+        "task": config["task"], "split": config["split"],
+        "seed": config["seed"], "rollout": rc,
+        "forward": hashlib.sha256((out / FORWARD).read_bytes()).hexdigest()})
+    manifest.artifacts["rollouts"] = str(rpath)
+    if rpath.exists():
+        if not kpath.exists() or kpath.read_text(encoding="utf-8") != key:
+            raise ConfigError(
+                f"{rpath} was not generated under this task, split, seed, "
+                f"q.rollout and {FORWARD} ({kpath} differs or is missing); "
+                f"delete it to generate new rollouts")
+        records = load_rollouts(rpath)
+        print(f"rollouts={len(records)} (loaded)")
+        return records
+    source = dataclasses.replace(train, pairs=train.pairs[:rc["pairs"]])
+    rcfg = _from_section(RolloutConfig, rc, seed=_seed(config, "rollout"))
+    with timed(manifest, "rollouts"):
+        records = generate_rollouts(model, source, rcfg)
+    save_rollouts(rpath, records)
+    kpath.write_text(key, encoding="utf-8")
+    print(f"rollouts={len(records)} (generated)")
+    return records
+
+
+def cmd_train_q(config, out, manifest):
+    model = _load_forward(out)
     train, dev, _ = load_task(config)
     _check_vocab(model, train)
     q = config["q"]
     family = q["family"]
-    sched = _train_schedule(q, _seed(config, "q"))
-    target = out / Q_FILES[family]
+    sched = _from_section(TrainSchedule, q, seed=_seed(config, "q"))
     if family == "length":
         with timed(manifest, "train_q"):
-            reg = train_length_q(model, train, sched, dev=dev)
-        _, tl, _ = length_examples(model, train, sched.batch_size)
-        df, dl, _ = length_examples(model, dev, sched.batch_size)
-        mse = regression_mse(reg, df, dl)
-        base = constant_baseline_mse(tl, dl)
-        print(f"mse={mse:.4f} baseline_mse={base:.4f}")
-        manifest.metrics.update(mse=mse, baseline_mse=base)
-        reg.save(target)
+            q_model = train_length_q(model, train, sched, dev=dev)
     elif family == "backward_opt1":
         backward = Seq2Seq.load(_require(
             out / BACKWARD,
             "train with q.family=backward_opt1 to produce a backward model"))
         with timed(manifest, "train_q"):
-            reg = train_backward_q_option1(model, backward, train, sched,
-                                           dev=dev)
-        _, tl, _ = backward_examples(model, backward, train, sched.batch_size)
-        df, dl, _ = backward_examples(model, backward, dev, sched.batch_size)
-        mse = regression_mse(reg, df, dl)
-        base = constant_baseline_mse(tl, dl)
-        print(f"mse={mse:.4f} baseline_mse={base:.4f}")
-        manifest.metrics.update(mse=mse, baseline_mse=base)
-        reg.save(target)
+            q_model = train_backward_q_option1(model, backward, train, sched,
+                                               dev=dev)
     elif family == "backward_opt2":
         buckets = tuple((lo, hi) for lo, hi in q["buckets"])
         with timed(manifest, "train_q"):
-            ens = train_backward_q_option2(
+            q_model = train_backward_q_option2(
                 train, sched, buckets=buckets, hidden=q["hidden"],
                 attention=config["model"]["attention"],
                 max_len=config["model"]["max_len"],
                 full_targets_only=q["full_targets_only"])
-        for i, count in sorted(ens.example_counts.items()):
+        counts = sorted(q_model.example_counts.items())
+        for i, count in counts:
             print(f"bucket_{i} examples={count}")
-        manifest.metrics["bucket_examples"] = {
-            str(i): c for i, c in sorted(ens.example_counts.items())}
-        ens.save(target)
-    elif family == "outcome":
-        rpath = out / ROLLOUTS
-        if rpath.exists():
-            records = load_rollouts(rpath)
-            print(f"rollouts={len(records)} (loaded)")
-        else:
-            rc = q["rollout"]
-            source = train if rc["pairs"] is None else \
-                _subcorpus(train, train.pairs[:rc["pairs"]])
-            rcfg = RolloutConfig(positions=rc["positions"],
-                                 samples=rc["samples"], beam=rc["beam"],
-                                 metric=rc["metric"],
-                                 prefix_source=rc["prefix_source"],
-                                 seed=_seed(config, "rollout"))
-            with timed(manifest, "rollouts"):
-                records = generate_rollouts(model, source, rcfg)
-            save_rollouts(rpath, records)
-            print(f"rollouts={len(records)} (generated)")
-        manifest.artifacts["rollouts"] = str(rpath)
-        cut = max(1, int(0.9 * len(records)))
-        with timed(manifest, "train_q"):
-            predictor = train_outcome_q(records[:cut], sched,
-                                        len(train.src_vocab),
-                                        len(train.tgt_vocab),
-                                        hidden=q["hidden"])
-        if records[cut:]:
-            mse = outcome_mse(predictor, records[cut:])
-            base = constant_baseline_mse([r["q"] for r in records[:cut]],
-                                         [r["q"] for r in records[cut:]])
-            print(f"mse={mse:.4f} baseline_mse={base:.4f}")
-            manifest.metrics.update(mse=mse, baseline_mse=base)
-        predictor.save(target)
+        manifest.metrics["bucket_examples"] = {str(i): c for i, c in counts}
     else:
-        raise ConfigError(f"unknown q family {family!r}")
-    manifest.artifacts["q"] = str(target)
-    manifest.write(out / "train-q.manifest.json")
+        records = _rollouts(config, out, model, train, manifest)
+        cut = max(1, int(0.9 * len(records)))
+        train_recs, dev_recs = records[:cut], records[cut:]
+        with timed(manifest, "train_q"):
+            q_model = train_outcome_q(train_recs, sched, len(train.src_vocab),
+                                      len(train.tgt_vocab), hidden=q["hidden"])
+        if dev_recs:
+            q_model.dev_report = {
+                "mse": outcome_mse(q_model, dev_recs),
+                "baseline_mse": constant_baseline_mse(
+                    [r["q"] for r in train_recs], [r["q"] for r in dev_recs])}
+    report = getattr(q_model, "dev_report", None)
+    if report:
+        print(f"mse={report['mse']:.4f} baseline_mse={report['baseline_mse']:.4f}")
+        manifest.metrics.update(report)
+    q_model.save(out / Q_FILES[family])
+    manifest.artifacts["q"] = str(out / Q_FILES[family])
     print(f"config_hash={manifest.config_hash}")
     return 0
 
 
+def _load_q(out, family, cls):
+    return cls.load(_require(out / Q_FILES[family],
+                             f"run `fdq train-q` with q.family={family}"))
+
+
 def _build_scorer(config, out, mode):
     """Per-mode (scorer_factory, backward) from on-disk checkpoints."""
+    family = config["q"]["family"]
     if mode == "length_q":
-        reg = LengthRegressor.load(_require(
-            out / Q_FILES["length"], "run `fdq train-q` with q.family=length"))
+        reg = _load_q(out, "length", LengthRegressor)
         return (lambda pair: reg), None
+    if mode == "mmi_q" and family == "backward_opt1":
+        reg = _load_q(out, family, BackwardRegressor)
+        return (lambda pair: RegressorScorer(reg)), None
+    if mode == "mmi_q" and family == "backward_opt2":
+        ens = _load_q(out, family, PartialBackwardEnsemble)
+        return (lambda pair: PartialBackwardScorer(ens)), None
     if mode == "mmi_q":
-        p2, p1 = out / Q_FILES["backward_opt2"], out / Q_FILES["backward_opt1"]
-        if p2.exists():
-            ens = PartialBackwardEnsemble.load(p2)
-            return (lambda pair: PartialBackwardScorer(ens)), None
-        if p1.exists():
-            reg = BackwardRegressor.load(p1)
-            return (lambda pair: RegressorScorer(reg)), None
-        raise ConfigError(
-            f"missing {p2} (or {p1}); run `fdq train-q` with a backward family")
+        raise ConfigError(f"config key 'q.family': mmi_q decodes with a "
+                          f"backward family, got {family!r}")
     if mode == "outcome_q":
-        pred = OutcomePredictor.load(_require(
-            out / Q_FILES["outcome"], "run `fdq train-q` with q.family=outcome"))
+        pred = _load_q(out, "outcome", OutcomePredictor)
         return (lambda pair: OutcomeScorer(pred)), None
     if mode == "mmi_rerank":
         backward = Seq2Seq.load(_require(
@@ -275,15 +249,6 @@ def _build_scorer(config, out, mode):
             "q.family=backward_opt1 to produce a backward model"))
         return None, backward
     return None, None
-
-
-def _decode_config(d, mode=None, weight=None):
-    return DecodeConfig(mode=d["mode"] if mode is None else mode,
-                        beam=d["beam"],
-                        weight=d["weight"] if weight is None else weight,
-                        length=d["length"], nbest=d["nbest"], cap=d["cap"],
-                        mask_eos=d["mask_eos"],
-                        use_length_protocol=d["use_length_protocol"]).validate()
 
 
 def _reference_records(corpus):
@@ -296,27 +261,24 @@ def _reference_records(corpus):
             for i, pair in enumerate(corpus.pairs)]
 
 
-def cmd_decode(config):
-    out = Path(config["out"])
-    manifest = RunManifest("decode", config_hash(config), config["seed"])
-    model = _load_forward(config, out)
+def cmd_decode(config, out, manifest):
+    model = _load_forward(out)
     d = config["decode"]
     if d["input"] is not None:
         corpus = load_corpus(_require(d["input"], "decode.input must exist"))
     else:
         _, corpus, _ = load_task(config)
     _check_vocab(model, corpus)
-    dcfg = _decode_config(d)
+    dcfg = _from_section(DecodeConfig, d)
     scorer_factory, backward = _build_scorer(config, out, dcfg.mode)
     with timed(manifest, "decode"):
         records, stats = decode_corpus(model, corpus, dcfg, scorer_factory,
                                        backward)
-    _write_ndjson(out / "decode.ndjson", records)
-    _write_ndjson(out / "refs.ndjson", _reference_records(corpus))
+    write_ndjson(out / "decode.ndjson", records)
+    write_ndjson(out / "refs.ndjson", _reference_records(corpus))
     manifest.artifacts["decode"] = str(out / "decode.ndjson")
     manifest.artifacts["refs"] = str(out / "refs.ndjson")
     manifest.metrics.update(stats)
-    manifest.write(out / "decode.manifest.json")
     print(f"pairs={stats['pairs']} errors={stats['errors']} "
           f"mode={dcfg.mode} weight={dcfg.weight}")
     return 0
@@ -356,16 +318,14 @@ def _metric_table(hyps, refs, smooth):
     return metrics, bleu_report.config
 
 
-def cmd_eval(config):
-    out = Path(config["out"])
-    manifest = RunManifest("eval", config_hash(config), config["seed"])
+def cmd_eval(config, out, manifest):
     e = config["eval"]
     hyp_path = Path(e["hyp"]) if e["hyp"] else out / "decode.ndjson"
     ref_path = Path(e["ref"]) if e["ref"] else out / "refs.ndjson"
     _require(hyp_path, "run `fdq decode` first or set eval.hyp")
     _require(ref_path, "run `fdq decode` first or set eval.ref")
-    hyps, refs, errors = _aligned_tokens(_read_ndjson(hyp_path),
-                                         _read_ndjson(ref_path))
+    hyps, refs, errors = _aligned_tokens(read_ndjson(hyp_path),
+                                         read_ndjson(ref_path))
     metrics, bleu_echo = _metric_table(hyps, refs, e["smooth"])
     report = {"pairs": len(hyps), "errors": errors, "metrics": metrics,
               "config": {"smooth": e["smooth"], "bleu": bleu_echo,
@@ -379,7 +339,6 @@ def cmd_eval(config):
     manifest.artifacts["report"] = str(out / "eval.json")
     manifest.artifacts["csv"] = str(out / "eval.csv")
     manifest.metrics.update(metrics)
-    manifest.write(out / "eval.manifest.json")
     for name, value in metrics.items():
         print(f"{name}={value:.4f}")
     return 0
@@ -399,14 +358,12 @@ def _pick_winners(rows):
     return winners
 
 
-def cmd_compare(config):
-    out = Path(config["out"])
-    manifest = RunManifest("compare", config_hash(config), config["seed"])
+def cmd_compare(config, out, manifest):
     d = config["decode"]
     if not d["weights"]:
         raise ConfigError("config key 'decode.weights': compare needs a "
                           "non-empty weight grid")
-    model = _load_forward(config, out)
+    model = _load_forward(out)
     _, corpus, _ = load_task(config)
     _check_vocab(model, corpus)
     refs = [corpus.tgt_vocab.decode(pair.tgt[:-1]) for pair in corpus.pairs]
@@ -417,8 +374,8 @@ def cmd_compare(config):
         for mode, weight in cells:
             row = {"mode": mode, "weight": weight}
             try:
-                dcfg = _decode_config(d, mode=mode,
-                                      weight=0.0 if weight is None else weight)
+                dcfg = _from_section(DecodeConfig, d, mode=mode, weight=0.0
+                                     if weight is None else weight)
                 scorer_factory, backward = _build_scorer(config, out, mode)
                 records, stats = decode_corpus(model, corpus, dcfg,
                                                scorer_factory, backward)
@@ -449,7 +406,6 @@ def cmd_compare(config):
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     manifest.artifacts["table"] = str(out / "compare.json")
     manifest.artifacts["csv"] = str(out / "compare.csv")
-    manifest.write(out / "compare.manifest.json")
     for row in rows:
         if row["status"] == "ok":
             print(f"mode={row['mode']} weight={row['weight']} "
@@ -514,7 +470,7 @@ def _selftest_metrics():
     return "oracles hold"
 
 
-def cmd_selftest(config):
+def cmd_selftest():
     checks = [("gradient", _selftest_gradient),
               ("beam_vs_exhaustive", _selftest_beam_oracle),
               ("checkpoint_round_trip", _selftest_checkpoint),
@@ -566,8 +522,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = effective_config(args)
-        Path(config["out"]).mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config)
+        out = Path(config["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        if args.command == "selftest":
+            return cmd_selftest()
+        manifest = RunManifest(args.command, config_hash(config),
+                               config["seed"])
+        code = COMMANDS[args.command](config, out, manifest)
+        manifest.write(out / f"{args.command}.manifest.json")
+        return code
     except TrainingDivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -81,7 +81,7 @@ def _merge(base, update, default, prefix=""):
         if isinstance(default[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(
-                    f"config key {path!r}: expected object, "
+                    f"config key {path!r} is a section: expected object, "
                     f"got {type(value).__name__}")
             _merge(base[key], value, default[key], prefix=path + ".")
         else:
@@ -114,24 +114,17 @@ def apply_overrides(config, assignments):
         if "=" not in text:
             raise ConfigError(f"override {text!r} is not of the form key=value")
         key, raw = text.split("=", 1)
-        parts = key.split(".")
-        node, default = config, DEFAULT_CONFIG
-        for part in parts[:-1]:
-            if not isinstance(default, dict) or part not in default:
-                raise ConfigError(f"unknown config key {key!r}")
-            node, default = node[part], default[part]
-        leaf = parts[-1]
-        if not isinstance(default, dict) or leaf not in default:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(default[leaf], dict):
-            raise ConfigError(
-                f"config key {key!r} is a section; set its fields instead")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw  # bare strings are a convenience, e.g. task.name=copy
-        _check_type(key, value, default[leaf])
-        node[leaf] = value
+        if isinstance(value, dict):
+            raise ConfigError(
+                f"config key {key!r}: an override sets one field, not a "
+                f"section; set its fields instead")
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        _merge(config, value, DEFAULT_CONFIG)
     return config
 
 

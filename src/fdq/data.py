@@ -314,13 +314,24 @@ def batch_iter(corpus, batch_size, sort_by_length=False, seed=None):
         yield make_batch(chunk)
 
 
+def write_ndjson(path, records, separators=(",", ":")):
+    """One JSON object per line; rollout files keep json's spaced separators."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, separators=separators) + "\n")
+
+
+def read_ndjson(path):
+    """The objects of a newline-delimited JSON file; blank lines skipped."""
+    with Path(path).open("r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 def save_corpus(corpus, path):
     """Cache to newline-delimited JSON with vocab sidecar files."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for pair in corpus.pairs:
-            fh.write(json.dumps({"src": list(pair.src), "tgt": list(pair.tgt)},
-                                separators=(",", ":")) + "\n")
+    write_ndjson(path, ({"src": list(pair.src), "tgt": list(pair.tgt)}
+                        for pair in corpus.pairs))
     corpus.src_vocab.save(path.with_suffix(path.suffix + ".src.vocab"))
     corpus.tgt_vocab.save(path.with_suffix(path.suffix + ".tgt.vocab"))
 
@@ -329,12 +340,6 @@ def load_corpus(path):
     path = Path(path)
     src_vocab = Vocab.load(path.with_suffix(path.suffix + ".src.vocab"))
     tgt_vocab = Vocab.load(path.with_suffix(path.suffix + ".tgt.vocab"))
-    pairs = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            pairs.append(SequencePair(rec["src"], rec["tgt"]))
+    pairs = [SequencePair(rec["src"], rec["tgt"]) for rec in read_ndjson(path)]
     corpus = Corpus(pairs, src_vocab, tgt_vocab, {"cache": str(path)})
     return corpus.validate()

@@ -30,6 +30,7 @@ from .data import BOS, EOS, PAD
 from .errors import ConfigError, ContractError, SearchSpaceError
 
 MODES = ("sbs", "length_q", "mmi_q", "outcome_q", "mmi_rerank", "exhaustive")
+GUIDED_MODES = ("length_q", "mmi_q", "outcome_q")
 
 EXHAUSTIVE_GUARD = 10 ** 6
 
@@ -199,6 +200,9 @@ class _Engine:
             if self.weight != 0.0:
                 qvec = np.asarray(
                     self.scorer.score_candidates(hyp, self.ctx), dtype=np.float64)
+                if not np.isfinite(qvec).all():
+                    # a NaN would make every comparison in the sort false
+                    raise ContractError("scorer returned a non-finite qterm")
             else:
                 qvec = np.zeros(self.model.tgt_vocab, dtype=np.float64)
             base = hyp.cum + hyp.next_logprobs.astype(np.float64)
@@ -386,13 +390,15 @@ def mmi_rerank(forward, backward, src, config):
 def decode_corpus(model, corpus, config, scorer_factory=None, backward=None):
     """Decode every pair; returns (records, stats).
 
-    scorer_factory(pair) builds the per-pair scorer for guided modes.  A
-    failing pair becomes an error record and decoding continues.  The
+    scorer_factory(pair) builds the per-pair scorer for guided modes; for
+    length_q it returns the remaining-length regressor.  A failing pair,
+    including one whose scorer returns a non-finite qterm, becomes an
+    error record and decoding continues.  The
     "ms" field stays 0.0 unless config.emit_timings is set, so reruns are
     byte-for-byte reproducible by default.
     """
     config.validate()
-    if config.mode in ("length_q", "mmi_q", "outcome_q") and scorer_factory is None:
+    if config.mode in GUIDED_MODES and scorer_factory is None:
         raise ConfigError(f"{config.mode} decoding requires a scorer factory")
     if config.mode == "mmi_rerank" and backward is None:
         raise ConfigError("mmi_rerank requires a backward model")
@@ -424,29 +430,17 @@ def decode_corpus(model, corpus, config, scorer_factory=None, backward=None):
 
 
 def _decode_pair(model, pair, config, scorer_factory, backward):
-    if config.mode == "sbs":
-        if config.use_length_protocol:
-            length = config.length if config.length is not None else pair.n
-            return length_forced_select(model, None, pair.src, length, config)
-        return beam_search(model, pair.src, config).top()
-    if config.mode == "length_q":
+    mode = config.mode
+    if mode == "mmi_rerank":
+        return mmi_rerank(model, backward, pair.src, config)[0]
+    scorer = scorer_factory(pair) if scorer_factory and mode != "sbs" else None
+    if scorer is None and mode in GUIDED_MODES:
+        raise ConfigError(f"{mode} decoding requires a scorer")
+    if mode == "length_q" or (mode == "sbs" and config.use_length_protocol):
         length = config.length if config.length is not None else pair.n
-        scorer = scorer_factory(pair) if scorer_factory else None
-        if scorer is None:
-            raise ConfigError("length_q decoding requires a regressor scorer")
-        regressor = scorer.regressor if isinstance(scorer, LengthScorer) else scorer
-        return length_forced_select(model, regressor, pair.src, length, config)
-    if config.mode in ("mmi_q", "outcome_q"):
-        scorer = scorer_factory(pair) if scorer_factory else None
-        if scorer is None:
-            raise ConfigError(f"{config.mode} decoding requires a scorer")
-        return guided_beam_search(model, scorer, pair.src, config).top()
-    if config.mode == "mmi_rerank":
-        if backward is None:
-            raise ConfigError("mmi_rerank requires a backward model")
-        best, _ = mmi_rerank(model, backward, pair.src, config)
-        return best
-    if config.mode == "exhaustive":
-        scorer = scorer_factory(pair) if scorer_factory else None
+        return length_forced_select(model, scorer, pair.src, length, config)
+    if mode == "exhaustive":
         return exhaustive_decode(model, scorer, pair.src, config)
-    raise ConfigError(f"unknown decode mode {config.mode!r}")
+    if mode == "sbs":
+        return beam_search(model, pair.src, config).top()
+    return guided_beam_search(model, scorer, pair.src, config).top()

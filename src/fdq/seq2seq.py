@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import LSTMParams, Tape, Tensor, backward
 from .checkpoint import Checkpointed
 from .data import BOS, EOS, batch_iter, make_batch
-from .errors import CheckpointError, ContractError, TrainingDivergenceError
+from .errors import ContractError, TrainingDivergenceError
 from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
 
@@ -152,27 +152,14 @@ class Seq2Seq(Checkpointed):
         self.p = params
         self.trained = False
 
-    # -- parameter plumbing -------------------------------------------------
-
-    def params(self):
-        return list(self.p.values())
-
-    def to_named(self):
-        named = {name: t.data for name, t in self.p.items()}
-        named["meta"] = np.array(
-            [self.src_vocab, self.tgt_vocab, self.hidden,
-             1.0 if self.attention else 0.0, self.max_len,
-             1.0 if self.trained else 0.0], dtype=np.float32)
-        return named
+    def meta(self):
+        return [self.src_vocab, self.tgt_vocab, self.hidden,
+                1.0 if self.attention else 0.0, self.max_len,
+                1.0 if self.trained else 0.0]
 
     @classmethod
-    def from_named(cls, named):
-        named = dict(named)
-        if "meta" not in named:
-            raise CheckpointError("missing meta entry")
-        meta = [float(x) for x in named.pop("meta")]
+    def from_meta(cls, meta, params):
         vs, vt, hidden, attention, max_len, trained = meta
-        params = {name: Tensor(arr) for name, arr in named.items()}
         model = cls(int(vs), int(vt), int(hidden), attention > 0.5,
                     int(max_len), params=params)
         model.trained = trained > 0.5

@@ -16,7 +16,6 @@ targets; they never backpropagate into the sequence model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpointed
-from .data import BOS, EOS, PAD, Corpus, SequencePair, batch_iter
+from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter,
+                   read_ndjson, write_ndjson)
 from .decode import NEG_SENTINEL, DecodeConfig, Scorer, beam_complete
 from .errors import (ConfigError, ContractError, DimensionError, LoadError,
                      MissingModelError)
@@ -65,9 +65,6 @@ class _MlpRegressor(Checkpointed):
         self.p = init_params(shapes, params,
                              substream(seed, "value-init", self.TYPE_TAG))
 
-    def params(self):
-        return list(self.p.values())
-
     def _graph(self, x):
         """x Tensor [B,H] -> prediction Tensor [B,1]."""
         h1 = ad.tanh(ad.affine(self.p["l1/w"], self.p["l1/b"], x))
@@ -82,15 +79,12 @@ class _MlpRegressor(Checkpointed):
                 f"states must be [B,{self.hidden}], got {h.shape}")
         return self._graph(Tensor(h)).data[:, 0].astype(np.float64)
 
-    def to_named(self):
-        named = {name: t.data for name, t in self.p.items()}
-        named["meta"] = np.array([self.hidden], dtype=np.float32)
-        return named
+    def meta(self):
+        return [self.hidden]
 
     @classmethod
-    def from_named(cls, named):
-        hidden = int(named.pop("meta")[0])
-        return cls(hidden, params={n: Tensor(a) for n, a in named.items()})
+    def from_meta(cls, meta, params):
+        return cls(int(meta[0]), params=params)
 
 
 class LengthRegressor(_MlpRegressor):
@@ -173,7 +167,11 @@ def _sse(pred, labels):
 
 
 def _fit_regressor(reg, examples, corpus, schedule, dev=None, log=None):
-    """MSE training of a head on the fixed features examples(corpus)."""
+    """MSE training of a head on the fixed features examples(corpus).
+
+    Given dev, the fitted head carries dev_report: its dev-set mse and
+    the baseline_mse of always predicting the mean training label.
+    """
     feats, labels, _ = examples(corpus)
     if len(feats) == 0:
         raise ContractError("no training examples for the regressor")
@@ -190,6 +188,9 @@ def _fit_regressor(reg, examples, corpus, schedule, dev=None, log=None):
 
     fit(reg.params(), schedule, _row_batches(len(feats), schedule.batch_size),
         loss_fn, "mse", dev_metric=dev_mse, log=log)
+    if dev is not None:
+        reg.dev_report = {"mse": dev_mse(), "baseline_mse":
+                          constant_baseline_mse(labels, dev_labels)}
     return reg
 
 
@@ -332,22 +333,16 @@ class PartialBackwardEnsemble(Checkpointed):
         return named
 
     @classmethod
-    def from_named(cls, named):
-        meta = [float(x) for x in named.pop("meta")]
-        count = int(meta[0])
-        buckets, present = [], []
-        for i in range(count):
+    def from_meta(cls, meta, params):
+        buckets, models = [], {}
+        for i in range(int(meta[0])):
             lo, hi, have = meta[1 + 3 * i:4 + 3 * i]
             buckets.append((int(lo), None if hi < 0 else int(hi)))
-            present.append(have > 0.5)
-        models = {}
-        for i in range(count):
-            if not present[i]:
-                continue
-            prefix = f"b{i}/"
-            sub = {name[len(prefix):]: arr for name, arr in named.items()
-                   if name.startswith(prefix)}
-            models[i] = Seq2Seq.from_named(sub)
+            if have > 0.5:
+                prefix = f"b{i}/"
+                models[i] = Seq2Seq.from_named(
+                    {name[len(prefix):]: t.data for name, t in params.items()
+                     if name.startswith(prefix)})
         return cls(buckets, models)
 
 
@@ -488,25 +483,17 @@ def generate_rollouts(model, corpus, config=None):
 
 
 def save_rollouts(path, records):
-    """Newline-delimited JSON, one record per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps({k: rec[k] for k in ROLLOUT_FIELDS}) + "\n")
+    """Newline-delimited JSON, one record per line, spaced separators."""
+    write_ndjson(path, ({k: rec[k] for k in ROLLOUT_FIELDS} for rec in records),
+                 separators=(", ", ": "))
 
 
 def load_rollouts(path):
-    records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if set(rec) != set(ROLLOUT_FIELDS):
-                raise LoadError(
-                    f"{path}:{lineno}: fields {sorted(rec)}, "
-                    f"want {sorted(ROLLOUT_FIELDS)}")
-            records.append(rec)
+    records = read_ndjson(path)
+    for i, rec in enumerate(records):
+        if set(rec) != set(ROLLOUT_FIELDS):
+            raise LoadError(f"{path}: record {i}: fields {sorted(rec)}, "
+                            f"want {sorted(ROLLOUT_FIELDS)}")
     return records
 
 
@@ -551,9 +538,6 @@ class OutcomePredictor(Checkpointed):
         self.p = init_params(shapes, params,
                              substream(seed, "value-init", self.TYPE_TAG))
 
-    def params(self):
-        return list(self.p.values())
-
     def _encode(self, side, ids, mask):
         """Final masked LSTM state of the "x" (source) or "y" (prefix) side."""
         _, h, _ = masked_lstm(self.p["emb_" + side],
@@ -578,6 +562,18 @@ class OutcomePredictor(Checkpointed):
                 raise ContractError(
                     f"{role} id {tok} outside vocabulary of {vocab}")
 
+    def step_prefix(self, state, tokens):
+        """Advance the prefix encoder's (h, c), each [1,H], by each token.
+
+        Returns the [K,H] arrays (h, c): row k is the state after tokens[k].
+        """
+        k = len(tokens)
+        h, c = (Tensor(np.broadcast_to(s, (k, self.hidden)).copy())
+                for s in state)
+        x = ad.rows(self.p["emb_y"], np.asarray(tokens))
+        h2, c2 = ad.lstm_step(lstm_params(self.p, "enc_y"), x, h, c)
+        return h2.data, c2.data
+
     def predict(self, src, prefix):
         """Predicted outcome for one (X, y_{1:t}); untaped and deterministic."""
         self._check_ids(src, self.src_vocab, "source")
@@ -592,17 +588,13 @@ class OutcomePredictor(Checkpointed):
         out = self._graph(src_ids, src_mask, pre_ids, pre_mask)
         return out.data[:, 0].astype(np.float64)
 
-    def to_named(self):
-        named = {name: t.data for name, t in self.p.items()}
-        named["meta"] = np.array(
-            [self.src_vocab, self.tgt_vocab, self.hidden], dtype=np.float32)
-        return named
+    def meta(self):
+        return [self.src_vocab, self.tgt_vocab, self.hidden]
 
     @classmethod
-    def from_named(cls, named):
-        vs, vt, hidden = (int(x) for x in named.pop("meta"))
-        return cls(vs, vt, hidden,
-                   params={n: Tensor(a) for n, a in named.items()})
+    def from_meta(cls, meta, params):
+        vs, vt, hidden = (int(x) for x in meta)
+        return cls(vs, vt, hidden, params=params)
 
 
 def outcome_mse(predictor, records):
@@ -660,21 +652,12 @@ class OutcomeScorer(Scorer):
         return (h, h.copy())
 
     def advance(self, state, token):
-        h, c = state
-        x = ad.rows(self.q.p["emb_y"], np.array([token]))
-        h2, c2 = ad.lstm_step(lstm_params(self.q.p, "enc_y"), x, Tensor(h),
-                              Tensor(c))
-        return (h2.data, c2.data)
+        return self.q.step_prefix(state, [token])
 
     def score_candidates(self, hyp, ctx):
-        h, c = hyp.scorer_state
-        cands = np.arange(self.vocab)
-        x = ad.rows(self.q.p["emb_y"], cands)
-        hb = Tensor(np.broadcast_to(h, (self.vocab, self.q.hidden)).copy())
-        cb = Tensor(np.broadcast_to(c, (self.vocab, self.q.hidden)).copy())
-        h2, _ = ad.lstm_step(lstm_params(self.q.p, "enc_y"), x, hb, cb)
+        h, _ = self.q.step_prefix(hyp.scorer_state, np.arange(self.vocab))
         hx = Tensor(np.broadcast_to(self.hx, (self.vocab, self.q.hidden)).copy())
-        out = self.q._head(hx, h2)
+        out = self.q._head(hx, Tensor(h))
         return out.data[:, 0].astype(np.float64)
 
 

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from fdq.checkpoint import (MAGIC, load_tensors, save_tensors, split_type_tag,
                             with_type_tag)
 from fdq.errors import CheckpointError
+from fdq.seq2seq import Seq2Seq
+from fdq.value import (LengthRegressor, OutcomePredictor,
+                       PartialBackwardEnsemble)
 
 
 def sample_tensors(seed=0):
@@ -121,3 +124,20 @@ class TestCorruption:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
             load_tensors(path)
+
+
+class TestModelFormat:
+    @pytest.mark.parametrize("model", [
+        Seq2Seq(6, 7, hidden=4, seed=1),
+        LengthRegressor(4, seed=1),
+        OutcomePredictor(6, 7, hidden=4, seed=1),
+        PartialBackwardEnsemble(((1, None),), {0: Seq2Seq(7, 6, hidden=4)}),
+    ], ids=lambda m: type(m).__name__)
+    def test_missing_meta_is_checkpoint_error(self, tmp_path, model):
+        path = tmp_path / "m.fdq"
+        model.save(path)
+        named = load_tensors(path)
+        del named["meta"]
+        save_tensors(path, named)
+        with pytest.raises(CheckpointError, match="meta"):
+            type(model).load(path)

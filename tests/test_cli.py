@@ -8,7 +8,12 @@ import pytest
 from fdq.checkpoint import load_tensors
 from fdq.cli import load_task, main
 from fdq.config import apply_overrides, load_config, validate_config
-from fdq.value import PartialBackwardEnsemble
+from fdq.decode import DecodeConfig, RegressorScorer, decode_corpus
+from fdq.seq2seq import Seq2Seq, TrainSchedule
+from fdq.value import (BackwardRegressor, LengthRegressor,
+                       PartialBackwardEnsemble, PartialBackwardScorer,
+                       backward_examples, constant_baseline_mse,
+                       length_examples, regression_mse, train_backward_model)
 
 RIG_CONFIG = {
     "task": {"name": "copy", "vocab": 6, "min_len": 1, "max_len": 5,
@@ -54,6 +59,29 @@ def opt2_rig(rig, tmp_path_factory):
                "q.hidden=8", "q.buckets=[[1,5],[6,null]]")
     assert code == 0
     return cfg, out2
+
+
+@pytest.fixture(scope="module")
+def opt1_rig(rig, tmp_path_factory):
+    # a cheap backward model next to a copied forward model, then the
+    # option-1 head fit on its full-pair scores
+    cfg, out = rig
+    out3 = tmp_path_factory.mktemp("cli-opt1") / "run"
+    out3.mkdir()
+    shutil.copyfile(out / "forward.fdq", out3 / "forward.fdq")
+    train, _, _ = load_task(task_config(cfg))
+    backward = train_backward_model(train, TrainSchedule(epochs=2, seed=3),
+                                    hidden=8, max_len=8)
+    backward.save(out3 / "backward.fdq")
+    code = run("train-q", cfg, out3, "q.family=backward_opt1", "q.epochs=5")
+    assert code == 0
+    return cfg, out3
+
+
+def task_config(cfg):
+    config = validate_config(load_config(cfg))
+    config["seed"] = 1
+    return config
 
 
 class TestParsing:
@@ -163,13 +191,47 @@ class TestTrainQ:
         names = load_tensors(target)
         prefixes = {name.split("/")[0] for name in names if "/" in name}
         assert "b0" in prefixes and "b1" not in prefixes
-        config = validate_config(load_config(cfg))
-        config["seed"] = 1
-        train, _, _ = load_task(config)
+        train, _, _ = load_task(task_config(cfg))
         doc = json.loads((out2 / "train-q.manifest.json").read_text())
         counts = doc["metrics"]["bucket_examples"]
         assert sum(counts.values()) == sum(pair.n for pair in train.pairs)
         assert ensemble.buckets[0] == (1, 5)
+
+    @pytest.mark.parametrize("family", ["length", "backward_opt1"])
+    def test_manifest_mse_matches_recomputed(self, rig, opt1_rig, family):
+        cfg, out = rig if family == "length" else opt1_rig
+        train, dev, _ = load_task(task_config(cfg))
+        forward = Seq2Seq.load(out / "forward.fdq")
+        if family == "length":
+            reg = LengthRegressor.load(out / "q_length.fdq")
+            examples = lambda c: length_examples(forward, c)  # noqa: E731
+        else:
+            reg = BackwardRegressor.load(out / "q_backward_opt1.fdq")
+            backward = Seq2Seq.load(out / "backward.fdq")
+            examples = lambda c: backward_examples(  # noqa: E731
+                forward, backward, c)
+        _, train_labels, _ = examples(train)
+        dev_feats, dev_labels, _ = examples(dev)
+        doc = json.loads((out / "train-q.manifest.json").read_text())
+        assert doc["metrics"]["mse"] == regression_mse(reg, dev_feats,
+                                                       dev_labels)
+        assert doc["metrics"]["baseline_mse"] == constant_baseline_mse(
+            train_labels, dev_labels)
+
+    def test_stale_rollouts_exit_two(self, rig, tmp_path, capsys):
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
+        sets = ("q.family=outcome", "q.epochs=2", "q.hidden=8",
+                "q.rollout.pairs=10")
+        assert run("train-q", cfg, out2, *sets) == 0
+        capsys.readouterr()
+        assert run("train-q", cfg, out2, *sets, "q.rollout.metric=rouge2") == 2
+        assert "rollouts.ndjson" in capsys.readouterr().err
+        assert run("train", cfg, out2, "train.epochs=2") == 0
+        assert run("train-q", cfg, out2, *sets) == 2
+        assert "rollouts.ndjson" in capsys.readouterr().err
 
     def test_outcome_generates_then_reuses_rollouts(self, rig, tmp_path,
                                                     capsys):
@@ -208,7 +270,7 @@ class TestDecode:
         assert run("decode", cfg, out2) == 0
         sbs = [rec["hyp"] for rec in read_ndjson(out2 / "decode.ndjson")]
         code = run("decode", cfg, out2, "decode.mode=mmi_q",
-                   "decode.weight=0.0")
+                   "decode.weight=0.0", "q.family=backward_opt2")
         assert code == 0
         guided = [rec["hyp"] for rec in read_ndjson(out2 / "decode.ndjson")]
         assert guided == sbs
@@ -223,6 +285,33 @@ class TestDecode:
         refs = read_ndjson(out / "refs.ndjson")
         assert all("error" not in rec for rec in records)
         assert [rec["len"] for rec in records] == [r["len"] for r in refs]
+
+    def test_mmi_q_decodes_with_the_named_family(self, opt1_rig, opt2_rig):
+        cfg, out3 = opt1_rig
+        shutil.copyfile(opt2_rig[1] / "q_backward_opt2.fdq",
+                        out3 / "q_backward_opt2.fdq")
+        _, dev, _ = load_task(task_config(cfg))
+        forward = Seq2Seq.load(out3 / "forward.fdq")
+        reg = BackwardRegressor.load(out3 / "q_backward_opt1.fdq")
+        ens = PartialBackwardEnsemble.load(out3 / "q_backward_opt2.fdq")
+        dcfg = DecodeConfig(mode="mmi_q", beam=5, weight=1.0)
+        want = {
+            "backward_opt1": lambda pair: RegressorScorer(reg),
+            "backward_opt2": lambda pair: PartialBackwardScorer(ens)}
+        got = {}
+        for family, factory in want.items():
+            code = run("decode", cfg, out3, "decode.mode=mmi_q",
+                       f"q.family={family}")
+            assert code == 0
+            got[family] = read_ndjson(out3 / "decode.ndjson")
+            records, _ = decode_corpus(forward, dev, dcfg, factory)
+            assert got[family] == records
+        assert got["backward_opt1"] != got["backward_opt2"]
+
+    def test_mmi_q_needs_a_backward_family(self, opt2_rig, capsys):
+        cfg, out2 = opt2_rig  # q_backward_opt2.fdq is on disk
+        assert run("decode", cfg, out2, "decode.mode=mmi_q") == 2
+        assert "q.family" in capsys.readouterr().err
 
     def test_missing_q_checkpoint_exits_two(self, opt2_rig, capsys):
         cfg, out2 = opt2_rig
@@ -283,7 +372,7 @@ class TestCompare:
     def test_table_rows_reduction_and_failed_cell(self, opt2_rig):
         cfg, out2 = opt2_rig
         code = run("compare", cfg, out2, "decode.modes=[\"mmi_q\"]",
-                   "decode.weights=[0.0,1.0]")
+                   "decode.weights=[0.0,1.0]", "q.family=backward_opt2")
         assert code == 0
         table = json.loads((out2 / "compare.json").read_text())
         assert table["cells"] == len(table["rows"]) == 4

@@ -317,6 +317,32 @@ class TestDecodeCorpus:
         assert "error" in records[1]
         assert "error" not in records[0] and "error" not in records[2]
 
+    def test_non_finite_qterm_is_a_pair_error(self):
+        # a NaN qterm would make every comparison in the candidate sort
+        # false, so the pair's ranking would be decided by NaN
+        c = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=3,
+                              pairs=4, seed=17))
+        m = Seq2Seq(len(c.src_vocab), len(c.tgt_vocab), hidden=8, max_len=8,
+                    seed=10)
+        cfg = DecodeConfig(mode="mmi_q", beam=3, weight=0.5)
+        vocab = len(c.tgt_vocab)
+        clean = bounded_random_scorer(vocab, "clean").fn
+        poisoned = c.pairs[2]
+
+        def factory(pair):
+            if pair is not poisoned:
+                return CallableScorer(clean, vocab)
+            return CallableScorer(lambda prefix, y: float("nan") if y == 5
+                                  else clean(prefix, y), vocab)
+
+        want, _ = decode_corpus(m, c, cfg, lambda pair:
+                                CallableScorer(clean, vocab))
+        records, stats = decode_corpus(m, c, cfg, factory)
+        assert stats["errors"] == 1
+        assert records[2] == {"id": 2, "error": "ContractError: scorer "
+                              "returned a non-finite qterm"}
+        assert [records[i] for i in (0, 1, 3)] == [want[i] for i in (0, 1, 3)]
+
     def test_rerun_identical(self):
         c = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=3,
                               pairs=6, seed=15))
