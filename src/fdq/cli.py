@@ -22,8 +22,8 @@ from .autodiff import Tensor, fd_check, log_softmax, matmul, mul, sum_all, tanh
 from .checkpoint import load_tensors, save_tensors
 from .config import (RunManifest, apply_overrides, config_hash, default_config,
                      load_config, timed, validate_config)
-from .data import (TaskSpec, gen_task, load_corpus, read_ndjson, save_corpus,
-                   split, write_ndjson)
+from .data import (TaskSpec, Vocab, gen_task, load_corpus, read_ndjson,
+                   save_corpus, split, write_ndjson)
 from .decode import (DecodeConfig, RegressorScorer, beam_search, decode_corpus,
                      exhaustive_decode)
 from .errors import ConfigError, FdqError, TrainingDivergenceError
@@ -68,13 +68,20 @@ def _load_forward(out):
     return Seq2Seq.load(_require(out / FORWARD, "run `fdq train` first"))
 
 
-def _check_vocab(model, corpus):
+def _check_vocab(model, corpus, out):
+    """The corpus must use the vocabularies `fdq train` saved by dev.json."""
     want = (len(corpus.src_vocab), len(corpus.tgt_vocab))
     got = (model.src_vocab, model.tgt_vocab)
     if got != want:
         raise ConfigError(
             f"checkpoint vocab sizes {got} do not match task vocab {want}; "
             f"the checkpoint was trained under a different config")
+    for side, vocab in (("src", corpus.src_vocab), ("tgt", corpus.tgt_vocab)):
+        path = _require(out / f"dev.json.{side}.vocab", "run `fdq train` first")
+        saved = Vocab.load(path)
+        if saved.decode(range(len(saved))) != vocab.decode(range(len(vocab))):
+            raise ConfigError(f"{path} differs from the task's {side} vocab;"
+                              f" {FORWARD} was trained on another task or seed")
 
 
 def _print_epoch(record):
@@ -172,7 +179,7 @@ def _rollouts(config, out, model, train, manifest):
 def cmd_train_q(config, out, manifest):
     model = _load_forward(out)
     train, dev, _ = load_task(config)
-    _check_vocab(model, train)
+    _check_vocab(model, train, out)
     q = config["q"]
     family = q["family"]
     sched = _from_section(TrainSchedule, q, seed=_seed(config, "q"))
@@ -268,7 +275,7 @@ def cmd_decode(config, out, manifest):
         corpus = load_corpus(_require(d["input"], "decode.input must exist"))
     else:
         _, corpus, _ = load_task(config)
-    _check_vocab(model, corpus)
+    _check_vocab(model, corpus, out)
     dcfg = _from_section(DecodeConfig, d)
     scorer_factory, backward = _build_scorer(config, out, dcfg.mode)
     with timed(manifest, "decode"):
@@ -365,7 +372,7 @@ def cmd_compare(config, out, manifest):
                           "non-empty weight grid")
     model = _load_forward(out)
     _, corpus, _ = load_task(config)
-    _check_vocab(model, corpus)
+    _check_vocab(model, corpus, out)
     refs = [corpus.tgt_vocab.decode(pair.tgt[:-1]) for pair in corpus.pairs]
     cells = [("sbs", None), ("mmi_rerank", d["weight"])]
     cells += [(mode, w) for mode in d["modes"] for w in d["weights"]]

@@ -1,7 +1,7 @@
 """Beam search with pluggable per-step value scoring.
 
-One engine drives every mode.  At each step a live hypothesis is expanded
-over the candidate vocabulary; each candidate's combined score is
+One engine drives every mode.  At each step every live hypothesis is
+expanded over the candidate vocabulary; each candidate's combined score is
 
     combined = cumulative log p(prefix + y | X) + weight * qterm(y)
 
@@ -12,6 +12,9 @@ quantity would double-count it.  The exhaustive oracle reuses the same
 expansion code with an unbounded keep limit, so score arithmetic agrees
 bitwise and ties resolve identically.
 
+A step is batched: one scorer call, one sort and one decoder call cover
+the whole beam, whose live hypotheses all have the same length.
+
 Ties everywhere: higher combined score first, then the lexicographically
 smaller token tuple (lower token id, then shorter prefix).
 
@@ -21,18 +24,23 @@ PAD and BOS are never candidates; UNK is an ordinary decodable token.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor, log_softmax
 from .data import BOS, EOS, PAD
 from .errors import ConfigError, ContractError, SearchSpaceError
+from .seq2seq import DecoderState
 
 MODES = ("sbs", "length_q", "mmi_q", "outcome_q", "mmi_rerank", "exhaustive")
 GUIDED_MODES = ("length_q", "mmi_q", "outcome_q")
 
 EXHAUSTIVE_GUARD = 10 ** 6
+
+# A row batched into a K-row matmul rounds differently in float32 than the
+# row alone: by 1e-6 to 8e-6 in log p for trained lab models, within this.
+BATCH_ATOL = 1e-5
 
 
 @dataclass
@@ -62,10 +70,11 @@ class DecodeConfig:
 class Scorer:
     """Per-step value estimator interface for guided search.
 
-    score_candidates returns one qterm per target-vocabulary id for the
-    hypothetical extension of hyp by that id; EOS is scored mechanically
-    like any other token.  Scorers that track their own recurrent state
-    per hypothesis override start/advance.
+    score_candidates(hyps, ctx) returns a [B, V] array: row b holds one
+    qterm per target-vocabulary id for the hypothetical extension of
+    hyps[b] by that id; EOS is scored mechanically like any other token.
+    All hyps of one call have the same length.  Scorers that track their
+    own recurrent state per hypothesis override start/advance.
     """
 
     def prepare(self, model, src, ctx):
@@ -77,7 +86,7 @@ class Scorer:
     def advance(self, state, token):
         return state
 
-    def score_candidates(self, hyp, ctx):
+    def score_candidates(self, hyps, ctx):
         raise NotImplementedError
 
 
@@ -88,9 +97,17 @@ class CallableScorer(Scorer):
         self.fn = fn
         self.vocab = vocab
 
-    def score_candidates(self, hyp, ctx):
-        return np.array([self.fn(hyp.tokens, y) for y in range(self.vocab)],
-                        dtype=np.float64)
+    def score_candidates(self, hyps, ctx):
+        return np.array([[self.fn(hyp.tokens, y) for y in range(self.vocab)]
+                         for hyp in hyps], dtype=np.float64)
+
+
+def _stacked(model, states, repeats=1):
+    """One DecoderState of [K,H] rows: each state, `repeats` times in a row."""
+    def rows(field):
+        return np.repeat(np.stack([getattr(s, field) for s in states]),
+                         repeats, axis=0)
+    return DecoderState(rows("h"), rows("c"), rows("feed"), states[0].t, model)
 
 
 class RegressorScorer(Scorer):
@@ -103,10 +120,13 @@ class RegressorScorer(Scorer):
     def prepare(self, model, src, ctx):
         self.model = model
 
-    def score_candidates(self, hyp, ctx):
-        ids = np.arange(self.model.tgt_vocab)
-        h, _, _, _ = self.model.advance(hyp.state, ctx, ids)
-        return np.asarray(self.regressor.predict(h), dtype=np.float64)
+    def score_candidates(self, hyps, ctx):
+        vocab = self.model.tgt_vocab
+        state = _stacked(self.model, [hyp.state for hyp in hyps], vocab)
+        ids = np.tile(np.arange(vocab), len(hyps))
+        h, _, _, _ = self.model.advance(state, ctx, ids)
+        return np.asarray(self.regressor.predict(h),
+                          dtype=np.float64).reshape(len(hyps), vocab)
 
 
 class LengthScorer(RegressorScorer):
@@ -118,25 +138,21 @@ class LengthScorer(RegressorScorer):
         super().__init__(regressor)
         self.length = int(length)
 
-    def score_candidates(self, hyp, ctx):
-        qhat = super().score_candidates(hyp, ctx)
-        remaining = self.length - (len(hyp.tokens) + 1)
+    def score_candidates(self, hyps, ctx):
+        qhat = super().score_candidates(hyps, ctx)
+        remaining = self.length - (len(hyps[0].tokens) + 1)
         return -((remaining - qhat) ** 2)
 
 
+@dataclass(slots=True, eq=False)
 class _Hyp:
-    __slots__ = ("tokens", "cum", "state", "next_logprobs", "scorer_state",
-                 "qterm", "combined")
-
-    def __init__(self, tokens, cum, state, next_logprobs, scorer_state,
-                 qterm, combined):
-        self.tokens = tokens
-        self.cum = cum
-        self.state = state
-        self.next_logprobs = next_logprobs
-        self.scorer_state = scorer_state
-        self.qterm = qterm
-        self.combined = combined
+    tokens: tuple
+    cum: float
+    state: object
+    next_logprobs: np.ndarray
+    scorer_state: object
+    qterm: float
+    combined: float
 
 
 @dataclass
@@ -165,23 +181,24 @@ class NBestList:
         return self.entries[0]
 
 
-def _hyp_key(item):
-    return (-item[0], item[1])
-
-
 class _Engine:
-    """Shared expansion machinery for beam, protocol, and exhaustive modes."""
+    """Shared expansion machinery for beam, protocol, and exhaustive modes.
+
+    A candidate is the tuple (combined, tokens, parent, y, cum, qterm).
+    The live beam is kept in token order, so a parent's row is its rank.
+    """
 
     def __init__(self, model, scorer, src, config, prefix=()):
+        if prefix and scorer is not None:
+            # a forced root was never admitted with a qterm to build on
+            raise ContractError("a scorer cannot guide a forced prefix")
         self.model = model
-        self.scorer = scorer
-        self.config = config
         self.weight = config.weight if scorer is not None else 0.0
+        self.scorer = scorer if scorer is not None else Scorer()
         self.ctx, state0 = model.encode(src)
-        if scorer is not None:
-            scorer.prepare(model, src, self.ctx)
+        self.scorer.prepare(model, src, self.ctx)
         logprobs, state = model.decode_step(state0, BOS, self.ctx)
-        sstate = scorer.start() if scorer else None
+        sstate = self.scorer.start()
         cum = 0.0
         for tok in prefix:
             if tok in (PAD, BOS, EOS):
@@ -189,48 +206,65 @@ class _Engine:
                                     f"got {tok}")
             cum += float(logprobs[tok])
             logprobs, state = model.decode_step(state, tok, self.ctx)
-            if scorer is not None:
-                sstate = scorer.advance(sstate, tok)
         self.root = _Hyp(tuple(prefix), cum, state, logprobs, sstate, 0.0, cum)
 
     def expand(self, live, allow_content=True, allow_eos=True):
-        """All candidate extensions: (combined, tokens, parent, y, cum, qterm)."""
-        out = []
-        for hyp in live:
-            if self.weight != 0.0:
-                qvec = np.asarray(
-                    self.scorer.score_candidates(hyp, self.ctx), dtype=np.float64)
-                if not np.isfinite(qvec).all():
-                    # a NaN would make every comparison in the sort false
-                    raise ContractError("scorer returned a non-finite qterm")
-            else:
-                qvec = np.zeros(self.model.tgt_vocab, dtype=np.float64)
-            base = hyp.cum + hyp.next_logprobs.astype(np.float64)
-            combined = base + self.weight * qvec
-            for y in range(self.model.tgt_vocab):
-                if y in (PAD, BOS):
-                    continue
-                if y == EOS:
-                    if not allow_eos:
-                        continue
-                elif not allow_content:
-                    continue
-                out.append((float(combined[y]), hyp.tokens + (y,), hyp, y,
-                            float(base[y]), float(qvec[y])))
-        return out
+        """[B, V] float64 (base, qterm, combined) of every extension of
+        live, and the ids that may be candidates at this step."""
+        base = (np.array([[hyp.cum] for hyp in live], dtype=np.float64)
+                + np.stack([hyp.next_logprobs for hyp in live]).astype(np.float64))
+        if self.weight != 0.0:
+            qterm = np.asarray(self.scorer.score_candidates(live, self.ctx),
+                               dtype=np.float64)
+            if qterm.shape != base.shape:
+                raise ContractError(f"scorer returned shape {qterm.shape}, "
+                                    f"want {base.shape}")
+            if not np.isfinite(qterm).all():
+                # a NaN would make every comparison in the sort false
+                raise ContractError("scorer returned a non-finite qterm")
+        else:
+            qterm = np.zeros_like(base)
+        combined = base + self.weight * qterm
+        ids = [y for y in range(self.model.tgt_vocab) if y not in (PAD, BOS)
+               and (allow_eos if y == EOS else allow_content)]
+        return base, qterm, combined, np.array(ids, dtype=np.int64)
+
+    def ranked(self, live, scores, limit=None):
+        """The best `limit` candidates (all if None) of an expansion, best first.
+
+        Ranked by combined score, then the parent's row, then y: the tie
+        rule, because live hypotheses share a length and are in token order.
+        """
+        base, qterm, combined, ids = scores
+        rows = np.repeat(np.arange(len(live)), len(ids))
+        ys = np.tile(ids, len(live))
+        pick = np.lexsort((ys, rows, -combined[:, ids].ravel()))[:limit]
+        return [(float(combined[i, y]), live[i].tokens + (y,), live[i], y,
+                 float(base[i, y]), float(qterm[i, y]))
+                for i, y in zip(rows[pick].tolist(), ys[pick].tolist())]
 
     def settle(self, chosen):
-        """Split chosen candidates into (new live hyps, finished DecodedHyps)."""
-        live, finished = [], []
-        for combined, tokens, parent, y, cum, qterm in chosen:
-            if y == EOS:
-                finished.append(DecodedHyp(tokens, cum, qterm, combined))
-            else:
-                logprobs, state = self.model.decode_step(parent.state, y, self.ctx)
-                sstate = (self.scorer.advance(parent.scorer_state, y)
-                          if self.scorer is not None else None)
-                live.append(_Hyp(tokens, cum, state, logprobs, sstate,
-                                 qterm, combined))
+        """Split chosen candidates into (new live hyps, finished DecodedHyps).
+
+        Every content candidate advances in one decoder call over its
+        parent's stacked state; the new live hyps are in token order.
+        """
+        finished = [DecodedHyp(c[1], c[4], c[5], c[0]) for c in chosen
+                    if c[3] == EOS]
+        grow = sorted((c for c in chosen if c[3] != EOS), key=lambda c: c[1])
+        if not grow:
+            return [], finished
+        stacked = _stacked(self.model, [cand[2].state for cand in grow])
+        h, c, feed, logits = self.model.advance(
+            stacked, self.ctx, [cand[3] for cand in grow])
+        logprobs = log_softmax(Tensor(logits)).data
+        live = []
+        for k, (combined, tokens, parent, y, cum, qterm) in enumerate(grow):
+            state = DecoderState(h[k], c[k], feed[k], parent.state.t + 1,
+                                 self.model)
+            sstate = self.scorer.advance(parent.scorer_state, y)
+            live.append(_Hyp(tokens, cum, state, logprobs[k], sstate,
+                             qterm, combined))
         return live, finished
 
 
@@ -250,11 +284,8 @@ def _run(model, scorer, src, config, keep_all=False, prefix=()):
     for pos in range(len(prefix) + 1, cap + 2):
         if not live:
             break
-        cands = eng.expand(live, allow_content=pos <= cap)
-        if not cands:
-            break
-        cands.sort(key=_hyp_key)
-        live, finished = eng.settle(cands[:limit] if limit else cands)
+        scores = eng.expand(live, allow_content=pos <= cap)
+        live, finished = eng.settle(eng.ranked(live, scores, limit))
         pool.extend(finished)
         if not keep_all and len(pool) >= config.beam:
             break
@@ -303,19 +334,15 @@ def exhaustive_decode(model, scorer, src, config=None):
     return _nbest(pool, None).top()
 
 
-def _admitted_eos(cands, beam):
-    """EOS candidates ranked within the top `beam` of their own parent.
-
-    cands is sorted by _hyp_key, so each parent's extensions appear in
-    that parent's own rank order.
-    """
-    seen = Counter()
-    admitted = []
-    for combined, tokens, parent, y, cum, qterm in cands:
-        seen[id(parent)] += 1
-        if y == EOS and seen[id(parent)] <= beam:
-            admitted.append(DecodedHyp(tokens, cum, qterm, combined))
-    return admitted
+def _admitted_eos(live, scores, beam):
+    """EOS extensions ranked within the top `beam` of their own parent;
+    EOS wins its ties, as the lowest candidate id (PAD, BOS never are)."""
+    base, qterm, combined, ids = scores
+    eos = combined[:, EOS:EOS + 1]
+    rank = (combined[:, ids] > eos).sum(axis=1)
+    return [DecodedHyp(live[i].tokens + (EOS,), float(base[i, EOS]),
+                       float(qterm[i, EOS]), float(combined[i, EOS]))
+            for i in np.flatnonzero(rank < beam).tolist()]
 
 
 def length_forced_select(model, regressor, src, length, config=None):
@@ -342,18 +369,17 @@ def length_forced_select(model, regressor, src, length, config=None):
     eng = _Engine(model, scorer, src, config)
     live = [eng.root]
     for pos in range(1, cap + 2):
-        cands = eng.expand(live, allow_content=pos <= cap,
-                           allow_eos=pos > length)
-        if not cands:
+        if not live:
             break
-        cands.sort(key=_hyp_key)
+        scores = eng.expand(live, allow_content=pos <= cap,
+                            allow_eos=pos > length)
         if pos == length + 1:
-            admitted = _admitted_eos(cands, config.beam)
+            admitted = _admitted_eos(live, scores, config.beam)
             if admitted:
                 # footnote rule: the pool competes on likelihood, not
                 # combined score
                 return min(admitted, key=lambda h: (-h.logp, h.tokens))
-        live, finished = eng.settle(cands[:config.beam])
+        live, finished = eng.settle(eng.ranked(live, scores, config.beam))
         if finished:
             return min(finished, key=lambda h: (-h.combined, h.tokens))
     raise SearchSpaceError("length-forced decoding exhausted its cap")

@@ -243,7 +243,7 @@ class Seq2Seq(Checkpointed):
             raise ContractError("state/context belongs to a different model")
 
     def advance(self, state, ctx, token_ids):
-        """Advance one state by each candidate token id: [K,H] h, c, feed.
+        """Advance an [H] or [K,H] state by each candidate id: [K,H] h, c, feed.
 
         This is the speculative batch the guided scorers evaluate: row k is
         the state the decoder would be in if token_ids[k] were consumed.

@@ -563,7 +563,7 @@ class OutcomePredictor(Checkpointed):
                     f"{role} id {tok} outside vocabulary of {vocab}")
 
     def step_prefix(self, state, tokens):
-        """Advance the prefix encoder's (h, c), each [1,H], by each token.
+        """Advance the prefix encoder's (h, c), [1,H] or [K,H], by each token.
 
         Returns the [K,H] arrays (h, c): row k is the state after tokens[k].
         """
@@ -654,21 +654,24 @@ class OutcomeScorer(Scorer):
     def advance(self, state, token):
         return self.q.step_prefix(state, [token])
 
-    def score_candidates(self, hyp, ctx):
-        h, _ = self.q.step_prefix(hyp.scorer_state, np.arange(self.vocab))
-        hx = Tensor(np.broadcast_to(self.hx, (self.vocab, self.q.hidden)).copy())
+    def score_candidates(self, hyps, ctx):
+        b, v = len(hyps), self.vocab
+        state = [np.repeat(np.concatenate(rows), v, axis=0)
+                 for rows in zip(*(hyp.scorer_state for hyp in hyps))]
+        h, _ = self.q.step_prefix(state, np.tile(np.arange(v), b))
+        hx = Tensor(np.broadcast_to(self.hx, (b * v, self.q.hidden)).copy())
         out = self.q._head(hx, Tensor(h))
-        return out.data[:, 0].astype(np.float64)
+        return out.data[:, 0].astype(np.float64).reshape(b, v)
 
 
 class PartialBackwardScorer(Scorer):
     """qterm = bucket-model estimate of log p(X | hypothesis + candidate).
 
-    Content candidates share one bucket (all have the same extended
-    length) and are scored in a single padded batch.  Extending by EOS
-    closes the sequence, so its qterm is the estimate for the hypothesis
-    as a full target; buckets without a model fall back to the nearest
-    populated one.
+    The content candidates of all hypotheses share one bucket and are
+    scored in one padded batch.  EOS closes the sequence, so its qterm is
+    the hypothesis's own admitted qterm: its parent's step scored it under
+    the same bucket model (a fresh score agrees up to BATCH_ATOL).
+    Buckets without a model fall back to the nearest populated one.
     """
 
     def __init__(self, ensemble):
@@ -680,20 +683,14 @@ class PartialBackwardScorer(Scorer):
         self.src = list(src)
         self.vocab = model.tgt_vocab
 
-    def score_candidates(self, hyp, ctx):
-        prefix = list(hyp.tokens)
+    def score_candidates(self, hyps, ctx):
+        t = len(hyps[0].tokens)
         tgt = self.src + [EOS]
-        out = np.zeros(self.vocab, dtype=np.float64)
         content = [y for y in range(self.vocab) if y not in (PAD, BOS, EOS)]
-        model = self.ensemble.nearest_model(len(prefix) + 1)
-        pairs = [SequencePair(prefix + [y], tgt) for y in content]
-        scores = batch_logprobs(model, pairs)
-        for y, s in zip(content, scores):
-            out[y] = s
-        if prefix:
-            closer = self.ensemble.nearest_model(len(prefix))
-            out[EOS] = float(batch_logprobs(closer,
-                                            [SequencePair(prefix, tgt)])[0])
-        else:
-            out[EOS] = NEG_SENTINEL
+        model = self.ensemble.nearest_model(t + 1)
+        pairs = [SequencePair(list(hyp.tokens) + [y], tgt)
+                 for hyp in hyps for y in content]
+        out = np.zeros((len(hyps), self.vocab), dtype=np.float64)
+        out[:, content] = batch_logprobs(model, pairs).reshape(len(hyps), -1)
+        out[:, EOS] = [hyp.qterm for hyp in hyps] if t else NEG_SENTINEL
         return out

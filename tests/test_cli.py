@@ -32,6 +32,12 @@ def run(cmd, cfg, out, *sets, seed=1):
     return main(argv)
 
 
+def copy_forward(out, dst):
+    """Copy a trained forward model with the vocabularies it is bound to."""
+    for name in ("forward.fdq", "dev.json.src.vocab", "dev.json.tgt.vocab"):
+        shutil.copyfile(out / name, dst / name)
+
+
 def read_ndjson(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line]
 
@@ -54,7 +60,7 @@ def opt2_rig(rig, tmp_path_factory):
     cfg, out = rig
     out2 = tmp_path_factory.mktemp("cli-opt2") / "run"
     out2.mkdir()
-    shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
+    copy_forward(out, out2)
     code = run("train-q", cfg, out2, "q.family=backward_opt2", "q.epochs=2",
                "q.hidden=8", "q.buckets=[[1,5],[6,null]]")
     assert code == 0
@@ -68,7 +74,7 @@ def opt1_rig(rig, tmp_path_factory):
     cfg, out = rig
     out3 = tmp_path_factory.mktemp("cli-opt1") / "run"
     out3.mkdir()
-    shutil.copyfile(out / "forward.fdq", out3 / "forward.fdq")
+    copy_forward(out, out3)
     train, _, _ = load_task(task_config(cfg))
     backward = train_backward_model(train, TrainSchedule(epochs=2, seed=3),
                                     hidden=8, max_len=8)
@@ -172,15 +178,31 @@ class TestTrainQ:
         cfg, out = rig
         out2 = tmp_path / "r"
         out2.mkdir()
-        shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
+        copy_forward(out, out2)
         assert run("train-q", cfg, out2, "task.vocab=9") == 2
         assert "vocab" in capsys.readouterr().err
+
+    def test_vocab_binding_exits_two(self, rig, tmp_path, capsys):
+        # same vocab sizes, another token-to-id map: another task, or the
+        # same task drawn under another seed
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
+        assert run("decode", cfg, out2) == 2
+        assert "dev.json.src.vocab" in capsys.readouterr().err
+        copy_forward(out, out2)
+        assert run("decode", cfg, out2, "task.name=reverse") == 2
+        assert "dev.json.src.vocab differs" in capsys.readouterr().err
+        assert run("decode", cfg, out2, seed=2) == 2
+        assert "dev.json.src.vocab differs" in capsys.readouterr().err
+        assert run("decode", cfg, out2) == 0
 
     def test_opt1_without_backward_exits_two(self, rig, tmp_path, capsys):
         cfg, out = rig
         out2 = tmp_path / "r"
         out2.mkdir()
-        shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
+        copy_forward(out, out2)
         assert run("train-q", cfg, out2, "q.family=backward_opt1") == 2
         assert "backward" in capsys.readouterr().err
 
@@ -222,7 +244,7 @@ class TestTrainQ:
         cfg, out = rig
         out2 = tmp_path / "r"
         out2.mkdir()
-        shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
+        copy_forward(out, out2)
         sets = ("q.family=outcome", "q.epochs=2", "q.hidden=8",
                 "q.rollout.pairs=10")
         assert run("train-q", cfg, out2, *sets) == 0
@@ -238,7 +260,7 @@ class TestTrainQ:
         cfg, out = rig
         out2 = tmp_path / "r"
         out2.mkdir()
-        shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
+        copy_forward(out, out2)
         sets = ("q.family=outcome", "q.epochs=5", "q.hidden=16",
                 "q.rollout.pairs=20")
         assert run("train-q", cfg, out2, *sets) == 0

@@ -3,15 +3,21 @@
 import numpy as np
 import pytest
 
-from fdq.autodiff import Tensor
-from fdq.data import BOS, EOS, TaskSpec, gen_task
-from fdq.decode import (CallableScorer, DecodeConfig, LengthScorer,
-                        beam_search, decode_corpus, exhaustive_decode,
-                        guided_beam_search, length_forced_select, mmi_rerank,
-                        rescore_nbest)
-from fdq.errors import ConfigError, SearchSpaceError
+from collections import Counter
+
+from fdq.autodiff import Tensor, log_softmax
+from fdq.data import BOS, EOS, PAD, SequencePair, TaskSpec, gen_task
+from fdq.decode import (BATCH_ATOL, CallableScorer, DecodeConfig,
+                        LengthScorer, _admitted_eos, _Engine, _stacked,
+                        beam_complete, beam_search, decode_corpus,
+                        exhaustive_decode, guided_beam_search,
+                        length_forced_select, mmi_rerank, rescore_nbest)
+from fdq.errors import ConfigError, ContractError, SearchSpaceError
 from fdq.seeding import stream_key
-from fdq.seq2seq import Seq2Seq, TrainSchedule, train_mle, _param_shapes
+from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, train_mle,
+                         _param_shapes)
+from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
+                       PartialBackwardEnsemble, PartialBackwardScorer)
 
 
 def tiny_model(seed=0, vs=6, vt=6, hidden=3):
@@ -103,6 +109,23 @@ class TestBeamSearch:
         # all single-step scores equal, so the shortest sequence wins and
         # ties resolve toward smaller token tuples
         assert out.top().tokens == (EOS,)
+        assert [h.tokens for h in out.entries] == [
+            (EOS,), (3, EOS), (3, 3, EOS), (3, 3, 3, EOS)]
+        # ids 2..4 only: step 2 ties all six extensions of (3,) and (4,),
+        # and the beam of 4 cuts after (4, EOS), inside that tied run
+        m = uniform_model(vt=5)
+        out = beam_search(m, [4], DecodeConfig(beam=4, nbest=5))
+        assert [h.tokens for h in out.entries] == [
+            (EOS,), (3, EOS), (4, EOS), (3, 3, EOS), (3, 4, EOS)]
+        # the same cut when the live beam is not in token order: a step-1
+        # bonus puts (4,) ahead of (3,), then every step-2 score ties again,
+        # so the smaller parent tuple (3,) must still fill the beam first
+        bonus = CallableScorer(lambda prefix, y: float(prefix == () and y == 4),
+                               5)
+        cfg = DecodeConfig(mode="mmi_q", beam=4, nbest=5, weight=1.0)
+        out = guided_beam_search(m, bonus, [4], cfg)
+        assert [h.tokens for h in out.entries] == [
+            (EOS,), (3, EOS), (4, EOS), (3, 3, EOS), (3, 4, EOS)]
 
 
 class TestGuidedBeam:
@@ -159,6 +182,138 @@ class TestGuidedBeam:
         # i.e. fn at the final position, not a sum over positions
         assert top.q_term == float(len(top.tokens))
         assert top.combined == pytest.approx(top.logp + 0.5 * top.q_term, abs=1e-6)
+
+
+def live_beam(model, scorer, src, steps, beam=4):
+    """The engine and its live hypotheses after `steps` EOS-free steps."""
+    eng = _Engine(model, scorer, src,
+                  DecodeConfig(mode="mmi_q", beam=beam, weight=1.0))
+    live = [eng.root]
+    for _ in range(steps):
+        scores = eng.expand(live, allow_eos=False)
+        live, _ = eng.settle(eng.ranked(live, scores, beam))
+    return eng, live
+
+
+def reference_candidates(live, scores, allow_content=True, allow_eos=True):
+    """The tuple-per-candidate expansion, sorted by (-combined, tokens)."""
+    base, qterm, combined, _ = scores
+    out = []
+    for i, hyp in enumerate(live):
+        for y in range(combined.shape[1]):
+            if y in (PAD, BOS) or (y == EOS and not allow_eos) or \
+                    (y != EOS and not allow_content):
+                continue
+            out.append((float(combined[i, y]), hyp.tokens + (y,), hyp, y,
+                        float(base[i, y]), float(qterm[i, y])))
+    out.sort(key=lambda c: (-c[0], c[1]))
+    return out
+
+
+def reference_admitted(cands, beam):
+    """EOS candidates within the top `beam` of their parent, by counting."""
+    seen = Counter()
+    admitted = []
+    for combined, tokens, parent, y, cum, qterm in cands:
+        seen[id(parent)] += 1
+        if y == EOS and seen[id(parent)] <= beam:
+            admitted.append((tokens, cum, qterm, combined))
+    return sorted(admitted)
+
+
+class TestBatchedStep:
+    def test_ranking_matches_tuple_sort(self):
+        # coarse scores tie often, within and across parents, and on the
+        # uniform model every step's log-probs tie too, EOS included
+        for seed in range(8):
+            m = tiny_model(seed, vt=7) if seed % 2 else uniform_model(vt=7)
+            scorer = CallableScorer(
+                lambda prefix, y, s=seed: float(stream_key(s, *prefix, y) % 3),
+                7)
+            eng = _Engine(m, scorer, [4, 5],
+                          DecodeConfig(mode="mmi_q", beam=4, weight=1.0))
+            live = [eng.root]
+            for pos in range(1, 5):
+                flags = dict(allow_content=pos < 4, allow_eos=pos > 1)
+                scores = eng.expand(live, **flags)
+                want = reference_candidates(live, scores, **flags)
+                assert eng.ranked(live, scores) == want
+                assert eng.ranked(live, scores, 4) == want[:4]
+                for beam in (1, 3) if flags["allow_eos"] else ():
+                    got = sorted((h.tokens, h.logp, h.q_term, h.combined)
+                                 for h in _admitted_eos(live, scores, beam))
+                    assert got == reference_admitted(want, beam)
+                live, _ = eng.settle(want[:4])
+
+    def test_advance_over_stacked_states_matches_decode_step(self):
+        m = tiny_model(3, vt=9, hidden=8)
+        eng, live = live_beam(m, None, [4, 5, 3], 2)
+        ys = [3 + k for k in range(len(live))]
+        h, _, _, logits = m.advance(_stacked(m, [hyp.state for hyp in live]),
+                                    eng.ctx, ys)
+        logprobs = log_softmax(Tensor(logits)).data
+        for k, hyp in enumerate(live):
+            want, state = m.decode_step(hyp.state, ys[k], eng.ctx)
+            np.testing.assert_allclose(logprobs[k], want, rtol=0,
+                                       atol=BATCH_ATOL)
+            np.testing.assert_allclose(h[k], state.h, rtol=0, atol=BATCH_ATOL)
+
+    @pytest.mark.parametrize("family", ["callable", "length", "outcome",
+                                        "partial_backward"])
+    def test_rows_match_single_hypothesis_calls(self, family):
+        vt, hidden = 9, 8
+        m = tiny_model(4, vt=vt, hidden=hidden)
+        scorer = {
+            "callable": lambda: bounded_random_scorer(vt, "rows"),
+            "length": lambda: LengthScorer(LengthRegressor(hidden, seed=2), 4),
+            "outcome": lambda: OutcomeScorer(
+                OutcomePredictor(6, vt, hidden=hidden, seed=2)),
+            "partial_backward": lambda: PartialBackwardScorer(
+                PartialBackwardEnsemble(((1, 1), (2, None)), {
+                    0: Seq2Seq(vt, 6, hidden=hidden, seed=5),
+                    1: Seq2Seq(vt, 6, hidden=hidden, seed=6)})),
+        }[family]()
+        for steps in (1, 2):
+            eng, live = live_beam(m, scorer, [4, 5], steps)
+            assert len(live) > 1
+            batch = scorer.score_candidates(live, eng.ctx)
+            assert batch.shape == (len(live), vt)
+            for b, hyp in enumerate(live):
+                alone = scorer.score_candidates([hyp], eng.ctx)[0]
+                np.testing.assert_allclose(batch[b], alone, rtol=0,
+                                           atol=BATCH_ATOL)
+
+    def test_partial_backward_eos_is_the_admitted_estimate(self):
+        vt, hidden = 9, 8
+        m = tiny_model(4, vt=vt, hidden=hidden)
+        ensemble = PartialBackwardEnsemble(((1, 1), (2, None)), {
+            0: Seq2Seq(vt, 6, hidden=hidden, seed=5),
+            1: Seq2Seq(vt, 6, hidden=hidden, seed=6)})
+        scorer = PartialBackwardScorer(ensemble)
+        src = [4, 5]
+        for steps in (1, 2, 3):
+            eng, live = live_beam(m, scorer, src, steps)
+            eos = scorer.score_candidates(live, eng.ctx)[:, EOS]
+            for b, hyp in enumerate(live):
+                fresh = batch_logprobs(ensemble.nearest_model(steps), [
+                    SequencePair(list(hyp.tokens), src + [EOS])])[0]
+                assert eos[b] == hyp.qterm
+                assert eos[b] == pytest.approx(fresh, rel=0, abs=BATCH_ATOL)
+
+    def test_scorer_cannot_guide_a_forced_prefix(self):
+        m = tiny_model(5)
+        scorer = bounded_random_scorer(m.tgt_vocab, "prefix")
+        with pytest.raises(ContractError, match="forced prefix"):
+            _Engine(m, scorer, [4, 5], DecodeConfig(mode="mmi_q"), prefix=(3,))
+        assert beam_complete(m, [4, 5], (3,)).tokens[0] == 3
+
+    def test_scorer_shape_is_checked(self):
+        m = tiny_model(6)
+        flat = CallableScorer(lambda prefix, y: 0.0, m.tgt_vocab)
+        flat.score_candidates = lambda hyps, ctx: np.zeros(m.tgt_vocab)
+        with pytest.raises(ContractError, match="shape"):
+            guided_beam_search(m, flat, [4, 5],
+                               DecodeConfig(mode="mmi_q", weight=1.0))
 
 
 class TestExhaustive:

@@ -515,5 +515,5 @@ class TestScorers:
 
         class Hyp:
             tokens = ()
-        vec = scorer.score_candidates(Hyp(), ctx)
-        assert vec[EOS] == NEG_SENTINEL
+        vec = scorer.score_candidates([Hyp()], ctx)
+        assert vec[0, EOS] == NEG_SENTINEL

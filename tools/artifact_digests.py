@@ -6,8 +6,11 @@ Runs the `fdq` CLI from SRC_DIR/src inside OUT_DIR (created if absent):
 train, train-q for all four Q families, decode in every mode, eval and
 compare, on a small copy task with seed 1.  After each step it prints one
 tab-separated line per file the step wrote (step, file, sha256) and one
-for the step's stdout.  Run it at two source trees into two fresh
-directories and diff the outputs: equal lines mean equal bytes.
+for the step's stdout.  For a decode output it also prints the sha256 of
+its `hyp` strings alone (file `decode.ndjson#hyp`), so a change that moves
+only score floats shows equal token digests.  Run it at two source trees
+into two fresh directories and diff the outputs: equal lines mean equal
+bytes.
 
 Before hashing, manifests drop `wall_times` and the decode stats'
 `total_ms`, and the absolute OUT_DIR prefix is removed from every file.
@@ -74,6 +77,13 @@ def normalized(path, prefix):
     return data
 
 
+def hyp_digest(path):
+    """sha256 of the decoded strings, one line per record (error text if any)."""
+    lines = [rec.get("hyp", rec.get("error")) for rec in
+             map(json.loads, path.read_text(encoding="utf-8").splitlines())]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def stamps(out):
     return {p: p.stat().st_mtime_ns for p in out.rglob("*") if p.is_file()}
 
@@ -104,6 +114,9 @@ def main(argv):
             if before.get(path) != stamp:
                 digest = hashlib.sha256(normalized(path, prefix)).hexdigest()
                 print(f"{step}\t{path.relative_to(out)}\t{digest}")
+                if path.name == "decode.ndjson":
+                    print(f"{step}\t{path.relative_to(out)}#hyp\t"
+                          f"{hyp_digest(path)}")
         stdout = proc.stdout.replace(prefix, b"")
         print(f"{step}\tstdout (exit {proc.returncode})\t"
               f"{hashlib.sha256(stdout).hexdigest()}")
