@@ -84,6 +84,26 @@ def _check_vocab(model, corpus, out):
                               f" {FORWARD} was trained on another task or seed")
 
 
+def _key_file(path):
+    return path.with_name(path.name + ".key")
+
+
+def _artifact_key(out, files, **fields):
+    """The key binding an artifact to config fields and to files in out."""
+    return config_hash({**fields, **{
+        Path(name).stem: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in files}})
+
+
+def _check_key(path, key, made_from, hint):
+    """Raise ConfigError unless the key file next to path holds key: path
+    was made from the made_from artifacts as they are now."""
+    kpath = _key_file(path)
+    if not kpath.exists() or kpath.read_text(encoding="utf-8") != key:
+        raise ConfigError(f"{path} was not made from this {made_from} "
+                          f"({kpath} differs or is missing); {hint}")
+
+
 def _print_epoch(record):
     line = f"epoch={record['epoch']} train_ce={record['train_ce']:.4f}"
     if "dev_ce" in record:
@@ -151,18 +171,13 @@ def _rollouts(config, out, model, train, manifest):
     q.rollout and forward checkpoint bytes.
     """
     rc = config["q"]["rollout"]
-    rpath, kpath = out / ROLLOUTS, out / (ROLLOUTS + ".key")
-    key = config_hash({
-        "task": config["task"], "split": config["split"],
-        "seed": config["seed"], "rollout": rc,
-        "forward": hashlib.sha256((out / FORWARD).read_bytes()).hexdigest()})
+    rpath = out / ROLLOUTS
+    key = _artifact_key(out, [FORWARD], task=config["task"],
+                        split=config["split"], seed=config["seed"], rollout=rc)
     manifest.artifacts["rollouts"] = str(rpath)
     if rpath.exists():
-        if not kpath.exists() or kpath.read_text(encoding="utf-8") != key:
-            raise ConfigError(
-                f"{rpath} was not generated under this task, split, seed, "
-                f"q.rollout and {FORWARD} ({kpath} differs or is missing); "
-                f"delete it to generate new rollouts")
+        _check_key(rpath, key, f"task, split, seed, q.rollout and {FORWARD}",
+                   "delete it to generate new rollouts")
         records = load_rollouts(rpath)
         print(f"rollouts={len(records)} (loaded)")
         return records
@@ -171,7 +186,7 @@ def _rollouts(config, out, model, train, manifest):
     with timed(manifest, "rollouts"):
         records = generate_rollouts(model, source, rcfg)
     save_rollouts(rpath, records)
-    kpath.write_text(key, encoding="utf-8")
+    _key_file(rpath).write_text(key, encoding="utf-8")
     print(f"rollouts={len(records)} (generated)")
     return records
 
@@ -222,14 +237,30 @@ def cmd_train_q(config, out, manifest):
         print(f"mse={report['mse']:.4f} baseline_mse={report['baseline_mse']:.4f}")
         manifest.metrics.update(report)
     q_model.save(out / Q_FILES[family])
+    _key_file(out / Q_FILES[family]).write_text(
+        _artifact_key(out, _q_sources(family)), encoding="utf-8")
     manifest.artifacts["q"] = str(out / Q_FILES[family])
     print(f"config_hash={manifest.config_hash}")
     return 0
 
 
+def _q_sources(family):
+    """The models a Q file is fit to; its key holds their sha256."""
+    return [FORWARD, BACKWARD] if family == "backward_opt1" else [FORWARD]
+
+
+def _check_q_key(out, family):
+    sources = _q_sources(family)
+    _check_key(out / Q_FILES[family], _artifact_key(out, sources),
+               " and ".join(sources),
+               f"rerun `fdq train-q` with q.family={family}")
+
+
 def _load_q(out, family, cls):
-    return cls.load(_require(out / Q_FILES[family],
-                             f"run `fdq train-q` with q.family={family}"))
+    path = _require(out / Q_FILES[family],
+                    f"run `fdq train-q` with q.family={family}")
+    _check_q_key(out, family)
+    return cls.load(path)
 
 
 def _build_scorer(config, out, mode):
@@ -373,6 +404,10 @@ def cmd_compare(config, out, manifest):
     model = _load_forward(out)
     _, corpus, _ = load_task(config)
     _check_vocab(model, corpus, out)
+    for family, name in Q_FILES.items():
+        # a missing Q file fails its cells; a stale one fails the table
+        if (out / name).exists():
+            _check_q_key(out, family)
     refs = [corpus.tgt_vocab.decode(pair.tgt[:-1]) for pair in corpus.pairs]
     cells = [("sbs", None), ("mmi_rerank", d["weight"])]
     cells += [(mode, w) for mode in d["modes"] for w in d["weights"]]

@@ -12,8 +12,8 @@ quantity would double-count it.  The exhaustive oracle reuses the same
 expansion code with an unbounded keep limit, so score arithmetic agrees
 bitwise and ties resolve identically.
 
-A step is batched: one scorer call, one sort and one decoder call cover
-the whole beam, whose live hypotheses all have the same length.
+The live beam is kept as rows of one length in token order, so a step is
+batched: one scorer call, one sort and one decoder call cover the beam.
 
 Ties everywhere: higher combined score first, then the lexicographically
 smaller token tuple (lower token id, then shorter prefix).
@@ -64,29 +64,32 @@ class DecodeConfig:
             raise ConfigError(f"weight must be >= 0, got {self.weight}")
         if self.length is not None and self.length < 1:
             raise ConfigError(f"target length must be >= 1, got {self.length}")
+        if self.nbest is not None and self.nbest < 1:
+            raise ConfigError(f"nbest must be >= 1, got {self.nbest}")
+        if self.cap is not None and self.cap < 0:
+            raise ConfigError(f"cap must be >= 0, got {self.cap}")
         return self
 
 
 class Scorer:
     """Per-step value estimator interface for guided search.
 
-    score_candidates(hyps, ctx) returns a [B, V] array: row b holds one
-    qterm per target-vocabulary id for the hypothetical extension of
-    hyps[b] by that id; EOS is scored mechanically like any other token.
-    All hyps of one call have the same length.  Scorers that track their
-    own recurrent state per hypothesis override start/advance.
+    prepare(model, src, ctx) readies the scorer for one source and returns
+    its rows for the root hypothesis, or None if it keeps none.
+    score_candidates(beam, ctx) returns a [B, V] array: row b holds one
+    qterm per target-vocabulary id for the hypothetical extension of beam
+    row b by that id; EOS is scored mechanically like any other token.
+    advance(rows, parents, ys) returns the rows of the kept candidates:
+    row k extends row parents[k] by token ys[k].
     """
 
     def prepare(self, model, src, ctx):
-        pass
-
-    def start(self):
         return None
 
-    def advance(self, state, token):
-        return state
+    def advance(self, rows, parents, ys):
+        return rows
 
-    def score_candidates(self, hyps, ctx):
+    def score_candidates(self, beam, ctx):
         raise NotImplementedError
 
 
@@ -97,17 +100,9 @@ class CallableScorer(Scorer):
         self.fn = fn
         self.vocab = vocab
 
-    def score_candidates(self, hyps, ctx):
-        return np.array([[self.fn(hyp.tokens, y) for y in range(self.vocab)]
-                         for hyp in hyps], dtype=np.float64)
-
-
-def _stacked(model, states, repeats=1):
-    """One DecoderState of [K,H] rows: each state, `repeats` times in a row."""
-    def rows(field):
-        return np.repeat(np.stack([getattr(s, field) for s in states]),
-                         repeats, axis=0)
-    return DecoderState(rows("h"), rows("c"), rows("feed"), states[0].t, model)
+    def score_candidates(self, beam, ctx):
+        return np.array([[self.fn(tokens, y) for y in range(self.vocab)]
+                         for tokens in beam.tokens], dtype=np.float64)
 
 
 class RegressorScorer(Scorer):
@@ -115,18 +110,13 @@ class RegressorScorer(Scorer):
 
     def __init__(self, regressor):
         self.regressor = regressor
-        self.model = None
 
-    def prepare(self, model, src, ctx):
-        self.model = model
-
-    def score_candidates(self, hyps, ctx):
-        vocab = self.model.tgt_vocab
-        state = _stacked(self.model, [hyp.state for hyp in hyps], vocab)
-        ids = np.tile(np.arange(vocab), len(hyps))
-        h, _, _, _ = self.model.advance(state, ctx, ids)
+    def score_candidates(self, beam, ctx):
+        b, vocab = len(beam), ctx.owner.tgt_vocab
+        state = beam.state.take(np.repeat(np.arange(b), vocab))
+        h, _, _, _ = ctx.owner.advance(state, ctx, np.tile(np.arange(vocab), b))
         return np.asarray(self.regressor.predict(h),
-                          dtype=np.float64).reshape(len(hyps), vocab)
+                          dtype=np.float64).reshape(b, vocab)
 
 
 class LengthScorer(RegressorScorer):
@@ -138,21 +128,25 @@ class LengthScorer(RegressorScorer):
         super().__init__(regressor)
         self.length = int(length)
 
-    def score_candidates(self, hyps, ctx):
-        qhat = super().score_candidates(hyps, ctx)
-        remaining = self.length - (len(hyps[0].tokens) + 1)
+    def score_candidates(self, beam, ctx):
+        qhat = super().score_candidates(beam, ctx)
+        remaining = self.length - (len(beam.tokens[0]) + 1)
         return -((remaining - qhat) ** 2)
 
 
 @dataclass(slots=True, eq=False)
-class _Hyp:
-    tokens: tuple
-    cum: float
-    state: object
-    next_logprobs: np.ndarray
-    scorer_state: object
-    qterm: float
-    combined: float
+class _Beam:
+    """The live hypotheses as rows, in token order; all of one length."""
+
+    tokens: list           # B token tuples
+    cum: np.ndarray        # [B] float64 cumulative log p
+    qterm: np.ndarray      # [B] float64 qterm each row was admitted with
+    state: DecoderState    # [B,H] decoder rows
+    logprobs: np.ndarray   # [B,V] next-token log-probs
+    scorer_rows: object    # the scorer's rows, or None
+
+    def __len__(self):
+        return len(self.tokens)
 
 
 @dataclass
@@ -184,8 +178,8 @@ class NBestList:
 class _Engine:
     """Shared expansion machinery for beam, protocol, and exhaustive modes.
 
-    A candidate is the tuple (combined, tokens, parent, y, cum, qterm).
-    The live beam is kept in token order, so a parent's row is its rank.
+    A candidate is a (parent row, y) pair of the live _Beam.  The beam is
+    kept in token order, so a parent's row is its rank.
     """
 
     def __init__(self, model, scorer, src, config, prefix=()):
@@ -195,10 +189,9 @@ class _Engine:
         self.model = model
         self.weight = config.weight if scorer is not None else 0.0
         self.scorer = scorer if scorer is not None else Scorer()
-        self.ctx, state0 = model.encode(src)
-        self.scorer.prepare(model, src, self.ctx)
-        logprobs, state = model.decode_step(state0, BOS, self.ctx)
-        sstate = self.scorer.start()
+        self.ctx, state = model.encode(src)
+        rows = self.scorer.prepare(model, src, self.ctx)
+        logprobs, state = model.decode_step(state, BOS, self.ctx)
         cum = 0.0
         for tok in prefix:
             if tok in (PAD, BOS, EOS):
@@ -206,15 +199,17 @@ class _Engine:
                                     f"got {tok}")
             cum += float(logprobs[tok])
             logprobs, state = model.decode_step(state, tok, self.ctx)
-        self.root = _Hyp(tuple(prefix), cum, state, logprobs, sstate, 0.0, cum)
+        root = DecoderState(state.h[None], state.c[None], state.feed[None],
+                            model)
+        self.root = _Beam([tuple(prefix)], np.array([cum]), np.zeros(1), root,
+                          logprobs[None], rows)
 
-    def expand(self, live, allow_content=True, allow_eos=True):
+    def expand(self, beam, allow_content=True, allow_eos=True):
         """[B, V] float64 (base, qterm, combined) of every extension of
-        live, and the ids that may be candidates at this step."""
-        base = (np.array([[hyp.cum] for hyp in live], dtype=np.float64)
-                + np.stack([hyp.next_logprobs for hyp in live]).astype(np.float64))
+        the beam, and the ids that may be candidates at this step."""
+        base = beam.cum[:, None] + beam.logprobs.astype(np.float64)
         if self.weight != 0.0:
-            qterm = np.asarray(self.scorer.score_candidates(live, self.ctx),
+            qterm = np.asarray(self.scorer.score_candidates(beam, self.ctx),
                                dtype=np.float64)
             if qterm.shape != base.shape:
                 raise ContractError(f"scorer returned shape {qterm.shape}, "
@@ -229,43 +224,51 @@ class _Engine:
                and (allow_eos if y == EOS else allow_content)]
         return base, qterm, combined, np.array(ids, dtype=np.int64)
 
-    def ranked(self, live, scores, limit=None):
-        """The best `limit` candidates (all if None) of an expansion, best first.
+    def ranked(self, scores, limit=None):
+        """(parent rows, ys) of the best `limit` candidates (all if None) of
+        an expansion, best first.
 
         Ranked by combined score, then the parent's row, then y: the tie
-        rule, because live hypotheses share a length and are in token order.
+        rule, because beam rows share a length and are in token order.
         """
-        base, qterm, combined, ids = scores
-        rows = np.repeat(np.arange(len(live)), len(ids))
-        ys = np.tile(ids, len(live))
+        _, _, combined, ids = scores
+        rows = np.repeat(np.arange(combined.shape[0]), len(ids))
+        ys = np.tile(ids, combined.shape[0])
         pick = np.lexsort((ys, rows, -combined[:, ids].ravel()))[:limit]
-        return [(float(combined[i, y]), live[i].tokens + (y,), live[i], y,
-                 float(base[i, y]), float(qterm[i, y]))
-                for i, y in zip(rows[pick].tolist(), ys[pick].tolist())]
+        return rows[pick], ys[pick]
 
-    def settle(self, chosen):
-        """Split chosen candidates into (new live hyps, finished DecodedHyps).
+    def settle(self, beam, scores, chosen):
+        """Split chosen (parent rows, ys) into (new beam, finished DecodedHyps).
 
-        Every content candidate advances in one decoder call over its
-        parent's stacked state; the new live hyps are in token order.
+        The content candidates advance in one decoder call over their
+        parents' gathered rows and form the new beam in token order, or
+        None if there are none; the finished keep the chosen order.
         """
-        finished = [DecodedHyp(c[1], c[4], c[5], c[0]) for c in chosen
-                    if c[3] == EOS]
-        grow = sorted((c for c in chosen if c[3] != EOS), key=lambda c: c[1])
-        if not grow:
-            return [], finished
-        stacked = _stacked(self.model, [cand[2].state for cand in grow])
-        h, c, feed, logits = self.model.advance(
-            stacked, self.ctx, [cand[3] for cand in grow])
-        logprobs = log_softmax(Tensor(logits)).data
-        live = []
-        for k, (combined, tokens, parent, y, cum, qterm) in enumerate(grow):
-            state = DecoderState(h[k], c[k], feed[k], parent.state.t + 1,
-                                 self.model)
-            sstate = self.scorer.advance(parent.scorer_state, y)
-            live.append(_Hyp(tokens, cum, state, logprobs[k], sstate,
-                             qterm, combined))
+        base, qterm, _, _ = scores
+        parents, ys = chosen
+        finished = _finished(beam, scores, parents[ys == EOS].tolist())
+        order = np.lexsort((ys, parents))
+        grow = order[ys[order] != EOS]
+        if not len(grow):
+            return None, finished
+        parents, ys = parents[grow], ys[grow]
+        h, c, feed, logits = self.model.advance(beam.state.take(parents),
+                                                self.ctx, ys)
+        live = _Beam([beam.tokens[i] + (y,) for i, y in
+                      zip(parents.tolist(), ys.tolist())],
+                     base[parents, ys], qterm[parents, ys],
+                     DecoderState(h, c, feed, self.model),
+                     log_softmax(Tensor(logits)).data,
+                     self.scorer.advance(beam.scorer_rows, parents, ys))
         return live, finished
+
+
+def _finished(beam, scores, rows):
+    """The DecodedHyps that close the given beam rows with EOS."""
+    base, qterm, combined, _ = scores
+    return [DecodedHyp(beam.tokens[i] + (EOS,), float(base[i, EOS]),
+                       float(qterm[i, EOS]), float(combined[i, EOS]))
+            for i in rows]
 
 
 def _nbest(pool, limit):
@@ -278,14 +281,14 @@ def _run(model, scorer, src, config, keep_all=False, prefix=()):
     cap = config.cap if config.cap is not None else model.max_len
     cap = max(cap, len(prefix))
     eng = _Engine(model, scorer, src, config, prefix=prefix)
-    live = [eng.root]
+    live = eng.root
     pool = []
     limit = None if keep_all else config.beam
     for pos in range(len(prefix) + 1, cap + 2):
-        if not live:
+        if live is None:
             break
         scores = eng.expand(live, allow_content=pos <= cap)
-        live, finished = eng.settle(eng.ranked(live, scores, limit))
+        live, finished = eng.settle(live, scores, eng.ranked(scores, limit))
         pool.extend(finished)
         if not keep_all and len(pool) >= config.beam:
             break
@@ -334,15 +337,12 @@ def exhaustive_decode(model, scorer, src, config=None):
     return _nbest(pool, None).top()
 
 
-def _admitted_eos(live, scores, beam):
-    """EOS extensions ranked within the top `beam` of their own parent;
+def _admitted_eos(beam, scores, limit):
+    """EOS extensions ranked within the top `limit` of their own parent;
     EOS wins its ties, as the lowest candidate id (PAD, BOS never are)."""
-    base, qterm, combined, ids = scores
-    eos = combined[:, EOS:EOS + 1]
-    rank = (combined[:, ids] > eos).sum(axis=1)
-    return [DecodedHyp(live[i].tokens + (EOS,), float(base[i, EOS]),
-                       float(qterm[i, EOS]), float(combined[i, EOS]))
-            for i in np.flatnonzero(rank < beam).tolist()]
+    _, _, combined, ids = scores
+    rank = (combined[:, ids] > combined[:, EOS:EOS + 1]).sum(axis=1)
+    return _finished(beam, scores, np.flatnonzero(rank < limit).tolist())
 
 
 def length_forced_select(model, regressor, src, length, config=None):
@@ -367,9 +367,9 @@ def length_forced_select(model, regressor, src, length, config=None):
     cap = config.cap if config.cap is not None else model.max_len
     cap = max(cap, length + 1)
     eng = _Engine(model, scorer, src, config)
-    live = [eng.root]
+    live = eng.root
     for pos in range(1, cap + 2):
-        if not live:
+        if live is None:
             break
         scores = eng.expand(live, allow_content=pos <= cap,
                             allow_eos=pos > length)
@@ -379,7 +379,8 @@ def length_forced_select(model, regressor, src, length, config=None):
                 # footnote rule: the pool competes on likelihood, not
                 # combined score
                 return min(admitted, key=lambda h: (-h.logp, h.tokens))
-        live, finished = eng.settle(eng.ranked(live, scores, config.beam))
+        live, finished = eng.settle(live, scores,
+                                    eng.ranked(scores, config.beam))
         if finished:
             return min(finished, key=lambda h: (-h.combined, h.tokens))
     raise SearchSpaceError("length-forced decoding exhausted its cap")

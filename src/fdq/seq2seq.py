@@ -42,20 +42,23 @@ class TrainSchedule:
 
 
 class DecoderState:
-    """Decoder recurrent state after consuming t target tokens.
+    """Decoder recurrent state h, c, feed: one [H] row or [B,H] rows.
 
-    The priming BOS does not count toward t; h is the raw LSTM state the
-    value estimators consume.
+    h is the raw LSTM state the value estimators consume.
     """
 
-    __slots__ = ("h", "c", "feed", "t", "owner")
+    __slots__ = ("h", "c", "feed", "owner")
 
-    def __init__(self, h, c, feed, t, owner):
+    def __init__(self, h, c, feed, owner):
         self.h = h
         self.c = c
         self.feed = feed
-        self.t = t
         self.owner = owner
+
+    def take(self, rows):
+        """The [K,H] state whose row k is row rows[k] of this one."""
+        return DecoderState(self.h[rows], self.c[rows], self.feed[rows],
+                            self.owner)
 
 
 class EncoderContext:
@@ -235,7 +238,7 @@ class Seq2Seq(Checkpointed):
         enc, h, c = self._encode_graph(ids, mask)
         ctx = EncoderContext(enc.data, mask, self)
         state = DecoderState(h.data[0], c.data[0],
-                             np.zeros(self.hidden, dtype=np.float32), 0, self)
+                             np.zeros(self.hidden, dtype=np.float32), self)
         return ctx, state
 
     def _check_owner(self, obj):
@@ -270,8 +273,7 @@ class Seq2Seq(Checkpointed):
             raise ContractError(f"previous token {prev} outside target vocab")
         h, c, feed, logits = self.advance(state, ctx, np.array([prev]))
         logprobs = ad.log_softmax(Tensor(logits[0])).data
-        t_new = state.t + (0 if prev == BOS else 1)
-        return logprobs, DecoderState(h[0], c[0], feed[0], t_new, self)
+        return logprobs, DecoderState(h[0], c[0], feed[0], self)
 
     def step_logprobs(self, src, tgt):
         """Per-step log p(y_t | X, y_{<t}) along a full target (incl. EOS)."""

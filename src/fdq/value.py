@@ -634,30 +634,26 @@ def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
 class OutcomeScorer(Scorer):
     """qterm = predicted outcome of (X, hypothesis + candidate).
 
-    Keeps an incremental prefix-encoder state per hypothesis so each
-    expansion costs one batched LSTM step over the vocabulary.
+    Keeps the prefix encoder's (h, c) as [B,H] rows, one per beam row, so
+    each expansion costs one batched LSTM step over the vocabulary.
     """
 
     def __init__(self, predictor):
         self.q = predictor
         self.hx = None
-        self.vocab = predictor.tgt_vocab
 
     def prepare(self, model, src, ctx):
         ids, mask = _pad_ids([list(src)])
         self.hx = self.q._encode("x", ids, mask).data
-
-    def start(self):
         h = np.zeros((1, self.q.hidden), dtype=np.float32)
         return (h, h.copy())
 
-    def advance(self, state, token):
-        return self.q.step_prefix(state, [token])
+    def advance(self, rows, parents, ys):
+        return self.q.step_prefix([r[parents] for r in rows], ys)
 
-    def score_candidates(self, hyps, ctx):
-        b, v = len(hyps), self.vocab
-        state = [np.repeat(np.concatenate(rows), v, axis=0)
-                 for rows in zip(*(hyp.scorer_state for hyp in hyps))]
+    def score_candidates(self, beam, ctx):
+        b, v = len(beam), ctx.owner.tgt_vocab
+        state = [np.repeat(r, v, axis=0) for r in beam.scorer_rows]
         h, _ = self.q.step_prefix(state, np.tile(np.arange(v), b))
         hx = Tensor(np.broadcast_to(self.hx, (b * v, self.q.hidden)).copy())
         out = self.q._head(hx, Tensor(h))
@@ -667,30 +663,29 @@ class OutcomeScorer(Scorer):
 class PartialBackwardScorer(Scorer):
     """qterm = bucket-model estimate of log p(X | hypothesis + candidate).
 
-    The content candidates of all hypotheses share one bucket and are
+    The content candidates of all beam rows share one bucket and are
     scored in one padded batch.  EOS closes the sequence, so its qterm is
-    the hypothesis's own admitted qterm: its parent's step scored it under
-    the same bucket model (a fresh score agrees up to BATCH_ATOL).
+    the row's own admitted qterm: its parent's step scored it under the
+    same bucket model (a fresh score agrees up to BATCH_ATOL).
     Buckets without a model fall back to the nearest populated one.
     """
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
         self.src = None
-        self.vocab = None
 
     def prepare(self, model, src, ctx):
         self.src = list(src)
-        self.vocab = model.tgt_vocab
 
-    def score_candidates(self, hyps, ctx):
-        t = len(hyps[0].tokens)
+    def score_candidates(self, beam, ctx):
+        t = len(beam.tokens[0])
         tgt = self.src + [EOS]
-        content = [y for y in range(self.vocab) if y not in (PAD, BOS, EOS)]
+        vocab = ctx.owner.tgt_vocab
+        content = [y for y in range(vocab) if y not in (PAD, BOS, EOS)]
         model = self.ensemble.nearest_model(t + 1)
-        pairs = [SequencePair(list(hyp.tokens) + [y], tgt)
-                 for hyp in hyps for y in content]
-        out = np.zeros((len(hyps), self.vocab), dtype=np.float64)
-        out[:, content] = batch_logprobs(model, pairs).reshape(len(hyps), -1)
-        out[:, EOS] = [hyp.qterm for hyp in hyps] if t else NEG_SENTINEL
+        pairs = [SequencePair(list(tokens) + [y], tgt)
+                 for tokens in beam.tokens for y in content]
+        out = np.zeros((len(beam), vocab), dtype=np.float64)
+        out[:, content] = batch_logprobs(model, pairs).reshape(len(beam), -1)
+        out[:, EOS] = beam.qterm if t else NEG_SENTINEL
         return out

@@ -255,6 +255,32 @@ class TestTrainQ:
         assert run("train-q", cfg, out2, *sets) == 2
         assert "rollouts.ndjson" in capsys.readouterr().err
 
+    def test_stale_q_exits_two(self, rig, opt1_rig, tmp_path, capsys):
+        # a Q file decodes only next to the models its key names
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        copy_forward(out, out2)
+        shutil.copyfile(out / "q_length.fdq", out2 / "q_length.fdq")
+        assert run("decode", cfg, out2, "decode.mode=length_q") == 2
+        assert "q_length.fdq.key" in capsys.readouterr().err
+        shutil.copyfile(out / "q_length.fdq.key", out2 / "q_length.fdq.key")
+        assert run("decode", cfg, out2, "decode.mode=length_q") == 0
+        for retrain in ("train.epochs=4", "model.hidden=12"):
+            assert run("train", cfg, out2, retrain) == 0
+            capsys.readouterr()
+            assert run("decode", cfg, out2, "decode.mode=length_q") == 2
+            assert "q_length.fdq was not made" in capsys.readouterr().err
+            assert run("compare", cfg, out2, "decode.modes=[\"length_q\"]",
+                       "decode.weights=[1.0]") == 2
+            assert "q_length.fdq was not made" in capsys.readouterr().err
+        out3 = tmp_path / "opt1"
+        shutil.copytree(opt1_rig[1], out3)
+        Seq2Seq(4, 4, hidden=2).save(out3 / "backward.fdq")  # another one
+        assert run("decode", cfg, out3, "decode.mode=mmi_q",
+                   "q.family=backward_opt1") == 2
+        assert "q_backward_opt1.fdq was not made" in capsys.readouterr().err
+
     def test_outcome_generates_then_reuses_rollouts(self, rig, tmp_path,
                                                     capsys):
         cfg, out = rig
@@ -310,8 +336,8 @@ class TestDecode:
 
     def test_mmi_q_decodes_with_the_named_family(self, opt1_rig, opt2_rig):
         cfg, out3 = opt1_rig
-        shutil.copyfile(opt2_rig[1] / "q_backward_opt2.fdq",
-                        out3 / "q_backward_opt2.fdq")
+        for name in ("q_backward_opt2.fdq", "q_backward_opt2.fdq.key"):
+            shutil.copyfile(opt2_rig[1] / name, out3 / name)
         _, dev, _ = load_task(task_config(cfg))
         forward = Seq2Seq.load(out3 / "forward.fdq")
         reg = BackwardRegressor.load(out3 / "q_backward_opt1.fdq")
@@ -334,6 +360,11 @@ class TestDecode:
         cfg, out2 = opt2_rig  # q_backward_opt2.fdq is on disk
         assert run("decode", cfg, out2, "decode.mode=mmi_q") == 2
         assert "q.family" in capsys.readouterr().err
+
+    def test_bad_nbest_exits_two(self, rig, capsys):
+        cfg, out = rig
+        assert run("decode", cfg, out, "decode.nbest=-2") == 2
+        assert "nbest must be >= 1, got -2" in capsys.readouterr().err
 
     def test_missing_q_checkpoint_exits_two(self, opt2_rig, capsys):
         cfg, out2 = opt2_rig

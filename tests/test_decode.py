@@ -8,7 +8,7 @@ from collections import Counter
 from fdq.autodiff import Tensor, log_softmax
 from fdq.data import BOS, EOS, PAD, SequencePair, TaskSpec, gen_task
 from fdq.decode import (BATCH_ATOL, CallableScorer, DecodeConfig,
-                        LengthScorer, _admitted_eos, _Engine, _stacked,
+                        LengthScorer, _admitted_eos, _Beam, _Engine,
                         beam_complete, beam_search, decode_corpus,
                         exhaustive_decode, guided_beam_search,
                         length_forced_select, mmi_rerank, rescore_nbest)
@@ -185,29 +185,47 @@ class TestGuidedBeam:
 
 
 def live_beam(model, scorer, src, steps, beam=4):
-    """The engine and its live hypotheses after `steps` EOS-free steps."""
+    """The engine and its live beam after `steps` EOS-free steps."""
     eng = _Engine(model, scorer, src,
                   DecodeConfig(mode="mmi_q", beam=beam, weight=1.0))
-    live = [eng.root]
+    live = eng.root
     for _ in range(steps):
         scores = eng.expand(live, allow_eos=False)
-        live, _ = eng.settle(eng.ranked(live, scores, beam))
+        live, _ = eng.settle(live, scores, eng.ranked(scores, beam))
     return eng, live
 
 
+def beam_row(live, b):
+    """Row b of a live beam as a one-row beam."""
+    rows = [b]
+    scorer = (None if live.scorer_rows is None
+              else tuple(r[rows] for r in live.scorer_rows))
+    return _Beam([live.tokens[b]], live.cum[rows], live.qterm[rows],
+                 live.state.take(rows), live.logprobs[rows], scorer)
+
+
 def reference_candidates(live, scores, allow_content=True, allow_eos=True):
-    """The tuple-per-candidate expansion, sorted by (-combined, tokens)."""
+    """The tuple-per-candidate expansion, sorted by (-combined, tokens).
+
+    A candidate is (combined, tokens, parent row, y, cum, qterm).
+    """
     base, qterm, combined, _ = scores
     out = []
-    for i, hyp in enumerate(live):
+    for i, tokens in enumerate(live.tokens):
         for y in range(combined.shape[1]):
             if y in (PAD, BOS) or (y == EOS and not allow_eos) or \
                     (y != EOS and not allow_content):
                 continue
-            out.append((float(combined[i, y]), hyp.tokens + (y,), hyp, y,
+            out.append((float(combined[i, y]), tokens + (y,), i, y,
                         float(base[i, y]), float(qterm[i, y])))
     out.sort(key=lambda c: (-c[0], c[1]))
     return out
+
+
+def chosen(cands):
+    """The (parent rows, ys) arrays of a list of reference candidates."""
+    return (np.array([c[2] for c in cands], dtype=np.int64),
+            np.array([c[3] for c in cands], dtype=np.int64))
 
 
 def reference_admitted(cands, beam):
@@ -215,8 +233,8 @@ def reference_admitted(cands, beam):
     seen = Counter()
     admitted = []
     for combined, tokens, parent, y, cum, qterm in cands:
-        seen[id(parent)] += 1
-        if y == EOS and seen[id(parent)] <= beam:
+        seen[parent] += 1
+        if y == EOS and seen[parent] <= beam:
             admitted.append((tokens, cum, qterm, combined))
     return sorted(admitted)
 
@@ -232,31 +250,73 @@ class TestBatchedStep:
                 7)
             eng = _Engine(m, scorer, [4, 5],
                           DecodeConfig(mode="mmi_q", beam=4, weight=1.0))
-            live = [eng.root]
+            live = eng.root
             for pos in range(1, 5):
                 flags = dict(allow_content=pos < 4, allow_eos=pos > 1)
                 scores = eng.expand(live, **flags)
                 want = reference_candidates(live, scores, **flags)
-                assert eng.ranked(live, scores) == want
-                assert eng.ranked(live, scores, 4) == want[:4]
+                for limit, cut in ((None, want), (4, want[:4])):
+                    parents, ys = eng.ranked(scores, limit)
+                    assert list(zip(parents.tolist(), ys.tolist())) == \
+                        [(c[2], c[3]) for c in cut]
                 for beam in (1, 3) if flags["allow_eos"] else ():
                     got = sorted((h.tokens, h.logp, h.q_term, h.combined)
                                  for h in _admitted_eos(live, scores, beam))
                     assert got == reference_admitted(want, beam)
-                live, _ = eng.settle(want[:4])
+                live, _ = eng.settle(live, scores, chosen(want[:4]))
 
     def test_advance_over_stacked_states_matches_decode_step(self):
         m = tiny_model(3, vt=9, hidden=8)
         eng, live = live_beam(m, None, [4, 5, 3], 2)
         ys = [3 + k for k in range(len(live))]
-        h, _, _, logits = m.advance(_stacked(m, [hyp.state for hyp in live]),
-                                    eng.ctx, ys)
+        h, _, _, logits = m.advance(live.state, eng.ctx, ys)
         logprobs = log_softmax(Tensor(logits)).data
-        for k, hyp in enumerate(live):
-            want, state = m.decode_step(hyp.state, ys[k], eng.ctx)
+        for k in range(len(live)):
+            want, state = m.decode_step(live.state.take(k), ys[k], eng.ctx)
             np.testing.assert_allclose(logprobs[k], want, rtol=0,
                                        atol=BATCH_ATOL)
             np.testing.assert_allclose(h[k], state.h, rtol=0, atol=BATCH_ATOL)
+
+    def test_beam_rows_follow_their_parents(self):
+        # after every step, each beam row's decoder and scorer rows equal a
+        # replay of its own tokens; coarse scores tie often across parents,
+        # and on the uniform model every log-prob ties too
+        vt, hidden, src = 9, 8, [4, 5]
+
+        class Coarse(OutcomeScorer):
+            def score_candidates(self, beam, ctx):
+                return np.floor(2 * super().score_candidates(beam, ctx))
+
+        predictor = OutcomePredictor(9, vt, hidden=hidden, seed=3)
+        for t in predictor.p.values():
+            t.data *= 15  # spread the predictions across prefixes
+        for m in (uniform_model(vt=vt, hidden=hidden),
+                  tiny_model(7, vt=vt, hidden=hidden)):
+            scorer = Coarse(predictor)
+            eng = _Engine(m, scorer, src,
+                          DecodeConfig(mode="outcome_q", beam=4, weight=1.0))
+            live = eng.root
+            moved = False
+            for _ in range(4):
+                first = live.tokens[0]
+                scores = eng.expand(live, allow_eos=False)
+                live, _ = eng.settle(live, scores, eng.ranked(scores, 4))
+                moved |= any(t[:-1] != first for t in live.tokens)
+                for b, tokens in enumerate(live.tokens):
+                    ctx, state = m.encode(src)
+                    _, state = m.decode_step(state, BOS, ctx)
+                    prefix = [np.zeros((1, hidden), dtype=np.float32)] * 2
+                    for tok in tokens:
+                        _, state = m.decode_step(state, tok, ctx)
+                        prefix = scorer.q.step_prefix(prefix, [tok])
+                    row = live.state.take(b)
+                    h, c = (r[b] for r in live.scorer_rows)
+                    for got, want in ((row.h, state.h), (row.c, state.c),
+                                      (row.feed, state.feed),
+                                      (h, prefix[0][0]), (c, prefix[1][0])):
+                        np.testing.assert_allclose(got, want, rtol=0,
+                                                   atol=BATCH_ATOL)
+            assert moved  # some row extends a parent other than row 0
 
     @pytest.mark.parametrize("family", ["callable", "length", "outcome",
                                         "partial_backward"])
@@ -278,8 +338,8 @@ class TestBatchedStep:
             assert len(live) > 1
             batch = scorer.score_candidates(live, eng.ctx)
             assert batch.shape == (len(live), vt)
-            for b, hyp in enumerate(live):
-                alone = scorer.score_candidates([hyp], eng.ctx)[0]
+            for b in range(len(live)):
+                alone = scorer.score_candidates(beam_row(live, b), eng.ctx)[0]
                 np.testing.assert_allclose(batch[b], alone, rtol=0,
                                            atol=BATCH_ATOL)
 
@@ -294,10 +354,10 @@ class TestBatchedStep:
         for steps in (1, 2, 3):
             eng, live = live_beam(m, scorer, src, steps)
             eos = scorer.score_candidates(live, eng.ctx)[:, EOS]
-            for b, hyp in enumerate(live):
+            for b, tokens in enumerate(live.tokens):
                 fresh = batch_logprobs(ensemble.nearest_model(steps), [
-                    SequencePair(list(hyp.tokens), src + [EOS])])[0]
-                assert eos[b] == hyp.qterm
+                    SequencePair(list(tokens), src + [EOS])])[0]
+                assert eos[b] == live.qterm[b]
                 assert eos[b] == pytest.approx(fresh, rel=0, abs=BATCH_ATOL)
 
     def test_scorer_cannot_guide_a_forced_prefix(self):
@@ -310,7 +370,7 @@ class TestBatchedStep:
     def test_scorer_shape_is_checked(self):
         m = tiny_model(6)
         flat = CallableScorer(lambda prefix, y: 0.0, m.tgt_vocab)
-        flat.score_candidates = lambda hyps, ctx: np.zeros(m.tgt_vocab)
+        flat.score_candidates = lambda beam, ctx: np.zeros(m.tgt_vocab)
         with pytest.raises(ContractError, match="shape"):
             guided_beam_search(m, flat, [4, 5],
                                DecodeConfig(mode="mmi_q", weight=1.0))
@@ -515,3 +575,13 @@ class TestDecodeCorpus:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             DecodeConfig(mode="dfs").validate()
+
+    @pytest.mark.parametrize("field,value", [("nbest", -2), ("nbest", 0),
+                                             ("cap", -1)])
+    def test_out_of_range_count_rejected(self, field, value):
+        # nbest=-2 used to cut two entries off the finished pool, and
+        # nbest=0 to mean the beam width
+        with pytest.raises(ConfigError, match=f"{field} must be >= "
+                           f"[01], got {value}"):
+            beam_search(tiny_model(7), [4, 5],
+                        DecodeConfig(beam=7, **{field: value}))

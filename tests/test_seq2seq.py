@@ -31,7 +31,6 @@ class TestEncode:
         ctx, state = m.encode([4, 5, 4, 5, 4])
         assert ctx.enc.shape == (1, 5, m.hidden)
         assert state.h.shape == (m.hidden,)
-        assert state.t == 0
 
     def test_deterministic(self):
         m = tiny_model()
@@ -58,17 +57,8 @@ class TestDecodeStep:
     def test_log_distribution(self):
         m = tiny_model()
         ctx, state = m.encode([4, 5])
-        logprobs, new = m.decode_step(state, BOS, ctx)
+        logprobs, _ = m.decode_step(state, BOS, ctx)
         assert abs(np.logaddexp.reduce(logprobs.astype(np.float64))) < 1e-5
-        assert new.t == 0  # BOS primes without consuming a target token
-
-    def test_step_counts_content_tokens(self):
-        m = tiny_model()
-        ctx, state = m.encode([4])
-        _, state = m.decode_step(state, BOS, ctx)
-        _, state = m.decode_step(state, 4, ctx)
-        _, state = m.decode_step(state, 5, ctx)
-        assert state.t == 2
 
     def test_zero_model_is_uniform(self):
         m = zero_model(vt=5)

@@ -1,0 +1,23 @@
+"""The artifact digest harness runs clean and reruns byte-identically."""
+
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+HARNESS = ROOT / "tools" / "artifact_digests.py"
+
+
+def test_artifact_digests_rerun_identically(tmp_path):
+    runs = [subprocess.run([sys.executable, str(HARNESS), str(ROOT),
+                            str(tmp_path / name)],
+                           capture_output=True, text=True, check=False)
+            for name in ("a", "b")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    steps = [step for step, _, _ in runpy.run_path(str(HARNESS))["STEPS"]]
+    exited = [line.split("\t")[0] for line in runs[0].stdout.splitlines()
+              if line.split("\t")[1] == "stdout (exit 0)"]
+    assert exited == steps

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdq.data import EOS, Corpus, SequencePair, TaskSpec, gen_task, make_batch, split
-from fdq.decode import NEG_SENTINEL, DecodeConfig, guided_beam_search
+from fdq.decode import NEG_SENTINEL, DecodeConfig, _Engine, guided_beam_search
 from fdq.errors import (CheckpointError, ConfigError, ContractError,
                         DimensionError, LoadError, MissingModelError)
 from fdq.metrics import rouge2, sentence_bleu
@@ -510,10 +510,7 @@ class TestScorers:
     def test_partial_backward_scorer_empty_prefix_eos(self, dialogue_rig):
         train, dev, forward, backward, ensemble = dialogue_rig
         scorer = PartialBackwardScorer(ensemble)
-        ctx, _ = forward.encode(dev.pairs[0].src)
-        scorer.prepare(forward, dev.pairs[0].src, ctx)
-
-        class Hyp:
-            tokens = ()
-        vec = scorer.score_candidates([Hyp()], ctx)
+        eng = _Engine(forward, scorer, dev.pairs[0].src,
+                      DecodeConfig(mode="mmi_q"))
+        vec = scorer.score_candidates(eng.root, eng.ctx)
         assert vec[0, EOS] == NEG_SENTINEL

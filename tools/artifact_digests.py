@@ -4,7 +4,8 @@
 
 Runs the `fdq` CLI from SRC_DIR/src inside OUT_DIR (created if absent):
 train, train-q for all four Q families, decode in every mode, eval and
-compare, on a small copy task with seed 1.  After each step it prints one
+compare, and last an exhaustive decode capped at 3 tokens, on a small
+copy task with seed 1.  After each step it prints one
 tab-separated line per file the step wrote (step, file, sha256) and one
 for the step's stdout.  For a decode output it also prints the sha256 of
 its `hyp` strings alone (file `decode.ndjson#hyp`), so a change that moves
@@ -62,6 +63,7 @@ STEPS = [
     ("train-q outcome reuse", "train-q", ["q.family=outcome"]),
     ("decode outcome_q", "decode", ["decode.mode=outcome_q"]),
     ("compare", "compare", ["q.family=backward_opt2"]),
+    ("decode exhaustive", "decode", ["decode.mode=exhaustive", "decode.cap=3"]),
 ]
 
 RUN = "run"
