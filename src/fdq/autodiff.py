@@ -328,26 +328,6 @@ def log_softmax(a):
     return out
 
 
-def softmax_xent(logits, target):
-    """Cross-entropy of one target id against a logit vector."""
-    if logits.data.ndim != 1:
-        raise DimensionError(f"expected a logit vector, got shape {logits.shape}")
-    target = int(target)
-    if not 0 <= target < logits.data.shape[0]:
-        raise IndexError(f"target {target} out of range for {logits.data.shape[0]} logits")
-    shifted = logits.data - logits.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = Tensor(lse - shifted[target])
-
-    def vjp(g):
-        p = np.exp(shifted - lse)
-        p[target] -= 1.0
-        return (p * g,)
-
-    _record(out, (logits,), vjp)
-    return out
-
-
 def masked_xent_sum(logits, targets, mask):
     """Summed cross-entropy over a batch of logit rows.
 

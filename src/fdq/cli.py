@@ -43,6 +43,7 @@ BACKWARD = "backward.fdq"
 Q_FILES = {"length": "q_length.fdq", "backward_opt1": "q_backward_opt1.fdq",
            "backward_opt2": "q_backward_opt2.fdq", "outcome": "q_outcome.fdq"}
 ROLLOUTS = "rollouts.ndjson"
+VOCABS = ["dev.json.src.vocab", "dev.json.tgt.vocab"]
 
 
 def _seed(config, *names):
@@ -104,6 +105,21 @@ def _check_key(path, key, made_from, hint):
                           f"({kpath} differs or is missing); {hint}")
 
 
+def _backward_key(config, out):
+    return _artifact_key(out, VOCABS, task=config["task"],
+                         split=config["split"], seed=config["seed"])
+
+
+def _load_backward(config, out):
+    """backward.fdq, if `fdq train` made it for this task, split and seed."""
+    hint = ("train with q.family=backward_opt1 or decode.mode=mmi_rerank "
+            "to produce a backward model")
+    path = _require(out / BACKWARD, hint)
+    _check_key(path, _backward_key(config, out),
+               "task, split, seed, " + " and ".join(VOCABS), hint)
+    return Seq2Seq.load(path)
+
+
 def _print_epoch(record):
     line = f"epoch={record['epoch']} train_ce={record['train_ce']:.4f}"
     if "dev_ce" in record:
@@ -142,6 +158,8 @@ def cmd_train(config, out, manifest):
     manifest.metrics["dev_ppl"] = ppl
     model.save(out / FORWARD)
     manifest.artifacts["forward"] = str(out / FORWARD)
+    save_corpus(dev, out / "dev.json")
+    manifest.artifacts["dev_corpus"] = str(out / "dev.json")
     if _needs_backward(config):
         b = config["q"]["backward"]
         bsched = _from_section(TrainSchedule, b,
@@ -154,9 +172,10 @@ def cmd_train(config, out, manifest):
         print(f"backward_dev_ce={ce:.4f}")
         manifest.metrics["backward_dev_ce"] = ce
         backward.save(out / BACKWARD)
+        # the key covers the vocabulary sidecars save_corpus wrote
+        _key_file(out / BACKWARD).write_text(_backward_key(config, out),
+                                             encoding="utf-8")
         manifest.artifacts["backward"] = str(out / BACKWARD)
-    save_corpus(dev, out / "dev.json")
-    manifest.artifacts["dev_corpus"] = str(out / "dev.json")
     (out / "config.json").write_text(
         json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     manifest.artifacts["config"] = str(out / "config.json")
@@ -202,9 +221,7 @@ def cmd_train_q(config, out, manifest):
         with timed(manifest, "train_q"):
             q_model = train_length_q(model, train, sched, dev=dev)
     elif family == "backward_opt1":
-        backward = Seq2Seq.load(_require(
-            out / BACKWARD,
-            "train with q.family=backward_opt1 to produce a backward model"))
+        backward = _load_backward(config, out)
         with timed(manifest, "train_q"):
             q_model = train_backward_q_option1(model, backward, train, sched,
                                                dev=dev)
@@ -282,10 +299,7 @@ def _build_scorer(config, out, mode):
         pred = _load_q(out, "outcome", OutcomePredictor)
         return (lambda pair: OutcomeScorer(pred)), None
     if mode == "mmi_rerank":
-        backward = Seq2Seq.load(_require(
-            out / BACKWARD, "train with decode.mode=mmi_rerank or "
-            "q.family=backward_opt1 to produce a backward model"))
-        return None, backward
+        return None, _load_backward(config, out)
     return None, None
 
 
@@ -362,8 +376,8 @@ def cmd_eval(config, out, manifest):
     ref_path = Path(e["ref"]) if e["ref"] else out / "refs.ndjson"
     _require(hyp_path, "run `fdq decode` first or set eval.hyp")
     _require(ref_path, "run `fdq decode` first or set eval.ref")
-    hyps, refs, errors = _aligned_tokens(read_ndjson(hyp_path),
-                                         read_ndjson(ref_path))
+    hyps, refs, errors = _aligned_tokens(read_ndjson(hyp_path, ("id",)),
+                                         read_ndjson(ref_path, ("id", "hyp")))
     metrics, bleu_echo = _metric_table(hyps, refs, e["smooth"])
     report = {"pairs": len(hyps), "errors": errors, "metrics": metrics,
               "config": {"smooth": e["smooth"], "bleu": bleu_echo,

@@ -2,7 +2,8 @@
 
 A config is one JSON file merged over :data:`DEFAULT_CONFIG`.  Parsing is
 strict: any key absent from the defaults is rejected by name, and leaf
-values must keep the default's JSON type.  ``--set key.path=value``
+values must keep the default's JSON type (:data:`NULLABLE` gives the type
+of each key whose default is null).  ``--set key.path=value``
 overrides reuse the same rules, so a sweep can never silently typo a
 knob into a no-op.
 """
@@ -55,10 +56,17 @@ DEFAULT_CONFIG = {
 Q_FAMILIES = ("length", "backward_opt1", "backward_opt2", "outcome")
 
 
+# the type of each key whose default is None; only these may be null
+NULLABLE = {"decode.length": int, "decode.nbest": int, "decode.cap": int,
+            "q.rollout.pairs": int, "decode.input": str, "eval.hyp": str,
+            "eval.ref": str}
+
+
 def _check_type(path, value, default):
-    # None defaults mark nullable knobs; their type is checked at use
-    if default is None or value is None:
-        return
+    if default is None:
+        if value is None:
+            return
+        default = NULLABLE[path]()
     if isinstance(default, bool):
         ok = isinstance(value, bool)
     elif isinstance(default, int):
@@ -144,6 +152,10 @@ def validate_config(config):
             raise ConfigError(
                 f"config key {key!r}: must be >= {lo}, "
                 f"got {config[section][name]}")
+    pairs = config["q"]["rollout"]["pairs"]
+    if pairs is not None and pairs < 1:
+        raise ConfigError(f"config key 'q.rollout.pairs': must be >= 1 "
+                          f"when set, got {pairs}")
     if any(w < 0 for w in config["decode"]["weights"]):
         raise ConfigError("config key 'decode.weights': weights must be >= 0")
     return config

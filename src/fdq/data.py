@@ -300,15 +300,13 @@ def make_batch(pairs):
     return Batch(src, src_mask, tgt_in, tgt_out, tgt_mask)
 
 
-def batch_iter(corpus, batch_size, sort_by_length=False, seed=None):
+def batch_iter(corpus, batch_size, seed=None):
     """Padded batches covering the corpus exactly once, in a fixed order."""
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     order = list(range(len(corpus.pairs)))
     if seed is not None:
         order = list(substream(seed, "batches").permutation(len(order)))
-    if sort_by_length:
-        order.sort(key=lambda i: (-len(corpus.pairs[i].src), i))
     for lo in range(0, len(order), batch_size):
         chunk = [corpus.pairs[i] for i in order[lo:lo + batch_size]]
         yield make_batch(chunk)
@@ -321,10 +319,29 @@ def write_ndjson(path, records, separators=(",", ":")):
             fh.write(json.dumps(rec, separators=separators) + "\n")
 
 
-def read_ndjson(path):
-    """The objects of a newline-delimited JSON file; blank lines skipped."""
+def read_ndjson(path, required=()):
+    """The objects of a newline-delimited JSON file; blank lines skipped.
+
+    A line that is not a JSON object holding every required field raises
+    LoadError naming path:line.
+    """
+    records = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise LoadError(
+                    f"{path}:{n}: malformed JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise LoadError(f"{path}:{n}: not a JSON object")
+            missing = [k for k in required if k not in rec]
+            if missing:
+                raise LoadError(f"{path}:{n}: record lacks {missing}")
+            records.append(rec)
+    return records
 
 
 def save_corpus(corpus, path):
@@ -340,6 +357,7 @@ def load_corpus(path):
     path = Path(path)
     src_vocab = Vocab.load(path.with_suffix(path.suffix + ".src.vocab"))
     tgt_vocab = Vocab.load(path.with_suffix(path.suffix + ".tgt.vocab"))
-    pairs = [SequencePair(rec["src"], rec["tgt"]) for rec in read_ndjson(path)]
+    pairs = [SequencePair(rec["src"], rec["tgt"])
+             for rec in read_ndjson(path, ("src", "tgt"))]
     corpus = Corpus(pairs, src_vocab, tgt_vocab, {"cache": str(path)})
     return corpus.validate()

@@ -28,8 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# rescore_nbest looks batch_logprobs up on seq2seq, where fdqbench wraps it
+from . import seq2seq
 from .autodiff import Tensor, log_softmax
-from .data import BOS, EOS, PAD
+from .data import BOS, EOS, PAD, SequencePair
 from .errors import ConfigError, ContractError, SearchSpaceError
 from .seq2seq import DecoderState
 
@@ -390,15 +392,18 @@ NEG_SENTINEL = -1e30  # stands in for -inf; keeps scores finite and JSON-safe
 
 
 def rescore_nbest(entries, backward, src, weight):
-    """Combine forward log p with exact backward log p(X|Y) for a list."""
+    """Combine forward log p with exact backward log p(X|Y) for a list.
+
+    The entries with content are scored in one batched pass, so a score
+    matches a width-1 replay up to BATCH_ATOL; an empty hypothesis cannot
+    explain X and scores NEG_SENTINEL.
+    """
+    tgt = list(src) + [EOS]
+    backs = iter(seq2seq.batch_logprobs(backward, [
+        SequencePair(list(h.content), tgt) for h in entries if h.content]))
     rescored = []
-    src_as_target = list(src) + [EOS]
     for h in entries:
-        content = list(h.content)
-        if content:
-            back = backward.sequence_logprob(content, src_as_target)
-        else:
-            back = NEG_SENTINEL  # an empty hypothesis cannot explain X
+        back = next(backs) if h.content else NEG_SENTINEL
         rescored.append(DecodedHyp(h.tokens, h.logp, back,
                                    h.logp + weight * back))
     rescored.sort(key=lambda h: (-h.combined, h.tokens))

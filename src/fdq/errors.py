@@ -25,10 +25,6 @@ class SearchSpaceError(FdqError, ValueError):
     """Exhaustive enumeration refused: the space is too large."""
 
 
-class MissingModelError(FdqError, KeyError):
-    """A length bucket has no trained model (the bucket was empty)."""
-
-
 class CheckpointError(FdqError, ValueError):
     """Malformed or incompatible checkpoint file."""
 

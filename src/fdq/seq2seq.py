@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import LSTMParams, Tape, Tensor, backward
 from .checkpoint import Checkpointed
-from .data import BOS, EOS, batch_iter, make_batch
+from .data import EOS, batch_iter, make_batch
 from .errors import ContractError, TrainingDivergenceError
 from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
@@ -275,28 +275,6 @@ class Seq2Seq(Checkpointed):
         logprobs = ad.log_softmax(Tensor(logits[0])).data
         return logprobs, DecoderState(h[0], c[0], feed[0], self)
 
-    def step_logprobs(self, src, tgt):
-        """Per-step log p(y_t | X, y_{<t}) along a full target (incl. EOS)."""
-        if not tgt or tgt[-1] != EOS:
-            raise ContractError("target must end with EOS")
-        if any(not 0 <= t < self.tgt_vocab for t in tgt):
-            raise ContractError("target token id out of vocabulary range")
-        ctx, state = self.encode(src)
-        out = []
-        prev = BOS
-        for tok in tgt:
-            logprobs, state = self.decode_step(state, prev, ctx)
-            out.append(float(logprobs[tok]))
-            prev = tok
-        return np.array(out, dtype=np.float64)
-
-    def sequence_logprob(self, src, tgt):
-        """log p(Y|X) for a complete EOS-terminated target."""
-        total = 0.0
-        for lp in self.step_logprobs(src, tgt):
-            total += lp
-        return total
-
 
 def dataset_ce(model, corpus, batch_size=32):
     """Mean per-token cross-entropy over a corpus, untaped."""
@@ -309,14 +287,19 @@ def dataset_ce(model, corpus, batch_size=32):
 
 
 def batch_logprobs(model, pairs):
-    """log p(tgt|src) for each pair from one padded forward pass.
+    """log p(tgt|src) for each pair, EOS-terminated, from one padded pass.
 
-    Matches per-pair sequence_logprob up to float32 batching noise; use
-    it where many short sequences must be scored against one model.
+    This is the library's one scorer of complete targets.  A pair's score
+    matches a width-1 decode_step replay of it up to float32 batching
+    noise (decode.BATCH_ATOL).
     """
     if not pairs:
         return np.zeros(0, dtype=np.float64)
+    if any(not p.tgt or p.tgt[-1] != EOS for p in pairs):
+        raise ContractError("every target must end with EOS")
     batch = make_batch(pairs)
+    if batch.tgt_out.min() < 0 or batch.tgt_out.max() >= model.tgt_vocab:
+        raise ContractError("target token id out of vocabulary range")
     b = batch.tgt_in.shape[0]
     out = np.zeros(b, dtype=np.float64)
     rows = np.arange(b)

@@ -26,8 +26,7 @@ from .checkpoint import Checkpointed
 from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter,
                    read_ndjson, write_ndjson)
 from .decode import NEG_SENTINEL, DecodeConfig, Scorer, beam_complete
-from .errors import (ConfigError, ContractError, DimensionError, LoadError,
-                     MissingModelError)
+from .errors import ConfigError, ContractError, DimensionError, LoadError
 from .metrics import rouge2, sentence_bleu
 from .seeding import stream_key, substream
 from .seq2seq import (Seq2Seq, batch_logprobs, fit, init_params, lstm_params,
@@ -105,8 +104,8 @@ class BackwardRegressor(_MlpRegressor):
 def _forced_examples(model, corpus, batch_size, label_fn):
     """(features, labels, index) over states h_t for t = 1..N of each pair.
 
-    label_fn(pair, t) supplies the regression target; index rows are
-    (pair position within corpus order, t).
+    label_fn(i, t) supplies the regression target of pair i (its position
+    in corpus order); index rows are (i, t).
     """
     feats, labels, index = [], [], []
     offset = 0
@@ -117,7 +116,7 @@ def _forced_examples(model, corpus, batch_size, label_fn):
             pair = corpus.pairs[offset + r]
             for t in range(1, pair.n + 1):
                 feats.append(states[r, t])
-                labels.append(label_fn(pair, t))
+                labels.append(label_fn(offset + r, t))
                 index.append((offset + r, t))
         offset += rows
     h = model.hidden
@@ -131,25 +130,19 @@ def _forced_examples(model, corpus, batch_size, label_fn):
 def length_examples(model, corpus, batch_size=32):
     """Features h_t with labels N - t for every pair and every t."""
     return _forced_examples(model, corpus, batch_size,
-                            lambda pair, t: float(pair.n - t))
+                            lambda i, t: float(corpus.pairs[i].n - t))
 
 
 def backward_examples(forward, backward, corpus, batch_size=32):
     """Features h_t with the pair's full backward score as the label.
 
     The label is log p(X|Y) of the complete pair under the backward
-    model, identical for every t of one pair.
+    model, identical for every t of one pair; one batched pass over the
+    swapped corpus scores every pair.
     """
-    cache = {}
-
-    def label(pair, t):
-        key = id(pair)
-        if key not in cache:
-            cache[key] = backward.sequence_logprob(
-                list(pair.tgt[:-1]), list(pair.src) + [EOS])
-        return cache[key]
-
-    return _forced_examples(forward, corpus, batch_size, label)
+    labels = batch_logprobs(backward, swap_corpus(corpus).pairs)
+    return _forced_examples(forward, corpus, batch_size,
+                            lambda i, t: labels[i])
 
 
 def _row_batches(n, batch_size):
@@ -298,27 +291,14 @@ class PartialBackwardEnsemble(Checkpointed):
     def bucket_index(self, t):
         return _bucket_index(self.buckets, t)
 
-    def model_for(self, t):
-        i = self.bucket_index(t)
-        if i not in self.models:
-            raise MissingModelError(
-                f"no model for bucket {i} (prefix length {t})")
-        return self.models[i]
-
     def nearest_model(self, t):
-        """model_for with fallback to the closest populated bucket."""
+        """The model of the bucket owning length t, else of the closest
+        populated bucket (the lower one on a tie)."""
         i = self.bucket_index(t)
         if i in self.models:
             return self.models[i]
         spread = sorted(self.models, key=lambda j: (abs(j - i), j))
         return self.models[spread[0]]
-
-    def estimate(self, src, prefix):
-        """log p(X | y_{1:t}) under the bucket model owning len(prefix)."""
-        if len(prefix) == 0:
-            raise ContractError("cannot estimate from an empty prefix")
-        model = self.model_for(len(prefix))
-        return model.sequence_logprob(list(prefix), list(src) + [EOS])
 
     def to_named(self):
         named = {}
@@ -352,9 +332,10 @@ def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
     """Train per-bucket backward models on (partial target -> source) pairs.
 
     Bucket i trains with seed schedule.seed + i; empty buckets are left
-    without a model and raise on direct queries.  full_targets_only
-    restricts examples to t = N, the controlled configuration in which a
-    single-bucket ensemble must match a plain backward model exactly.
+    without a model, and nearest_model routes their lengths to the
+    closest populated one.  full_targets_only restricts examples to t = N,
+    the controlled configuration in which a single-bucket ensemble must
+    match a plain backward model exactly.
     """
     buckets = tuple(tuple(b) for b in buckets)
     _check_buckets(buckets)

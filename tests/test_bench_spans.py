@@ -10,6 +10,7 @@ import math
 from pathlib import Path
 
 from fdq.data import TaskSpec, gen_task
+from fdq.decode import DecodeConfig, decode_corpus
 from fdq.seq2seq import Seq2Seq, TrainSchedule, train_mle
 from fdq.value import train_length_q
 
@@ -52,3 +53,22 @@ def test_every_training_step_is_traced():
     steps = 2 * (math.ceil(10 / 4) + math.ceil(rows / 4))
     assert tracer.names.count("autodiff.backward") == steps
     assert tracer.names.count("optim.step") == steps
+
+
+def test_rerank_scores_each_pair_in_one_traced_call():
+    spans = load_spans()
+    corpus = gen_task(TaskSpec("copy", vocab=3, min_len=1, max_len=3,
+                               pairs=5, seed=0))
+    vs, vt = len(corpus.src_vocab), len(corpus.tgt_vocab)
+    forward = Seq2Seq(vs, vt, hidden=4, max_len=5, seed=0)
+    backward = Seq2Seq(vt, vs, hidden=4, max_len=5, seed=1)
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        records, _ = decode_corpus(forward, corpus,
+                                   DecodeConfig(mode="mmi_rerank", beam=3),
+                                   backward=backward)
+    assert all("error" not in rec for rec in records)
+    scored = [tracer.names[tracer.parents[i]]
+              for i, name in enumerate(tracer.names)
+              if name == "seq2seq.batch_logprobs"]
+    assert scored == ["decode.rerank"] * len(corpus.pairs)

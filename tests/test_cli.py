@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 from fdq.checkpoint import load_tensors
-from fdq.cli import load_task, main
+from fdq.cli import _backward_key, load_task, main
 from fdq.config import apply_overrides, load_config, validate_config
 from fdq.decode import DecodeConfig, RegressorScorer, decode_corpus
 from fdq.seq2seq import Seq2Seq, TrainSchedule
@@ -79,6 +79,8 @@ def opt1_rig(rig, tmp_path_factory):
     backward = train_backward_model(train, TrainSchedule(epochs=2, seed=3),
                                     hidden=8, max_len=8)
     backward.save(out3 / "backward.fdq")
+    (out3 / "backward.fdq.key").write_text(
+        _backward_key(task_config(cfg), out3), encoding="utf-8")
     code = run("train-q", cfg, out3, "q.family=backward_opt1", "q.epochs=5")
     assert code == 0
     return cfg, out3
@@ -371,6 +373,54 @@ class TestDecode:
         assert run("decode", cfg, out2, "decode.mode=outcome_q") == 2
         assert "q_outcome.fdq" in capsys.readouterr().err
 
+    def test_stale_backward_exits_two(self, rig, tmp_path, capsys):
+        # a backward model trained under seed 1 must not rerank or label
+        # the corpus a later seed-2 train left in the same directory
+        cfg, _ = rig
+        out = tmp_path / "r"
+        cheap = ("train.epochs=1", "q.backward.epochs=1",
+                 "q.backward.hidden=4")
+        assert run("train", cfg, out, "q.family=backward_opt1", *cheap) == 0
+        assert run("decode", cfg, out, "decode.mode=mmi_rerank") == 0
+        assert run("train", cfg, out, *cheap, seed=2) == 0
+        capsys.readouterr()
+        assert run("decode", cfg, out, "decode.mode=mmi_rerank", seed=2) == 2
+        assert "backward.fdq was not made" in capsys.readouterr().err
+        assert run("train-q", cfg, out, "q.family=backward_opt1", seed=2) == 2
+        assert "backward.fdq was not made" in capsys.readouterr().err
+        assert run("compare", cfg, out, "decode.modes=[]",
+                   "decode.weights=[1.0]", seed=2) == 0
+        rows = json.loads((out / "compare.json").read_text())["rows"]
+        rerank = [row for row in rows if row["mode"] == "mmi_rerank"]
+        assert [row["status"] for row in rerank] == ["failed"]
+        assert "backward.fdq was not made" in rerank[0]["error"]
+
+    @pytest.mark.parametrize("command, setting", [
+        ("decode", "decode.cap=abc"), ("decode", "decode.nbest=2.5"),
+        ("decode", "decode.length=true"),
+        ("train-q", "q.rollout.pairs=-40")])
+    def test_bad_nullable_key_exits_two(self, rig, capsys, command, setting):
+        cfg, out = rig
+        assert run(command, cfg, out, "q.family=outcome", setting) == 2
+        assert f"config key '{setting.split('=')[0]}'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, why", [
+        ('{"src": [4, 5], "tgt": [4', "malformed JSON"),
+        ('{"tgt": [4, 2]}', "lacks ['src']")])
+    def test_malformed_input_exits_two(self, rig, tmp_path, capsys, line,
+                                       why):
+        cfg, out = rig
+        corpus = tmp_path / "in.json"
+        for side in ("src", "tgt"):
+            shutil.copyfile(out / f"dev.json.{side}.vocab",
+                            tmp_path / f"in.json.{side}.vocab")
+        first = (out / "dev.json").read_text().splitlines()[0]
+        corpus.write_text(f"{first}\n{line}\n")
+        assert run("decode", cfg, out, f"decode.input={corpus}") == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:2: " in err and why in err
+
     def test_corpus_cache_as_input(self, rig):
         cfg, out = rig
         code = run("decode", cfg, out,
@@ -419,6 +469,21 @@ class TestEval:
         code = run("eval", cfg, out, f"eval.hyp={out / 'short.ndjson'}")
         assert code == 2
         assert "alignment mismatch" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("side, field", [("hyp", "id"), ("ref", "id"),
+                                             ("ref", "hyp")])
+    def test_record_without_field_exits_two(self, rig, capsys, side, field):
+        cfg, out = rig
+        assert run("decode", cfg, out) == 0
+        refs = read_ndjson(out / "refs.ndjson")
+        bad = out / f"no_{field}.ndjson"
+        bad.write_text("".join(json.dumps({k: v for k, v in rec.items()
+                                           if k != field}) + "\n"
+                               for rec in refs))
+        capsys.readouterr()
+        assert run("eval", cfg, out, f"eval.{side}={bad}") == 2
+        assert f"{bad}:1: record lacks ['{field}']" in capsys.readouterr().err
 
 
 class TestCompare:

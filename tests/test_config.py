@@ -58,6 +58,18 @@ class TestStrictParsing:
         path = write_config(tmp_path, {"decode": {"length": 3}}, "b.json")
         assert load_config(path)["decode"]["length"] == 3
 
+    @pytest.mark.parametrize("key, value", [
+        ("decode.length", True), ("decode.nbest", 2.5), ("decode.cap", "abc"),
+        ("q.rollout.pairs", 1.0), ("decode.input", 3), ("eval.hyp", False),
+        ("eval.ref", [])])
+    def test_nullable_keys_keep_their_type(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            apply_overrides(default_config(), [f"{key}={json.dumps(value)}"])
+
+    def test_null_rejected_where_the_default_is_not(self):
+        with pytest.raises(ConfigError, match="decode.beam"):
+            apply_overrides(default_config(), ["decode.beam=null"])
+
     def test_section_replaced_by_scalar_is_rejected(self, tmp_path):
         path = write_config(tmp_path, {"decode": 3})
         with pytest.raises(ConfigError, match="decode"):
@@ -158,6 +170,13 @@ class TestValidate:
         cfg = apply_overrides(default_config(), ["task.pairs=0"])
         with pytest.raises(ConfigError, match="task.pairs"):
             validate_config(cfg)
+
+    def test_rollout_pairs_must_be_positive(self):
+        cfg = apply_overrides(default_config(), ["q.rollout.pairs=-40"])
+        with pytest.raises(ConfigError, match="q.rollout.pairs"):
+            validate_config(cfg)
+        cfg = apply_overrides(default_config(), ["q.rollout.pairs=1"])
+        assert validate_config(cfg)["q"]["rollout"]["pairs"] == 1
 
     def test_negative_weight_grid_is_named(self):
         cfg = apply_overrides(default_config(), ["decode.weights=[0,-1]"])

@@ -229,12 +229,6 @@ class TestBatches:
         assert list(b.tgt_out[0]) == [4, EOS, PAD]
         assert list(b.tgt_in[1]) == [BOS, 5, 4]
 
-    def test_sort_by_length_orders_descending(self):
-        c = gen_task(TaskSpec("copy", vocab=5, min_len=1, max_len=8, pairs=20, seed=4))
-        batches = list(batch_iter(c, 5, sort_by_length=True))
-        lens = [int(b.src_mask.sum(axis=1).max()) for b in batches]
-        assert lens == sorted(lens, reverse=True)
-
 
 class TestCacheRoundTrip:
     def test_bit_identical(self, tmp_path):
@@ -245,3 +239,17 @@ class TestCacheRoundTrip:
         assert corpus_fingerprint(back) == corpus_fingerprint(c)
         assert len(back.src_vocab) == len(c.src_vocab)
         assert back.tgt_vocab.decode(back.pairs[0].tgt) == c.tgt_vocab.decode(c.pairs[0].tgt)
+
+    @pytest.mark.parametrize("line, why", [
+        ('{"src": [4], "tgt": [4, 2]', "malformed JSON"),
+        ("[4, 2]", "not a JSON object"),
+        ('{"tgt": [4, 2]}', "lacks ['src']")])
+    def test_bad_line_named_by_path_and_number(self, tmp_path, line, why):
+        c = gen_task(TaskSpec("copy", vocab=3, pairs=2, seed=6))
+        path = tmp_path / "corpus.ndjson"
+        save_corpus(c, path)
+        first = path.read_text(encoding="utf-8").splitlines()[0]
+        path.write_text(f"{first}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=f"{path.name}:3: ") as err:
+            load_corpus(path)
+        assert why in str(err.value)

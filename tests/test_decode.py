@@ -18,6 +18,7 @@ from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, train_mle,
                          _param_shapes)
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer)
+from reference import step_logprobs
 
 
 def tiny_model(seed=0, vs=6, vt=6, hidden=3):
@@ -94,14 +95,14 @@ class TestBeamSearch:
     def test_cum_logp_matches_sequence_logprob(self):
         m = tiny_model(4)
         for h in beam_search(m, [4, 5], DecodeConfig(beam=4)).entries:
-            want = m.sequence_logprob([4, 5], list(h.tokens))
-            assert h.logp == pytest.approx(want, abs=1e-5)
+            want = sum(step_logprobs(m, [4, 5], list(h.tokens)))
+            assert h.logp == pytest.approx(want, abs=BATCH_ATOL)
 
     def test_step_scores_nonpositive(self):
         m = tiny_model(5)
         top = beam_search(m, [4, 5], DecodeConfig(beam=3)).top()
-        steps = m.step_logprobs([4, 5], list(top.tokens))
-        assert np.all(steps <= 0)
+        steps = step_logprobs(m, [4, 5], list(top.tokens))
+        assert all(lp <= 0 for lp in steps)
 
     def test_uniform_model_tie_breaks_lexicographically(self):
         m = uniform_model()
@@ -487,12 +488,15 @@ class TestMmiRerank:
         scored = []
         for h in base.entries:
             if h.content:
-                back = bwd.sequence_logprob(list(h.content), list(src) + [EOS])
+                back = sum(step_logprobs(bwd, list(h.content),
+                                         list(src) + [EOS]))
             else:
                 back = -1e30  # backward model cannot encode an empty source
-            scored.append((h.logp + 0.8 * back, h.tokens))
+            scored.append((h.logp + 0.8 * back, h.tokens, back))
         scored.sort(key=lambda s: (-s[0], s[1]))
-        assert [t for _, t in scored] == [h.tokens for h in reranked.entries]
+        assert [s[1] for s in scored] == [h.tokens for h in reranked.entries]
+        for (_, _, back), h in zip(scored, reranked.entries):
+            assert h.q_term == pytest.approx(back, rel=0, abs=BATCH_ATOL)
 
     def test_decomposition(self):
         c, fwd, bwd = self.train_pair()

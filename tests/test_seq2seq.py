@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdq.autodiff import Tape, Tensor, backward, fd_check
-from fdq.data import BOS, EOS, TaskSpec, gen_task, make_batch, split
+from fdq.data import (BOS, EOS, SequencePair, TaskSpec, gen_task, make_batch,
+                      split)
+from fdq.decode import BATCH_ATOL
 from fdq.errors import ContractError
-from fdq.seq2seq import (Seq2Seq, TrainSchedule, dataset_ce, train_mle,
-                         _param_shapes)
+from fdq.seq2seq import (Seq2Seq, TrainSchedule, _param_shapes, batch_logprobs,
+                         dataset_ce, train_mle)
+from reference import step_logprobs
 
 
 def tiny_model(seed=0, attention=True, vs=6, vt=6, hidden=4):
@@ -91,8 +94,8 @@ class TestSequenceLogprob:
         m = tiny_model()
         ctx, state = m.encode([4])
         logprobs, _ = m.decode_step(state, BOS, ctx)
-        assert m.sequence_logprob([4], [EOS]) == pytest.approx(
-            float(logprobs[EOS]), abs=1e-6)
+        got = batch_logprobs(m, [SequencePair([4], [EOS])])[0]
+        assert got == pytest.approx(float(logprobs[EOS]), abs=BATCH_ATOL)
 
     def test_matches_manual_step_sum(self):
         m = tiny_model()
@@ -103,22 +106,23 @@ class TestSequenceLogprob:
             logprobs, state = m.decode_step(state, prev, ctx)
             total += float(logprobs[tok])
             prev = tok
-        assert m.sequence_logprob([4, 5], tgt) == pytest.approx(total, abs=1e-5)
+        got = batch_logprobs(m, [SequencePair([4, 5], tgt)])[0]
+        assert got == pytest.approx(total, abs=BATCH_ATOL)
 
     def test_nonpositive_and_monotone(self):
         m = tiny_model()
-        steps = m.step_logprobs([4, 5], [5, 4, 5, EOS])
-        prefix_scores = np.cumsum(steps)
-        assert np.all(np.diff(prefix_scores) <= 0) or np.all(steps <= 0)
-        assert m.sequence_logprob([4, 5], [5, 4, 5, EOS]) <= 0
+        tgt = [5, 4, 5, EOS]
+        steps = step_logprobs(m, [4, 5], tgt)
+        assert all(lp <= 0 for lp in steps)
+        assert batch_logprobs(m, [SequencePair([4, 5], tgt)])[0] <= 0
 
     def test_requires_eos(self):
         with pytest.raises(ContractError):
-            tiny_model().sequence_logprob([4], [4, 5])
+            batch_logprobs(tiny_model(), [SequencePair([4], [4, 5])])
 
     def test_oov_target_rejected(self):
         with pytest.raises(ContractError):
-            tiny_model(vt=6).sequence_logprob([4], [9, EOS])
+            batch_logprobs(tiny_model(vt=6), [SequencePair([4], [9, EOS])])
 
     def test_batch_context_invariance(self):
         m = tiny_model()
@@ -129,8 +133,13 @@ class TestSequenceLogprob:
         alone_b, _ = m.mle_loss(make_batch([longer]))
         assert float(joint.data) == pytest.approx(
             float(alone_a.data) + float(alone_b.data), rel=1e-5, abs=1e-4)
-        assert m.sequence_logprob(short.src, short.tgt) == pytest.approx(
-            -float(alone_a.data), rel=1e-5, abs=1e-4)
+        joint_lp = batch_logprobs(m, [short, longer])
+        for pair, alone, got in zip((short, longer), (alone_a, alone_b),
+                                    joint_lp):
+            want = sum(step_logprobs(m, pair.src, pair.tgt))
+            assert got == pytest.approx(want, rel=0, abs=BATCH_ATOL)
+            assert want == pytest.approx(-float(alone.data), rel=0,
+                                         abs=BATCH_ATOL)
 
 
 class TestGradients:
@@ -218,8 +227,9 @@ class TestCheckpointing:
         assert (back.src_vocab, back.tgt_vocab, back.hidden,
                 back.attention, back.max_len) == (m.src_vocab, m.tgt_vocab,
                                                   m.hidden, m.attention, m.max_len)
-        src, tgt = [4, 5], [5, EOS]
-        assert back.sequence_logprob(src, tgt) == m.sequence_logprob(src, tgt)
+        pairs = [SequencePair([4, 5], [5, EOS])]
+        assert np.array_equal(batch_logprobs(back, pairs),
+                              batch_logprobs(m, pairs))
 
     def test_resave_bit_identical(self, tmp_path):
         m = tiny_model(seed=10, attention=False)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from fdq.data import EOS, Corpus, SequencePair, TaskSpec, gen_task, make_batch, split
-from fdq.decode import NEG_SENTINEL, DecodeConfig, _Engine, guided_beam_search
+from fdq.decode import (BATCH_ATOL, NEG_SENTINEL, DecodeConfig, _Engine,
+                        guided_beam_search)
 from fdq.errors import (CheckpointError, ConfigError, ContractError,
-                        DimensionError, LoadError, MissingModelError)
+                        DimensionError, LoadError)
 from fdq.metrics import rouge2, sentence_bleu
-from fdq.seq2seq import Seq2Seq, TrainSchedule, train_mle
+from fdq.seq2seq import Seq2Seq, TrainSchedule, batch_logprobs, train_mle
 from fdq.value import (DEFAULT_BUCKETS, BackwardRegressor, LengthRegressor,
                        OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer,
@@ -18,6 +19,14 @@ from fdq.value import (DEFAULT_BUCKETS, BackwardRegressor, LengthRegressor,
                        swap_corpus, train_backward_model,
                        train_backward_q_option1, train_backward_q_option2,
                        train_length_q, train_outcome_q)
+from reference import step_logprobs
+
+
+def bucket_scores(ensemble, src, prefixes):
+    """Batched log p(X | prefix) under the bucket model owning each prefix."""
+    return [batch_logprobs(ensemble.models[ensemble.bucket_index(len(p))],
+                           [SequencePair(list(p), list(src) + [EOS])])[0]
+            for p in prefixes]
 
 
 def subcorpus(corpus, pairs):
@@ -200,10 +209,8 @@ class TestBackwardModel:
         train, dev, forward, backward, _ = dialogue_rig
         fwd_ids = {id(p) for p in forward.params()}
         assert fwd_ids.isdisjoint({id(p) for p in backward.params()})
-        for pair in dev.pairs[:10]:
-            score = backward.sequence_logprob(list(pair.tgt[:-1]),
-                                              list(pair.src) + [EOS])
-            assert np.isfinite(score)
+        scores = batch_logprobs(backward, swap_corpus(dev).pairs[:10])
+        assert np.isfinite(scores).all()
 
 
 class TestBackwardOption1:
@@ -212,9 +219,9 @@ class TestBackwardOption1:
         sub = subcorpus(train, train.pairs[:8])
         _, labels, index = backward_examples(forward, backward, sub)
         for (i, t), label in zip(index, labels):
-            want = backward.sequence_logprob(list(sub.pairs[i].tgt[:-1]),
-                                             list(sub.pairs[i].src) + [EOS])
-            assert label == pytest.approx(want, abs=1e-5)
+            want = sum(step_logprobs(backward, list(sub.pairs[i].tgt[:-1]),
+                                     list(sub.pairs[i].src) + [EOS]))
+            assert label == pytest.approx(want, rel=0, abs=BATCH_ATOL)
         for i in range(len(sub.pairs)):
             pair_labels = labels[index[:, 0] == i]
             assert np.all(pair_labels == pair_labels[0])
@@ -257,16 +264,15 @@ class TestBucketRouting:
     def test_missing_bucket_raises_and_nearest_falls_back(self, dialogue_rig):
         *_, ensemble = dialogue_rig
         assert sorted(ensemble.models) == [0, 1]   # dialogue lengths 1..4
-        with pytest.raises(MissingModelError):
-            ensemble.model_for(6)
+        assert ensemble.bucket_index(6) == 2
         assert ensemble.nearest_model(6) is ensemble.models[1]
 
     def test_zero_length_prefix_rejected(self, dialogue_rig):
         *_, ensemble = dialogue_rig
-        with pytest.raises(ContractError):
-            ensemble.estimate([4, 5], [])
         with pytest.raises(ConfigError):
             ensemble.bucket_index(0)
+        with pytest.raises(ConfigError):
+            ensemble.nearest_model(0)
 
 
 class TestBackwardOption2:
@@ -280,8 +286,9 @@ class TestBackwardOption2:
                                        full_targets_only=True)
         for pair in corpus.pairs[:10]:
             content = list(pair.tgt[:-1])
-            want = plain.sequence_logprob(content, list(pair.src) + [EOS])
-            assert ens.estimate(pair.src, content) == want
+            want = sum(step_logprobs(plain, content, list(pair.src) + [EOS]))
+            assert sum(step_logprobs(ens.models[0], content,
+                                     list(pair.src) + [EOS])) == want
 
     def test_example_routing_is_exhaustive(self, dialogue_rig):
         train, *_ , ensemble = dialogue_rig
@@ -296,8 +303,8 @@ class TestBackwardOption2:
             toks = train.tgt_vocab.decode(pair.tgt[:-1])
             if toks[0] == "i":   # the shared generic reply
                 continue
-            spec = ensemble.estimate(pair.src, list(pair.tgt[:-1]))
-            gen = ensemble.estimate(pair.src, list(gen_ids))
+            spec, gen = bucket_scores(ensemble, pair.src,
+                                      [pair.tgt[:-1], gen_ids])
             gaps.append(spec - gen)
             if len(gaps) >= 20:
                 break
@@ -307,10 +314,9 @@ class TestBackwardOption2:
         train, dev, _, backward, ensemble = dialogue_rig
         ours, theirs = [], []
         for pair in (train.pairs[:50] + dev.pairs[:50]):
-            content = list(pair.tgt[:-1])
-            ours.append(ensemble.estimate(pair.src, content))
-            theirs.append(backward.sequence_logprob(content,
-                                                    list(pair.src) + [EOS]))
+            ours += bucket_scores(ensemble, pair.src, [pair.tgt[:-1]])
+        theirs = batch_logprobs(backward, swap_corpus(
+            subcorpus(train, train.pairs[:50] + dev.pairs[:50])).pairs)
         rank = lambda v: np.argsort(np.argsort(v)).astype(np.float64)
         ra, rb = rank(ours), rank(theirs)
         rho = np.corrcoef(ra, rb)[0, 1]
@@ -324,9 +330,8 @@ class TestBackwardOption2:
         assert back.buckets == ensemble.buckets
         assert sorted(back.models) == sorted(ensemble.models)
         pair = train.pairs[0]
-        content = list(pair.tgt[:-1])
-        assert back.estimate(pair.src, content) == \
-            ensemble.estimate(pair.src, content)
+        assert bucket_scores(back, pair.src, [pair.tgt[:-1]]) == \
+            bucket_scores(ensemble, pair.src, [pair.tgt[:-1]])
 
 
 class TestRollouts:
@@ -493,7 +498,7 @@ class TestScorers:
         out = guided_beam_search(model, scorer, src, cfg)
         top = out.top()
         want = predictor.predict(src, list(top.tokens))
-        assert top.q_term == pytest.approx(want, abs=1e-5)
+        assert top.q_term == pytest.approx(want, rel=0, abs=BATCH_ATOL)
         assert top.combined == pytest.approx(top.logp + 0.5 * top.q_term,
                                              abs=1e-5)
 
@@ -504,8 +509,9 @@ class TestScorers:
         cfg = DecodeConfig(mode="mmi_q", beam=3, weight=1.0)
         top = guided_beam_search(forward, scorer, src, cfg).top()
         content = list(top.content)
-        want = ensemble.estimate(src, content)
-        assert top.q_term == pytest.approx(want, abs=1e-3)
+        model = ensemble.models[ensemble.bucket_index(len(content))]
+        want = sum(step_logprobs(model, content, list(src) + [EOS]))
+        assert top.q_term == pytest.approx(want, rel=0, abs=BATCH_ATOL)
 
     def test_partial_backward_scorer_empty_prefix_eos(self, dialogue_rig):
         train, dev, forward, backward, ensemble = dialogue_rig
