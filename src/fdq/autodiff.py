@@ -88,7 +88,11 @@ def _record(out, inputs, vjp):
 
 
 class Gradients:
-    """Gradient arrays keyed by tensor identity."""
+    """Gradient arrays keyed by tensor identity.
+
+    A stored array may be one a vjp also handed elsewhere; nothing may
+    mutate it in place.
+    """
 
     def __init__(self):
         self._store = {}  # id(tensor) -> (tensor, ndarray)
@@ -97,7 +101,7 @@ class Gradients:
         key = id(tensor)
         hit = self._store.get(key)
         if hit is None:
-            self._store[key] = [tensor, np.array(grad, copy=True)]
+            self._store[key] = [tensor, grad]
         else:
             hit[1] = hit[1] + grad
 
@@ -110,16 +114,23 @@ class Gradients:
 def backward(tape, loss):
     """Reverse sweep: gradients of a scalar loss w.r.t. every tensor on tape.
 
-    The tape is cleared afterwards so the same object can be reused.
+    A node whose output is a tuple of tensors gets one gradient per output,
+    None where an output received none.  The tape is cleared afterwards so
+    the same object can be reused.
     """
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     grads = Gradients()
     grads.accumulate(loss, np.ones_like(loss.data))
     for out, inputs, vjp in reversed(tape.nodes):
-        g = grads.get(out)
-        if g is None:
-            continue
+        if type(out) is tuple:
+            g = tuple(grads.get(o) for o in out)
+            if all(gi is None for gi in g):
+                continue
+        else:
+            g = grads.get(out)
+            if g is None:
+                continue
         for inp, ig in zip(inputs, vjp(g)):
             if ig is not None:
                 grads.accumulate(inp, ig)
@@ -183,13 +194,6 @@ def tanh(a):
     return out
 
 
-def sigmoid(a):
-    # tanh form avoids exp overflow for large negative inputs
-    out = Tensor(0.5 * (np.tanh(0.5 * a.data) + 1.0))
-    _record(out, (a,), lambda g: (out.data * (1.0 - out.data) * g,))
-    return out
-
-
 def matmul(a, b):
     out = Tensor(np.matmul(a.data, b.data))
 
@@ -226,30 +230,11 @@ def affine(w, b, x):
     return out
 
 
-def transpose(a):
-    out = Tensor(a.data.T)
-    _record(out, (a,), lambda g: (g.T,))
-    return out
-
-
 def concat(parts, axis=-1):
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
     _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
-    return out
-
-
-def slice_last(a, lo, hi):
-    """Slice [lo:hi] along the last axis."""
-    out = Tensor(a.data[..., lo:hi])
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[..., lo:hi] = g
-        return (full,)
-
-    _record(out, (a,), vjp)
     return out
 
 
@@ -374,15 +359,15 @@ def attn_context(weights, enc):
 
 
 # ---------------------------------------------------------------------------
-# composite recurrent step
+# fused recurrent step
 # ---------------------------------------------------------------------------
 
-def lstm_step(params, x, h, c):
-    """One LSTM step.  Gate order along the 4H axis is (i, f, g, o).
+def lstm_step(params, x, h, c, mask=None):
+    """One LSTM step as one tape node with the two outputs (h_new, c_new).
 
-    params carries w_ih [4H, D], w_hh [4H, H], b [4H]; x is [D] or [B,D],
-    h and c are [H] or [B,H].
-    """
+    Gates (i, f, g, o) lie along the 4H axis of w_ih [4H,D], w_hh [4H,H]
+    and b [4H]; x, h, c are all 1-D or all [B,*].  A [B,1] mask blends each
+    output to new*m + old*(1-m): rows where m is 0 hold their state."""
     w_ih, w_hh, b = params.w_ih, params.w_hh, params.b
     hidden = w_hh.data.shape[1]
     if h.data.shape[-1] != hidden or c.data.shape[-1] != hidden:
@@ -390,14 +375,40 @@ def lstm_step(params, x, h, c):
             f"state shape {h.shape}/{c.shape} incompatible with hidden size {hidden}")
     if x.data.shape[-1] != w_ih.data.shape[1]:
         raise DimensionError(f"input shape {x.shape} incompatible with w_ih {w_ih.shape}")
-    gates = add(affine(w_ih, b, x), matmul(h, transpose(w_hh)))
-    i = sigmoid(slice_last(gates, 0, hidden))
-    f = sigmoid(slice_last(gates, hidden, 2 * hidden))
-    g = tanh(slice_last(gates, 2 * hidden, 3 * hidden))
-    o = sigmoid(slice_last(gates, 3 * hidden, 4 * hidden))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+    xd, hd, cd = x.data, h.data, c.data
+    gates = (np.matmul(xd, w_ih.data.T) + b.data) + np.matmul(hd, w_hh.data.T)
+    # sigmoid in tanh form (no exp overflow), then tanh for the g gate
+    act = 0.5 * (np.tanh(0.5 * gates) + 1.0)
+    i, f, g, o = (act[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    g[...] = np.tanh(gates[..., 2 * hidden:3 * hidden])
+    c_new = f * cd + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+    if mask is not None:
+        m = np.asarray(mask, dtype=h_new.dtype)
+        keep = 1.0 - m
+        h_new, c_new = h_new * m + hd * keep, c_new * m + cd * keep
+    out = (Tensor(h_new), Tensor(c_new))
+
+    def vjp(grads):
+        # the textbook LSTM backward over the saved gates and tanh(c_new)
+        gh, gc = (np.zeros_like(tc) if gr is None else gr for gr in grads)
+        if mask is not None:
+            (gh, hold_h), (gc, hold_c) = (gh * m, gh * keep), (gc * m, gc * keep)
+        dc = gc + (1.0 - tc * tc) * (gh * o)
+        d = act * (1.0 - act)
+        d[..., 2 * hidden:3 * hidden] = 1.0 - g * g
+        dg = d * np.concatenate([dc * g, dc * cd, dc * i, gh * tc], axis=-1)
+        dg2 = dg.reshape(-1, 4 * hidden)  # a 1-D step as a one-row batch
+        dw_ih = np.matmul(dg2.T, xd.reshape(len(dg2), -1))
+        dw_hh = np.matmul(hd.reshape(len(dg2), -1).T, dg2).T
+        dh, dc = np.matmul(dg, w_hh.data), dc * f
+        if mask is not None:
+            dh, dc = hold_h + dh, hold_c + dc
+        return dw_ih, dw_hh, dg2.sum(axis=0), np.matmul(dg, w_ih.data), dh, dc
+
+    _record(out, (w_ih, w_hh, b, x, h, c), vjp)
+    return out
 
 
 class LSTMParams:

@@ -376,8 +376,10 @@ def cmd_eval(config, out, manifest):
     ref_path = Path(e["ref"]) if e["ref"] else out / "refs.ndjson"
     _require(hyp_path, "run `fdq decode` first or set eval.hyp")
     _require(ref_path, "run `fdq decode` first or set eval.ref")
-    hyps, refs, errors = _aligned_tokens(read_ndjson(hyp_path, ("id",)),
-                                         read_ndjson(ref_path, ("id", "hyp")))
+    text = (("hyp", lambda v: isinstance(v, str)),)
+    hyps, refs, errors = _aligned_tokens(
+        read_ndjson(hyp_path, ("id",), text),
+        read_ndjson(ref_path, ("id", "hyp"), text))
     metrics, bleu_echo = _metric_table(hyps, refs, e["smooth"])
     report = {"pairs": len(hyps), "errors": errors, "metrics": metrics,
               "config": {"smooth": e["smooth"], "bleu": bleu_echo,

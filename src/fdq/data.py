@@ -319,11 +319,15 @@ def write_ndjson(path, records, separators=(",", ":")):
             fh.write(json.dumps(rec, separators=separators) + "\n")
 
 
-def read_ndjson(path, required=()):
+def _is_ids(value):
+    return isinstance(value, list) and all(type(t) is int for t in value)
+
+
+def read_ndjson(path, required=(), kinds=()):
     """The objects of a newline-delimited JSON file; blank lines skipped.
 
-    A line that is not a JSON object holding every required field raises
-    LoadError naming path:line.
+    A line that is not an object with every required field, or whose field
+    f fails check for (f, check) in kinds, raises LoadError at path:line.
     """
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -340,6 +344,9 @@ def read_ndjson(path, required=()):
             missing = [k for k in required if k not in rec]
             if missing:
                 raise LoadError(f"{path}:{n}: record lacks {missing}")
+            bad = [k for k, ok in kinds if k in rec and not ok(rec[k])]
+            if bad:
+                raise LoadError(f"{path}:{n}: wrong type for {bad}")
             records.append(rec)
     return records
 
@@ -358,6 +365,7 @@ def load_corpus(path):
     src_vocab = Vocab.load(path.with_suffix(path.suffix + ".src.vocab"))
     tgt_vocab = Vocab.load(path.with_suffix(path.suffix + ".tgt.vocab"))
     pairs = [SequencePair(rec["src"], rec["tgt"])
-             for rec in read_ndjson(path, ("src", "tgt"))]
+             for rec in read_ndjson(path, ("src", "tgt"),
+                                    (("src", _is_ids), ("tgt", _is_ids)))]
     corpus = Corpus(pairs, src_vocab, tgt_vocab, {"cache": str(path)})
     return corpus.validate()

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergenceError
+from .errors import ConfigError, ContractError, TrainingDivergenceError
 
 
 class OptimState:
-    """Mutable optimizer state for one parameter list.
+    """Optimizer state, bound to one parameter list by its first step.
 
-    Adam moments are keyed by tensor identity and created lazily, so the
-    same state object can be reused across training phases as long as the
-    parameter tensors persist.
+    That step copies the parameters into one flat buffer and rebinds each
+    Tensor.data to a view of it; the gathered gradients and the Adam
+    moments m, v are flat buffers of the same layout.
     """
 
     def __init__(self, algorithm="adam", lr=1e-3, clip_norm=5.0,
@@ -25,8 +25,21 @@ class OptimState:
         self.betas = betas
         self.eps = eps
         self.step = 0
-        self._m = {}
-        self._v = {}
+        self._params = None
+
+    def _bind(self, params):
+        if self._params is None:
+            self._params = list(params)
+            self._flat = np.concatenate([p.data.ravel() for p in params])
+            self._grad, self._m, self._v = np.zeros((3,) + self._flat.shape,
+                                                    self._flat.dtype)
+            cuts = np.cumsum([p.data.size for p in params])[:-1]
+            self._grad_views = [g.reshape(p.shape) for p, g in
+                                zip(params, np.split(self._grad, cuts))]
+            for p, flat in zip(params, np.split(self._flat, cuts)):
+                p.data = flat.reshape(p.shape)
+        elif list(map(id, params)) != list(map(id, self._params)):
+            raise ContractError("optimizer state bound to other parameters")
 
 
 def clip_by_global_norm(grad_arrays, max_norm):
@@ -45,34 +58,26 @@ def clip_by_global_norm(grad_arrays, max_norm):
     return factor
 
 
-def optimizer_step(opt, params, grads):
-    """Apply one update to params given a Gradients object (in place)."""
-    garrs = []
-    for p in params:
+def optimizer_step(opt, params, grads, norm=1.0):
+    """Update params in place from a Gradients object divided by norm."""
+    opt._bind(params)
+    for p, view in zip(params, opt._grad_views):
         g = grads.get(p)
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError("non-finite gradient encountered")
-        garrs.append(np.asarray(g, dtype=p.data.dtype))
-    clip_by_global_norm(garrs, opt.clip_norm)
+        view[...] = 0.0 if g is None else g
+    g = opt._grad
+    g /= norm
+    if not np.isfinite(g).all():
+        raise TrainingDivergenceError("non-finite gradient encountered")
+    clip_by_global_norm(opt._grad_views, opt.clip_norm)
     opt.step += 1
     if opt.algorithm == "sgd":
-        for p, g in zip(params, garrs):
-            p.data -= opt.lr * g
+        opt._flat -= opt.lr * g
         return
     b1, b2 = opt.betas
-    bias1 = 1.0 - b1 ** opt.step
-    bias2 = 1.0 - b2 ** opt.step
-    for p, g in zip(params, garrs):
-        key = id(p)
-        m = opt._m.get(key)
-        if m is None:
-            m = opt._m[key] = np.zeros_like(p.data)
-            opt._v[key] = np.zeros_like(p.data)
-        v = opt._v[key]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + opt.eps)
+    bias1, bias2 = 1.0 - b1 ** opt.step, 1.0 - b2 ** opt.step
+    m, v = opt._m, opt._v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    opt._flat -= opt.lr * (m / bias1) / (np.sqrt(v / bias2) + opt.eps)

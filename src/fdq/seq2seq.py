@@ -102,11 +102,8 @@ def masked_lstm(table, lstm, ids, mask):
     c = Tensor(np.zeros((b, hidden)))
     steps = []
     for t in range(ids.shape[1]):
-        x = ad.rows(table, ids[:, t])
-        h_new, c_new = ad.lstm_step(lstm, x, h, c)
         m = mask[:, t:t + 1]
-        h = ad.add(ad.mul_const(h_new, m), ad.mul_const(h, 1.0 - m))
-        c = ad.add(ad.mul_const(c_new, m), ad.mul_const(c, 1.0 - m))
+        h, c = ad.lstm_step(lstm, ad.rows(table, ids[:, t]), h, c, m)
         steps.append(ad.mul_const(h, m))
     return steps, h, c
 
@@ -314,8 +311,8 @@ def fit(params, schedule, epoch_batches, loss_fn, metric, dev_metric=None,
     """The training loop every model shares; returns the per-epoch records.
 
     epoch_batches(seed) yields one epoch's batches.  loss_fn(batch) returns
-    a summed loss Tensor and the count it sums over; gradients are divided
-    by that count before the optimizer step.  Each record holds
+    a summed loss Tensor and the count it sums over; the optimizer step
+    divides the gradients by that count.  Each record holds
     train_<metric>, the summed loss over the summed count, and dev_<metric>
     from dev_metric() when given, which stops training early after
     schedule.patience epochs without improvement (0 never stops).
@@ -334,12 +331,7 @@ def fit(params, schedule, epoch_batches, loss_fn, metric, dev_metric=None,
             if not np.isfinite(loss_val):
                 raise TrainingDivergenceError(
                     f"non-finite loss at epoch {epoch}")
-            grads = backward(tape, loss)
-            for p in params:
-                g = grads.get(p)
-                if g is not None:
-                    g /= norm
-            optimizer_step(opt, params, grads)
+            optimizer_step(opt, params, backward(tape, loss), norm)
             total += loss_val
             count += norm
         record = {"epoch": epoch, f"train_{metric}": total / max(count, 1.0)}

@@ -1,6 +1,14 @@
-"""The width-1 reference that batched log p(Y|X) scores are checked against."""
+"""Slow references the library's fast paths are checked against: the
+width-1 replay behind batched log p(Y|X) scores, and the unfused LSTM step
+and per-tensor optimizer behind the fused training kernels."""
 
+import numpy as np
+
+from fdq import autodiff as ad
+from fdq.autodiff import Tensor, _record
 from fdq.data import BOS
+from fdq.errors import TrainingDivergenceError
+from fdq.optim import clip_by_global_norm
 
 
 def step_logprobs(model, src, tgt):
@@ -14,3 +22,89 @@ def step_logprobs(model, src, tgt):
         out.append(float(logprobs[tok]))
         prev = tok
     return out
+
+
+# -- the unfused training path the fused kernels are checked against ----------
+
+def sigmoid(a):
+    # tanh form avoids exp overflow for large negative inputs
+    out = Tensor(0.5 * (np.tanh(0.5 * a.data) + 1.0))
+    _record(out, (a,), lambda g: (out.data * (1.0 - out.data) * g,))
+    return out
+
+
+def transpose(a):
+    out = Tensor(a.data.T)
+    _record(out, (a,), lambda g: (g.T,))
+    return out
+
+
+def slice_last(a, lo, hi):
+    """Slice [lo:hi] along the last axis."""
+    out = Tensor(a.data[..., lo:hi])
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        full[..., lo:hi] = g
+        return (full,)
+
+    _record(out, (a,), vjp)
+    return out
+
+
+def lstm_step(params, x, h, c, mask=None):
+    """The LSTM step composed of primitives: 17 tape nodes, and 6 more for
+    the hold-state blend new*m + old*(1-m) when a mask is given."""
+    w_ih, w_hh, b = params.w_ih, params.w_hh, params.b
+    hidden = w_hh.data.shape[1]
+    gates = ad.add(ad.affine(w_ih, b, x), ad.matmul(h, transpose(w_hh)))
+    i = sigmoid(slice_last(gates, 0, hidden))
+    f = sigmoid(slice_last(gates, hidden, 2 * hidden))
+    g = ad.tanh(slice_last(gates, 2 * hidden, 3 * hidden))
+    o = sigmoid(slice_last(gates, 3 * hidden, 4 * hidden))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    if mask is None:
+        return h_new, c_new
+    return (ad.add(ad.mul_const(h_new, mask), ad.mul_const(h, 1.0 - mask)),
+            ad.add(ad.mul_const(c_new, mask), ad.mul_const(c, 1.0 - mask)))
+
+
+class PerTensorOptim:
+    """The optimizer as one update per tensor, with Adam moments keyed by
+    tensor identity; step() divides each gradient by norm first, as the
+    training loop did before the flat update."""
+
+    def __init__(self, algorithm="adam", lr=1e-3, clip_norm=5.0,
+                 betas=(0.9, 0.999), eps=1e-8):
+        self.algorithm, self.lr, self.clip_norm = algorithm, lr, clip_norm
+        self.betas, self.eps = betas, eps
+        self.t = 0
+        self.m, self.v = {}, {}
+        self.factors = []
+
+    def step(self, params, grads, norm=1.0):
+        garrs = []
+        for p in params:
+            g = grads.get(p)
+            g = np.zeros_like(p.data) if g is None else g / norm
+            if not np.all(np.isfinite(g)):
+                raise TrainingDivergenceError("non-finite gradient encountered")
+            garrs.append(np.asarray(g, dtype=p.data.dtype))
+        self.factors.append(clip_by_global_norm(garrs, self.clip_norm))
+        self.t += 1
+        if self.algorithm == "sgd":
+            for p, g in zip(params, garrs):
+                p.data -= self.lr * g
+            return
+        b1, b2 = self.betas
+        bias1 = 1.0 - b1 ** self.t
+        bias2 = 1.0 - b2 ** self.t
+        for p, g in zip(params, garrs):
+            m = self.m.setdefault(id(p), np.zeros_like(p.data))
+            v = self.v.setdefault(id(p), np.zeros_like(p.data))
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

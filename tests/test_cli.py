@@ -407,7 +407,9 @@ class TestDecode:
 
     @pytest.mark.parametrize("line, why", [
         ('{"src": [4, 5], "tgt": [4', "malformed JSON"),
-        ('{"tgt": [4, 2]}', "lacks ['src']")])
+        ('{"tgt": [4, 2]}', "lacks ['src']"),
+        ('{"src": "ab", "tgt": [4, 2]}', "wrong type for ['src']"),
+        ('{"src": [4, 5], "tgt": [4, true]}', "wrong type for ['tgt']")])
     def test_malformed_input_exits_two(self, rig, tmp_path, capsys, line,
                                        why):
         cfg, out = rig
@@ -484,6 +486,18 @@ class TestEval:
         capsys.readouterr()
         assert run("eval", cfg, out, f"eval.{side}={bad}") == 2
         assert f"{bad}:1: record lacks ['{field}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["hyp", "ref"])
+    def test_non_string_hyp_exits_two(self, rig, capsys, side):
+        cfg, out = rig
+        assert run("decode", cfg, out) == 0
+        refs = read_ndjson(out / "refs.ndjson")
+        refs[0]["hyp"] = 3
+        bad = out / "int_hyp.ndjson"
+        bad.write_text("".join(json.dumps(rec) + "\n" for rec in refs))
+        capsys.readouterr()
+        assert run("eval", cfg, out, f"eval.{side}={bad}") == 2
+        assert f"{bad}:1: wrong type for ['hyp']" in capsys.readouterr().err
 
 
 class TestCompare:

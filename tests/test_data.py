@@ -243,7 +243,8 @@ class TestCacheRoundTrip:
     @pytest.mark.parametrize("line, why", [
         ('{"src": [4], "tgt": [4, 2]', "malformed JSON"),
         ("[4, 2]", "not a JSON object"),
-        ('{"tgt": [4, 2]}', "lacks ['src']")])
+        ('{"tgt": [4, 2]}', "lacks ['src']"),
+        ('{"src": [4.0], "tgt": [4, 2]}', "wrong type for ['src']")])
     def test_bad_line_named_by_path_and_number(self, tmp_path, line, why):
         c = gen_task(TaskSpec("copy", vocab=3, pairs=2, seed=6))
         path = tmp_path / "corpus.ndjson"

@@ -14,7 +14,15 @@ from fdq.autodiff import Tape, Tensor, backward, fd_check
 from fdq.errors import ConfigError, ContractError, DimensionError, TrainingDivergenceError
 from fdq.optim import OptimState, clip_by_global_norm, optimizer_step
 
+import reference
+from reference import PerTensorOptim, sigmoid, slice_last
+
 TOL = 1e-4
+# fused-cell float32 gradients against the unfused reference: equal bit for
+# bit on numpy 2.4 / OpenBLAS, but a 1-D step's weight gradients come from a
+# one-row matmul where the reference used np.outer, which a BLAS may round
+# differently
+FUSED_GRAD_TOL = 1e-6
 
 
 def rng(seed=0):
@@ -179,11 +187,72 @@ class TestFiniteDifferences:
         def build(ps):
             ap, bp = ps
             cat = ad.concat([ap, bp])
-            piece = ad.slice_last(cat, 1, 4)
+            piece = slice_last(cat, 1, 4)
             piled = ad.stack([piece, piece])
             return ad.sum_all(ad.square(piled))
 
         assert fd_check(build, [a, b]) < TOL
+
+
+def lstm_rig(batched, masked, seed=9):
+    """Weights, input, state and mask for two chained steps of a small cell."""
+    r = rng(seed)
+    hidden, din = 3, 2
+    lead = (3,) if batched else ()
+    tensors = [Tensor(r.normal(size=s)) for s in (
+        (4 * hidden, din), (4 * hidden, hidden), (4 * hidden,),
+        lead + (din,), lead + (hidden,), lead + (hidden,))]
+    masks = (None, None)
+    if masked:  # per-step masks: a row steps, then holds (or the reverse)
+        first, second = (([[1.0], [0.0], [1.0]], [[0.0], [1.0], [1.0]])
+                         if batched else ([1.0], [0.0]))
+        masks = (np.array(first), np.array(second))
+    return tensors, masks
+
+
+def two_steps(step, ps, masks):
+    """Two chained steps; the loss reads the second h and the first c, so
+    the second c gets no gradient and the first c gets two."""
+    params = ad.LSTMParams(*ps[:3])
+    x, h, c = ps[3:]
+    h1, c1 = step(params, x, h, c, masks[0])
+    h2, _ = step(params, x, h1, c1, masks[1])
+    return ad.add(ad.sum_all(ad.square(h2)), ad.sum_all(ad.mul(c1, c1)))
+
+
+LSTM_SHAPES = pytest.mark.parametrize("batched, masked", [
+    (False, False), (False, True), (True, False), (True, True)])
+
+
+class TestFusedLstm:
+    @LSTM_SHAPES
+    def test_fd_check(self, batched, masked):
+        # eps=1e-4: at the default 1e-3 central differences carry ~6e-4
+        # truncation error on this rig, the same for the unfused reference
+        tensors, masks = lstm_rig(batched, masked)
+        build = lambda ps: two_steps(ad.lstm_step, ps, masks)  # noqa: E731
+        assert fd_check(build, tensors, eps=1e-4) < TOL
+
+    @LSTM_SHAPES
+    def test_matches_unfused_reference(self, batched, masked):
+        tensors, masks = lstm_rig(batched, masked)
+        if masked:
+            masks = tuple(m.astype(np.float32) for m in masks)
+        params = ad.LSTMParams(*tensors[:3])
+        fused = ad.lstm_step(params, *tensors[3:], masks[0])
+        unfused = reference.lstm_step(params, *tensors[3:], masks[0])
+        for a, b in zip(fused, unfused):
+            assert a.data.dtype == np.float32
+            np.testing.assert_array_equal(a.data, b.data)
+        grads = []
+        for step in (ad.lstm_step, reference.lstm_step):
+            with Tape() as tape:
+                loss = two_steps(step, tensors, masks)
+            got = backward(tape, loss)
+            grads.append([got.get(t) for t in tensors])
+        for a, b in zip(*grads):
+            np.testing.assert_allclose(a, b, rtol=FUSED_GRAD_TOL,
+                                       atol=FUSED_GRAD_TOL)
 
 
 class TestShapeContracts:
@@ -245,6 +314,51 @@ class TestOptim:
         with pytest.raises(ConfigError):
             OptimState(algorithm="rmsprop")
 
+    @pytest.mark.parametrize("algorithm", ["adam", "sgd"])
+    @pytest.mark.parametrize("clip", [0.05, 1e3])
+    def test_flat_update_matches_per_tensor_reference(self, algorithm, clip):
+        # an LSTM cell and an affine head as the loss, so the tape leaves a
+        # transposed w_hh gradient, and one parameter the loss never reads
+        r = rng(10)
+        shapes = [(8, 3), (8, 2), (8,), (4,), (1, 2), (1,)]
+        init = [r.normal(size=s).astype(np.float32) for s in shapes]
+        x, h, c = (Tensor(r.normal(size=(5, n))) for n in (3, 2, 2))
+        y = Tensor(r.normal(size=(5, 1)))
+
+        def loss(ps):
+            h1, _ = ad.lstm_step(ad.LSTMParams(*ps[:3]), x, h, c)
+            pred = ad.affine(ps[4], ps[5], h1)
+            return ad.sum_all(ad.square(ad.sub(pred, y)))
+
+        flat = [Tensor(a.copy()) for a in init]
+        per = [Tensor(a.copy()) for a in init]
+        opt = OptimState(algorithm, lr=1e-2, clip_norm=clip)
+        ref = PerTensorOptim(algorithm, lr=1e-2, clip_norm=clip)
+        steps = ((flat, lambda g: optimizer_step(opt, flat, g, 5.0)),
+                 (per, lambda g: ref.step(per, g, 5.0)))
+        for _ in range(50):
+            for ps, update in steps:
+                with Tape() as tape:
+                    out = loss(ps)
+                update(backward(tape, out))
+            for a, b in zip(flat, per):
+                np.testing.assert_array_equal(a.data, b.data)
+        active = [f < 1.0 for f in ref.factors]
+        assert all(active) if clip < 1.0 else not any(active)
+        assert opt.step == 50
+
+    def test_second_parameter_list_rejected(self):
+        p, q = Tensor([1.0]), Tensor([2.0])
+        opt = OptimState()
+        with Tape() as tape:
+            loss = ad.sum_all(ad.add(ad.square(p), ad.square(q)))
+        grads = backward(tape, loss)
+        optimizer_step(opt, [p], grads)
+        for other in ([p, q], [q]):
+            with pytest.raises(ContractError):
+                optimizer_step(opt, other, grads)
+        assert opt.step == 1
+
 
 class TestProperties:
     @settings(max_examples=25, deadline=None)
@@ -272,7 +386,7 @@ class TestProperties:
 
         def build(ps):
             wp, bp = ps
-            return ad.sum_all(ad.sigmoid(ad.affine(wp, bp, Tensor(x))))
+            return ad.sum_all(sigmoid(ad.affine(wp, bp, Tensor(x))))
 
         assert fd_check(build, [w, b]) < TOL
 
