@@ -26,15 +26,14 @@ from .data import (TaskSpec, Vocab, gen_task, load_corpus, read_ndjson,
                    save_corpus, split, write_ndjson)
 from .decode import (DecodeConfig, RegressorScorer, beam_search, decode_corpus,
                      exhaustive_decode)
-from .errors import ConfigError, FdqError, TrainingDivergenceError
-from .metrics import bleu, distinct_n, evaluate, rouge2
+from .errors import ConfigError, FdqError, LoadError, TrainingDivergenceError
+from .metrics import bleu, distinct_n, rouge2
 from .seeding import stream_key
 from .seq2seq import Seq2Seq, TrainSchedule, dataset_ce, train_mle
 from .value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
                     OutcomeScorer, PartialBackwardEnsemble,
-                    PartialBackwardScorer, RolloutConfig,
-                    constant_baseline_mse, generate_rollouts, load_rollouts,
-                    outcome_mse, save_rollouts, swap_corpus,
+                    PartialBackwardScorer, RolloutConfig, generate_rollouts,
+                    load_rollouts, save_rollouts, swap_corpus,
                     train_backward_model, train_backward_q_option1,
                     train_backward_q_option2, train_length_q, train_outcome_q)
 
@@ -243,12 +242,8 @@ def cmd_train_q(config, out, manifest):
         train_recs, dev_recs = records[:cut], records[cut:]
         with timed(manifest, "train_q"):
             q_model = train_outcome_q(train_recs, sched, len(train.src_vocab),
-                                      len(train.tgt_vocab), hidden=q["hidden"])
-        if dev_recs:
-            q_model.dev_report = {
-                "mse": outcome_mse(q_model, dev_recs),
-                "baseline_mse": constant_baseline_mse(
-                    [r["q"] for r in train_recs], [r["q"] for r in dev_recs])}
+                                      len(train.tgt_vocab), hidden=q["hidden"],
+                                      dev=dev_recs or None)
     report = getattr(q_model, "dev_report", None)
     if report:
         print(f"mse={report['mse']:.4f} baseline_mse={report['baseline_mse']:.4f}")
@@ -343,31 +338,41 @@ def _aligned_tokens(hyp_records, ref_records):
         raise ConfigError(
             f"alignment mismatch: {len(hyp_map)} hypothesis ids vs "
             f"{len(ref_map)} reference ids")
-    hyps, refs, errors = [], [], 0
-    for rid in sorted(hyp_map):
-        rec = hyp_map[rid]
-        if "hyp" not in rec:
-            errors += 1
-            hyps.append([])
-        else:
-            hyps.append(rec["hyp"].split())
-        refs.append(ref_map[rid]["hyp"].split())
-    return hyps, refs, errors
+    ids = sorted(hyp_map)
+    hyps = [hyp_map[i]["hyp"].split() if "hyp" in hyp_map[i] else []
+            for i in ids]
+    refs = [ref_map[i]["hyp"].split() for i in ids]
+    return hyps, refs, sum("hyp" not in hyp_map[i] for i in ids)
+
+
+METRICS = ("bleu", "rouge2", "distinct1", "distinct2", "len_ratio")
 
 
 def _metric_table(hyps, refs, smooth):
+    """The metrics `eval` and `compare` report for aligned token lists."""
     if not hyps:
         raise ConfigError("no aligned records to evaluate")
     ref_len = sum(len(r) for r in refs)
-    bleu_report = evaluate("bleu", hyps, refs, smooth=smooth)
-    metrics = {
-        "bleu": bleu_report.corpus,
-        "rouge2": evaluate("rouge2", hyps, refs).corpus,
+    return {
+        "bleu": bleu(hyps, refs, smooth=smooth),
+        "rouge2": sum(map(rouge2, hyps, refs)) / len(hyps),
         "distinct1": distinct_n(hyps, 1),
         "distinct2": distinct_n(hyps, 2),
         "len_ratio": sum(len(h) for h in hyps) / ref_len if ref_len else 0.0,
     }
-    return metrics, bleu_report.config
+
+
+def _eval_records(path, required):
+    """The records of an eval input: int ids, each once, and string hyps."""
+    records = read_ndjson(path, required,
+                          (("id", lambda v: type(v) is int),
+                           ("hyp", lambda v: isinstance(v, str))))
+    seen = set()
+    for rec in records:
+        if rec["id"] in seen:
+            raise LoadError(f"{path}: record id {rec['id']} occurs twice")
+        seen.add(rec["id"])
+    return records
 
 
 def cmd_eval(config, out, manifest):
@@ -376,11 +381,11 @@ def cmd_eval(config, out, manifest):
     ref_path = Path(e["ref"]) if e["ref"] else out / "refs.ndjson"
     _require(hyp_path, "run `fdq decode` first or set eval.hyp")
     _require(ref_path, "run `fdq decode` first or set eval.ref")
-    text = (("hyp", lambda v: isinstance(v, str)),)
-    hyps, refs, errors = _aligned_tokens(
-        read_ndjson(hyp_path, ("id",), text),
-        read_ndjson(ref_path, ("id", "hyp"), text))
-    metrics, bleu_echo = _metric_table(hyps, refs, e["smooth"])
+    hyps, refs, errors = _aligned_tokens(_eval_records(hyp_path, ("id",)),
+                                         _eval_records(ref_path, ("id", "hyp")))
+    metrics = _metric_table(hyps, refs, e["smooth"])
+    bleu_echo = {"max_order": 4, "smooth": e["smooth"],
+                 "per_sentence_smooth": True, "effective_order": True}
     report = {"pairs": len(hyps), "errors": errors, "metrics": metrics,
               "config": {"smooth": e["smooth"], "bleu": bleu_echo,
                          "hyp": str(hyp_path), "ref": str(ref_path)}}
@@ -402,13 +407,10 @@ def _pick_winners(rows):
     # higher is better except len_ratio, which targets 1.0
     winners = {}
     ok = [row for row in rows if row["status"] == "ok"]
-    if not ok:
-        return winners
-    for name in ("bleu", "rouge2", "distinct1", "distinct2"):
-        best = max(ok, key=lambda row: row[name])
+    for name in METRICS if ok else ():
+        best = (min(ok, key=lambda row: abs(row[name] - 1.0))
+                if name == "len_ratio" else max(ok, key=lambda row: row[name]))
         winners[name] = {"mode": best["mode"], "weight": best["weight"]}
-    best = min(ok, key=lambda row: abs(row["len_ratio"] - 1.0))
-    winners["len_ratio"] = {"mode": best["mode"], "weight": best["weight"]}
     return winners
 
 
@@ -424,7 +426,7 @@ def cmd_compare(config, out, manifest):
         # a missing Q file fails its cells; a stale one fails the table
         if (out / name).exists():
             _check_q_key(out, family)
-    refs = [corpus.tgt_vocab.decode(pair.tgt[:-1]) for pair in corpus.pairs]
+    ref_records = _reference_records(corpus)
     cells = [("sbs", None), ("mmi_rerank", d["weight"])]
     cells += [(mode, w) for mode in d["modes"] for w in d["weights"]]
     rows = []
@@ -437,9 +439,8 @@ def cmd_compare(config, out, manifest):
                 scorer_factory, backward = _build_scorer(config, out, mode)
                 records, stats = decode_corpus(model, corpus, dcfg,
                                                scorer_factory, backward)
-                hyps = [rec["hyp"].split() if "hyp" in rec else []
-                        for rec in records]
-                metrics, _ = _metric_table(hyps, refs, smooth=True)
+                hyps, refs, _ = _aligned_tokens(records, ref_records)
+                metrics = _metric_table(hyps, refs, smooth=True)
                 row.update(status="ok", errors=stats["errors"], **metrics)
             except FdqError as exc:  # a failed cell must not kill the table
                 row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
@@ -449,15 +450,10 @@ def cmd_compare(config, out, manifest):
     (out / "compare.json").write_text(json.dumps(table, indent=2,
                                                  sort_keys=True) + "\n",
                                       encoding="utf-8")
-    header = "mode,weight,status,bleu,rouge2,distinct1,distinct2,len_ratio"
-    lines = [header]
+    lines = [",".join(("mode", "weight", "status") + METRICS)]
     for row in rows:
-        if row["status"] == "ok":
-            cells_text = [f"{row[k]:.6f}" for k in
-                          ("bleu", "rouge2", "distinct1", "distinct2",
-                           "len_ratio")]
-        else:
-            cells_text = [""] * 5
+        cells_text = [f"{row[k]:.6f}" if row["status"] == "ok" else ""
+                      for k in METRICS]
         weight = "" if row["weight"] is None else f"{row['weight']}"
         lines.append(",".join([row["mode"], weight, row["status"]]
                               + cells_text))

@@ -3,7 +3,8 @@
 A config is one JSON file merged over :data:`DEFAULT_CONFIG`.  Parsing is
 strict: any key absent from the defaults is rejected by name, and leaf
 values must keep the default's JSON type (:data:`NULLABLE` gives the type
-of each key whose default is null).  ``--set key.path=value``
+of each key whose default is null, :data:`ITEMS` the elements of each
+list).  ``--set key.path=value``
 overrides reuse the same rules, so a sweep can never silently typo a
 knob into a no-op.
 """
@@ -62,6 +63,19 @@ NULLABLE = {"decode.length": int, "decode.nbest": int, "decode.cap": int,
             "eval.ref": str}
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what every element of each list-valued key must be, and its check
+ITEMS = {"split": ("a number", _is_number),
+         "decode.weights": ("a number", _is_number),
+         "decode.modes": ("a string", lambda v: isinstance(v, str)),
+         "q.buckets": ("an [int, int or null] pair",
+                       lambda v: isinstance(v, list) and len(v) == 2
+                       and type(v[0]) is int and type(v[1]) in (int, type(None)))}
+
+
 def _check_type(path, value, default):
     if default is None:
         if value is None:
@@ -72,13 +86,18 @@ def _check_type(path, value, default):
     elif isinstance(default, int):
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = _is_number(value)
     else:
         ok = isinstance(value, type(default))
     if not ok:
         raise ConfigError(
             f"config key {path!r}: expected {type(default).__name__}, "
             f"got {type(value).__name__}")
+    what, check = ITEMS.get(path, (None, None))
+    for item in value if check else ():
+        if not check(item):
+            raise ConfigError(f"config key {path!r}: every element must be "
+                              f"{what}, got {item!r}")
 
 
 def _merge(base, update, default, prefix=""):

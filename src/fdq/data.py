@@ -1,4 +1,4 @@
-"""Synthetic tasks, parallel-text loading, vocabularies, batching.
+"""Synthetic tasks, vocabularies, batching, NDJSON corpus files.
 
 Token conventions used everywhere downstream:
 - ids 0..3 are reserved for PAD, BOS, EOS, UNK;
@@ -35,11 +35,8 @@ class Vocab:
             raise ContractError("duplicate tokens in vocabulary")
 
     @classmethod
-    def from_counts(cls, counts, min_count=1):
-        if min_count < 1:
-            raise ConfigError(f"min_count must be >= 1, got {min_count}")
-        kept = [(tok, c) for tok, c in counts.items()
-                if c >= min_count and tok not in RESERVED]
+    def from_counts(cls, counts):
+        kept = [(tok, c) for tok, c in counts.items() if tok not in RESERVED]
         kept.sort(key=lambda item: (-item[1], item[0]))
         return cls(tok for tok, _ in kept)
 
@@ -205,12 +202,10 @@ def _raw_pairs(spec):
     return out
 
 
-def build_vocab(raw_pairs, min_count=1):
-    """Source and target vocabularies from whitespace-token pairs."""
-    src_counts = Counter(t for xs, _ in raw_pairs for t in xs)
-    tgt_counts = Counter(t for _, ys in raw_pairs for t in ys)
-    return (Vocab.from_counts(src_counts, min_count),
-            Vocab.from_counts(tgt_counts, min_count))
+def build_vocab(raw_pairs):
+    """Source and target vocabularies from token-list pairs."""
+    return (Vocab.from_counts(Counter(t for xs, _ in raw_pairs for t in xs)),
+            Vocab.from_counts(Counter(t for _, ys in raw_pairs for t in ys)))
 
 
 def encode_corpus(raw_pairs, src_vocab, tgt_vocab, provenance):
@@ -227,21 +222,6 @@ def gen_task(spec):
     provenance = {"task": spec.task, "seed": spec.seed, "pairs": spec.pairs,
                   "vocab": spec.vocab, "min_len": spec.min_len,
                   "max_len": spec.max_len}
-    return encode_corpus(raw, src_vocab, tgt_vocab, provenance)
-
-
-def load_parallel_text(src_path, tgt_path, min_count=1):
-    """Line-aligned whitespace-tokenized files into a Corpus."""
-    src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
-    tgt_lines = Path(tgt_path).read_text(encoding="utf-8").splitlines()
-    if len(src_lines) != len(tgt_lines):
-        raise LoadError(
-            f"line counts differ: {src_path} has {len(src_lines)}, "
-            f"{tgt_path} has {len(tgt_lines)}")
-    raw = [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
-    src_vocab, tgt_vocab = build_vocab(raw, min_count)
-    provenance = {"source": str(src_path), "target": str(tgt_path),
-                  "min_count": min_count}
     return encode_corpus(raw, src_vocab, tgt_vocab, provenance)
 
 

@@ -1,7 +1,9 @@
 """Beam search with pluggable per-step value scoring.
 
-One engine drives every mode.  At each step every live hypothesis is
-expanded over the candidate vocabulary; each candidate's combined score is
+One engine and one loop over positions (`_run`) drive every mode; the
+length protocol is that loop given a demanded length.  At each step every
+live hypothesis is expanded over the candidate vocabulary; each
+candidate's combined score is
 
     combined = cumulative log p(prefix + y | X) + weight * qterm(y)
 
@@ -273,26 +275,49 @@ def _finished(beam, scores, rows):
             for i in rows]
 
 
+def _admitted_eos(beam, scores, limit):
+    """EOS extensions ranked within the top `limit` of their own parent;
+    EOS wins its ties, as the lowest candidate id (PAD, BOS never are)."""
+    _, _, combined, ids = scores
+    rank = (combined[:, ids] > combined[:, EOS:EOS + 1]).sum(axis=1)
+    return _finished(beam, scores, np.flatnonzero(rank < limit).tolist())
+
+
 def _nbest(pool, limit):
     ordered = sorted(pool, key=lambda h: (-h.combined, h.tokens))
     return NBestList(ordered[:limit] if limit else ordered)
 
 
-def _run(model, scorer, src, config, keep_all=False, prefix=()):
+def _run(model, scorer, src, config, keep_all=False, prefix=(), length=None):
+    """The finished hypotheses of one search; the only loop over positions.
+
+    It ends once `beam` hypotheses have finished (never, with keep_all).
+    A demanded length L bars EOS before position L+1, where the rows with
+    EOS in their own top `beam` are admitted and the best log p among them
+    is the result; if none is, the first step that finishes anything ends it.
+    """
     config.validate()
     cap = config.cap if config.cap is not None else model.max_len
-    cap = max(cap, len(prefix))
+    cap = max(cap, len(prefix), 0 if length is None else length + 1)
     eng = _Engine(model, scorer, src, config, prefix=prefix)
     live = eng.root
     pool = []
     limit = None if keep_all else config.beam
+    stop = config.beam if length is None else 1
     for pos in range(len(prefix) + 1, cap + 2):
         if live is None:
             break
-        scores = eng.expand(live, allow_content=pos <= cap)
+        scores = eng.expand(live, allow_content=pos <= cap,
+                            allow_eos=length is None or pos > length)
+        if length is not None and pos == length + 1:
+            admitted = _admitted_eos(live, scores, config.beam)
+            if admitted:
+                # footnote rule: the pool competes on likelihood, not
+                # combined score
+                return [min(admitted, key=lambda h: (-h.logp, h.tokens))]
         live, finished = eng.settle(live, scores, eng.ranked(scores, limit))
         pool.extend(finished)
-        if not keep_all and len(pool) >= config.beam:
+        if not keep_all and len(pool) >= stop:
             break
     return pool
 
@@ -317,9 +342,6 @@ def beam_complete(model, src, prefix, config=None):
 
 def guided_beam_search(model, scorer, src, config):
     """Beam search ranked by log p + weight * qterm at every step."""
-    if config.mode == "length_q" and not isinstance(scorer, LengthScorer):
-        if getattr(scorer, "length", None) is None:
-            raise ConfigError("length_q decoding requires a length-aware scorer")
     pool = _run(model, scorer, src, config)
     return _nbest(pool, config.nbest or config.beam)
 
@@ -339,53 +361,17 @@ def exhaustive_decode(model, scorer, src, config=None):
     return _nbest(pool, None).top()
 
 
-def _admitted_eos(beam, scores, limit):
-    """EOS extensions ranked within the top `limit` of their own parent;
-    EOS wins its ties, as the lowest candidate id (PAD, BOS never are)."""
-    _, _, combined, ids = scores
-    rank = (combined[:, ids] > combined[:, EOS:EOS + 1]).sum(axis=1)
-    return _finished(beam, scores, np.flatnonzero(rank < limit).tolist())
-
-
 def length_forced_select(model, regressor, src, length, config=None):
-    """Decode a sequence of exactly length L when the model permits it.
-
-    EOS is masked while positions 1..L are generated (configurable); at
-    position L+1 every live hypothesis whose own top-B next tokens include
-    EOS joins a pool, and the pool member with the greatest full-sequence
-    log-likelihood wins.  If the pool is empty, decoding continues
-    unmasked and the first finisher (best combined, then tie rule) wins.
-    """
+    """Decode a sequence of exactly length L when the model permits it:
+    _run under the length protocol, or, with config.mask_eos false (the
+    ablation arm), plain search that only the scorer (if any) pulls to L."""
     config = config or DecodeConfig(mode="length_q")
-    config.validate()
     if length is None or length < 1:
         raise ConfigError(f"target length must be >= 1, got {length}")
     scorer = LengthScorer(regressor, length) if regressor is not None else None
-    if not config.mask_eos:
-        # ablation arm: no masking and no admission step, so only the
-        # scorer (if any) pulls the model toward the target length
-        return _nbest(_run(model, scorer, src, config),
-                      config.nbest or config.beam).top()
-    cap = config.cap if config.cap is not None else model.max_len
-    cap = max(cap, length + 1)
-    eng = _Engine(model, scorer, src, config)
-    live = eng.root
-    for pos in range(1, cap + 2):
-        if live is None:
-            break
-        scores = eng.expand(live, allow_content=pos <= cap,
-                            allow_eos=pos > length)
-        if pos == length + 1:
-            admitted = _admitted_eos(live, scores, config.beam)
-            if admitted:
-                # footnote rule: the pool competes on likelihood, not
-                # combined score
-                return min(admitted, key=lambda h: (-h.logp, h.tokens))
-        live, finished = eng.settle(live, scores,
-                                    eng.ranked(scores, config.beam))
-        if finished:
-            return min(finished, key=lambda h: (-h.combined, h.tokens))
-    raise SearchSpaceError("length-forced decoding exhausted its cap")
+    pool = _run(model, scorer, src, config,
+                length=length if config.mask_eos else None)
+    return _nbest(pool, None).top()
 
 
 NEG_SENTINEL = -1e30  # stands in for -inf; keeps scores finite and JSON-safe

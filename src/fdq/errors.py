@@ -30,4 +30,4 @@ class CheckpointError(FdqError, ValueError):
 
 
 class LoadError(FdqError, ValueError):
-    """Parallel text files could not be loaded."""
+    """An input file could not be loaded."""

@@ -9,19 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import ContractError
-
-
-@dataclass
-class MetricReport:
-    """A corpus score plus its per-sentence breakdown and config echo."""
-
-    name: str
-    corpus: float
-    per_sentence: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
 
 def ngram_counts(tokens, n):
@@ -122,23 +111,3 @@ def exact_length_rate(hypotheses, target_lengths):
         return 0.0
     hits = sum(1 for h, want in zip(hypotheses, target_lengths) if len(h) == want)
     return hits / len(hypotheses)
-
-
-def evaluate(name, hypotheses, references, **cfg):
-    """Build a MetricReport for one named metric over aligned lists."""
-    if name == "bleu":
-        max_order = cfg.get("max_order", 4)
-        smooth = cfg.get("smooth", False)
-        per = [bleu([h], [r], max_order=max_order, smooth=True)
-               for h, r in zip(hypotheses, references)]
-        corpus = bleu(hypotheses, references, max_order=max_order, smooth=smooth)
-        echo = {"max_order": max_order, "smooth": smooth,
-                "per_sentence_smooth": True, "effective_order": True}
-    elif name == "rouge2":
-        alpha = cfg.get("alpha", 0.5)
-        per = [rouge2(h, r, alpha=alpha) for h, r in zip(hypotheses, references)]
-        corpus = sum(per) / len(per) if per else 0.0
-        echo = {"alpha": alpha, "aggregate": "mean"}
-    else:
-        raise ContractError(f"unknown metric {name!r}")
-    return MetricReport(name=name, corpus=corpus, per_sentence=per, config=echo)

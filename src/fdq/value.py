@@ -589,7 +589,8 @@ def outcome_mse(predictor, records):
 
 def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
                     dev=None, log=None):
-    """Fit the dual-encoder predictor on rollout records by MSE."""
+    """Fit the dual-encoder predictor on rollout records by MSE; given dev
+    records, it carries dev_report as _fit_regressor's heads do."""
     if not records:
         raise ContractError("no rollout records to train on")
     predictor = OutcomePredictor(src_vocab, tgt_vocab, hidden=hidden,
@@ -606,6 +607,9 @@ def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
     fit(predictor.params(), schedule,
         _row_batches(len(records), schedule.batch_size), loss_fn, "mse",
         dev_metric=dev_mse, log=log)
+    if dev is not None:
+        baseline = constant_baseline_mse(labels, [r["q"] for r in dev])
+        predictor.dev_report = {"mse": dev_mse(), "baseline_mse": baseline}
     return predictor
 
 

@@ -1,13 +1,15 @@
-"""Slow references the library's fast paths are checked against: the
-width-1 replay behind batched log p(Y|X) scores, and the unfused LSTM step
-and per-tensor optimizer behind the fused training kernels."""
+"""Slow or separate references the library's paths are checked against:
+the width-1 replay behind batched log p(Y|X) scores, the length protocol
+as its own loop over positions, and the unfused LSTM step and per-tensor
+optimizer behind the fused training kernels."""
 
 import numpy as np
 
 from fdq import autodiff as ad
+from fdq import decode
 from fdq.autodiff import Tensor, _record
 from fdq.data import BOS
-from fdq.errors import TrainingDivergenceError
+from fdq.errors import SearchSpaceError, TrainingDivergenceError
 from fdq.optim import clip_by_global_norm
 
 
@@ -22,6 +24,37 @@ def step_logprobs(model, src, tgt):
         out.append(float(logprobs[tok]))
         prev = tok
     return out
+
+
+def length_forced_select(model, regressor, src, length, config):
+    """The length protocol as a loop of its own; returns the hypothesis
+    and whether it was admitted at L+1 (False: it fell back to the first
+    step that finished anything; None: the unmasked arm, which is plain
+    beam search under the length scorer)."""
+    config.validate()
+    scorer = (decode.LengthScorer(regressor, length)
+              if regressor is not None else None)
+    if not config.mask_eos:
+        return decode.guided_beam_search(model, scorer, src,
+                                         config).top(), None
+    cap = config.cap if config.cap is not None else model.max_len
+    cap = max(cap, length + 1)
+    eng = decode._Engine(model, scorer, src, config)
+    live = eng.root
+    for pos in range(1, cap + 2):
+        if live is None:
+            break
+        scores = eng.expand(live, allow_content=pos <= cap,
+                            allow_eos=pos > length)
+        if pos == length + 1:
+            admitted = decode._admitted_eos(live, scores, config.beam)
+            if admitted:
+                return min(admitted, key=lambda h: (-h.logp, h.tokens)), True
+        live, finished = eng.settle(live, scores,
+                                    eng.ranked(scores, config.beam))
+        if finished:
+            return min(finished, key=lambda h: (-h.combined, h.tokens)), False
+    raise SearchSpaceError("length-forced decoding exhausted its cap")
 
 
 # -- the unfused training path the fused kernels are checked against ----------

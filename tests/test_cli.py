@@ -42,6 +42,13 @@ def read_ndjson(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line]
 
 
+@pytest.fixture
+def rig_config(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(RIG_CONFIG), encoding="utf-8")
+    return cfg
+
+
 @pytest.fixture(scope="module")
 def rig(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
@@ -107,6 +114,17 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             main(["train", "--frobnicate"])
         assert err.value.code == 2
+
+
+    @pytest.mark.parametrize("command, settings", [
+        ("train", ['decode.weights=["a"]']),
+        ("train", ['split=["a",0.1,0.1]']),
+        ("train-q", ["q.family=backward_opt2", 'q.buckets=[[1,"x"],[3,null]]'])])
+    def test_bad_list_element_exits_two(self, rig_config, tmp_path, capsys,
+                                        command, settings):
+        assert run(command, rig_config, tmp_path / "run", *settings) == 2
+        key = settings[-1].split("=")[0]
+        assert f"config key '{key}': every element" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -486,6 +504,21 @@ class TestEval:
         capsys.readouterr()
         assert run("eval", cfg, out, f"eval.{side}={bad}") == 2
         assert f"{bad}:1: record lacks ['{field}']" in capsys.readouterr().err
+
+    def test_duplicate_id_exits_two(self, rig_config, tmp_path, capsys):
+        ref, hyp = tmp_path / "ref.ndjson", tmp_path / "hyp.ndjson"
+        ref.write_text('{"id": 0, "hyp": "a b"}\n')
+        hyp.write_text('{"id": 0, "hyp": "a b"}\n{"id": 0, "hyp": "c"}\n')
+        assert run("eval", rig_config, tmp_path / "run", f"eval.hyp={hyp}",
+                   f"eval.ref={ref}") == 2
+        assert f"{hyp}: record id 0 occurs twice" in capsys.readouterr().err
+
+    def test_non_int_id_exits_two(self, rig_config, tmp_path, capsys):
+        both = tmp_path / "both.ndjson"
+        both.write_text('{"id": 0, "hyp": "a b"}\n{"id": "x", "hyp": "c"}\n')
+        assert run("eval", rig_config, tmp_path / "run", f"eval.hyp={both}",
+                   f"eval.ref={both}") == 2
+        assert f"{both}:2: wrong type for ['id']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("side", ["hyp", "ref"])
     def test_non_string_hyp_exits_two(self, rig, capsys, side):

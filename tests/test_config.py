@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdq.config import (DEFAULT_CONFIG, RunManifest, apply_overrides,
+from fdq.config import (DEFAULT_CONFIG, ITEMS, RunManifest, apply_overrides,
                         config_hash, default_config, load_config, timed,
                         validate_config)
 from fdq.errors import ConfigError, ContractError
+
+
+def leaves(doc, prefix=""):
+    """(dotted path, value) of every non-section key of a config."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
 
 
 def write_config(tmp_path, doc, name="exp.json"):
@@ -123,6 +132,28 @@ class TestOverrides:
     def test_type_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="train.epochs"):
             apply_overrides(default_config(), ["train.epochs=1.5"])
+
+    @pytest.mark.parametrize("setting", [
+        'decode.weights=["a"]', 'decode.weights=[true]',
+        'split=["a",0.1,0.1]', "decode.modes=[1]",
+        'q.buckets=[[1,"x"],[3,null]]', "q.buckets=[[1,2],[3]]",
+        "q.buckets=[[null,2]]", "q.buckets=[3]"])
+    def test_list_element_type_is_named(self, setting, tmp_path):
+        key, value = setting.split("=", 1)
+        with pytest.raises(ConfigError, match=f"'{key}': every element"):
+            apply_overrides(default_config(), [setting])
+        doc = json.loads(value)
+        for part in reversed(key.split(".")):
+            doc = {part: doc}
+        with pytest.raises(ConfigError, match=f"'{key}': every element"):
+            load_config(write_config(tmp_path, doc))
+
+    def test_every_list_key_types_its_elements(self):
+        lists = {path: value for path, value in leaves(DEFAULT_CONFIG)
+                 if isinstance(value, list)}
+        assert set(lists) == set(ITEMS)
+        for path, value in lists.items():
+            assert all(ITEMS[path][1](item) for item in value), path
 
     @given(st.integers(min_value=-2 ** 62, max_value=2 ** 62))
     @settings(max_examples=25, deadline=None)

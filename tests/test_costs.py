@@ -1,4 +1,5 @@
-"""Pinned cost counters: tape nodes recorded by the training graphs.
+"""Pinned cost counters: tape nodes recorded by the training graphs, and
+decoder calls made by the search.
 
 Unlike wall time, these counts are exact and the same on every run.  A
 change that moves one updates its pin here and says so in CHANGES.md.
@@ -10,7 +11,9 @@ import pytest
 from fdq import autodiff as ad
 from fdq.autodiff import LSTMParams, Tape, Tensor
 from fdq.data import TaskSpec, gen_task, make_batch
+from fdq.decode import DecodeConfig, beam_search, length_forced_select
 from fdq.seq2seq import Seq2Seq, masked_lstm
+from fdq.value import LengthRegressor
 
 
 def cell(hidden=3, din=2, seed=0):
@@ -59,3 +62,46 @@ def test_mle_loss_node_count(attention, nodes):
     with Tape() as tape:
         model.mle_loss(batch)
     assert len(tape.nodes) == nodes
+
+
+def _search_counts(monkeypatch, search):
+    """Seq2Seq.advance calls and rows, and decode_step calls, of search().
+    decode_step advances one row itself, so it adds one call and one row."""
+    counts = {"advance": 0, "rows": 0, "decode_step": 0}
+    advance, decode_step = Seq2Seq.advance, Seq2Seq.decode_step
+
+    def counted_advance(self, state, ctx, token_ids):
+        counts["advance"] += 1
+        counts["rows"] += len(token_ids)
+        return advance(self, state, ctx, token_ids)
+
+    def counted_step(self, state, prev_token, ctx):
+        counts["decode_step"] += 1
+        return decode_step(self, state, prev_token, ctx)
+
+    monkeypatch.setattr(Seq2Seq, "advance", counted_advance)
+    monkeypatch.setattr(Seq2Seq, "decode_step", counted_step)
+    search()
+    return counts
+
+
+@pytest.mark.parametrize("search, want", [
+    # beam 3: three steps of kept rows after the root
+    ("beam", {"advance": 4, "rows": 7, "decode_step": 1}),
+    # beam 2, L=2: EOS is admitted at position 3; each step adds the
+    # scorer's speculative [B*V] advance to the kept rows' advance
+    ("admitted", {"advance": 6, "rows": 50, "decode_step": 1}),
+    # beam 1, L=2: nothing is admitted, so the search runs to the cap of 8
+    ("fallback", {"advance": 18, "rows": 90, "decode_step": 1}),
+])
+def test_search_decoder_calls(monkeypatch, search, want):
+    model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    reg = LengthRegressor(3, seed=0)
+    runs = {
+        "beam": lambda: beam_search(model, [4, 5], DecodeConfig(beam=3)),
+        "admitted": lambda: length_forced_select(
+            model, reg, [4, 5], 2, DecodeConfig(mode="length_q", beam=2)),
+        "fallback": lambda: length_forced_select(
+            model, reg, [4, 5], 2, DecodeConfig(mode="length_q", beam=1)),
+    }
+    assert _search_counts(monkeypatch, runs[search]) == want

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fdq import data as d
 from fdq.data import (BOS, EOS, PAD, UNK, Corpus, SequencePair, TaskSpec,
                       Vocab, batch_iter, build_vocab, gen_task, load_corpus,
-                      load_parallel_text, number_words, save_corpus, split)
+                      number_words, save_corpus, split)
 from fdq.errors import ConfigError, LoadError
 
 
@@ -30,10 +30,6 @@ class TestVocab:
         assert v.id("mango") == 4
         assert v.id("apple") == 5
         assert v.id("zebra") == 6
-
-    def test_min_count_filters_to_unk(self):
-        v = Vocab.from_counts(Counter({"rare": 1, "common": 5}), min_count=2)
-        assert v.encode(["rare", "common"]) == [UNK, v.id("common")]
 
     def test_round_trip_identity(self):
         v = Vocab.from_counts(Counter({"a": 1, "b": 1}))
@@ -141,36 +137,6 @@ class TestDialogueCalibration:
                 continue
             templates = {c.src_vocab.token(src[0]) for src in sources}
             assert len(templates) == 1
-
-
-class TestLoadParallel:
-    def test_two_lines(self, tmp_path):
-        (tmp_path / "s.txt").write_text("a b\nc\n")
-        (tmp_path / "t.txt").write_text("x\ny z\n")
-        c = load_parallel_text(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert len(c) == 2
-        assert c.pairs[0].n == 1 and c.pairs[1].n == 2
-
-    def test_mismatch_reports_both_counts(self, tmp_path):
-        (tmp_path / "s.txt").write_text("a\nb\n")
-        (tmp_path / "t.txt").write_text("x\n")
-        with pytest.raises(LoadError) as err:
-            load_parallel_text(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert "2" in str(err.value) and "1" in str(err.value)
-
-    def test_empty_line_keeps_pair(self, tmp_path):
-        (tmp_path / "s.txt").write_text("a\n\n")
-        (tmp_path / "t.txt").write_text("\nx\n")
-        c = load_parallel_text(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert c.pairs[0].tgt == [EOS]
-        assert c.pairs[1].src == []
-
-    def test_utf8_round_trip(self, tmp_path):
-        (tmp_path / "s.txt").write_text("héllo wörld\n", encoding="utf-8")
-        (tmp_path / "t.txt").write_text("ناس\n", encoding="utf-8")
-        c = load_parallel_text(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert c.src_vocab.decode(c.pairs[0].src) == ["héllo", "wörld"]
-        assert c.tgt_vocab.decode(c.pairs[0].tgt[:-1]) == ["ناس"]
 
 
 class TestSplit:

@@ -1,9 +1,10 @@
 """Search engine contracts: oracle equivalence, reductions, tie rules."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
-
-from collections import Counter
 
 from fdq.autodiff import Tensor, log_softmax
 from fdq.data import BOS, EOS, PAD, SequencePair, TaskSpec, gen_task
@@ -18,6 +19,7 @@ from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, train_mle,
                          _param_shapes)
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer)
+from reference import length_forced_select as reference_protocol
 from reference import step_logprobs
 
 
@@ -29,6 +31,26 @@ def uniform_model(vs=9, vt=9, hidden=3):
     shapes = _param_shapes(vs, vt, hidden, False)
     params = {name: Tensor(np.zeros(shape)) for name, shape in shapes}
     return Seq2Seq(vs, vt, hidden=hidden, attention=False, params=params)
+
+
+def bigram_model(table, vs=6):
+    """A model whose next-token log-probs are log_softmax(table[last token]).
+
+    The decoder forgets all but the token it just consumed: the g gate
+    writes its one-hot into c, the f gate clears c, w_hh is zero, and
+    h = tanh(onehot) feeds an output layer holding the table.
+    """
+    vt = table.shape[0]
+    p = {name: np.zeros(shape)
+         for name, shape in _param_shapes(vs, vt, vt, False)}
+    p["tgt_embed"] = 10.0 * np.eye(vt)
+    p["dec/w_ih"][2 * vt:3 * vt] = np.eye(vt)
+    p["dec/b"][:vt] = 20.0
+    p["dec/b"][vt:2 * vt] = -20.0
+    p["dec/b"][3 * vt:] = 20.0
+    p["out/w"] = table.T / np.tanh(1.0)
+    return Seq2Seq(vs, vt, hidden=vt, attention=False, max_len=8,
+                   params={name: Tensor(v) for name, v in p.items()})
 
 
 def bounded_random_scorer(vocab, tag):
@@ -445,6 +467,37 @@ class TestLengthForced:
     def test_requires_positive_length(self):
         with pytest.raises(ConfigError):
             length_forced_select(tiny_model(), None, [4], 0, DecodeConfig())
+
+    def test_bigram_model_follows_its_table(self):
+        table = np.random.default_rng(0).normal(size=(9, 9))
+        m = bigram_model(table)
+        ctx, state = m.encode([4, 5])
+        for prev in (BOS, 4, 7, BOS):
+            logprobs, state = m.decode_step(state, prev, ctx)
+            want = log_softmax(Tensor(table[prev])).data
+            assert np.allclose(logprobs, want, atol=1e-5)
+
+    def test_matches_the_protocol_loop_bitwise(self):
+        # the protocol folded into _run against its former loop of its
+        # own.  Seeds 40-59 include draws (40, 45) where a hypothesis
+        # finishing after the fallback's first finishing step would score
+        # higher, so stopping at `beam` finishers instead of one shows.
+        branches = Counter()
+        for seed in range(40, 60):
+            table = 4.0 * np.random.default_rng(seed).normal(size=(9, 9))
+            m = bigram_model(table)
+            reg = LengthRegressor(m.hidden, seed=seed)
+            for length, beam, weight, mask_eos in itertools.product(
+                    (1, 2, 4), (1, 3), (0.0, 1.0), (True, False)):
+                cfg = DecodeConfig(mode="length_q", beam=beam, weight=weight,
+                                   mask_eos=mask_eos)
+                got = length_forced_select(m, reg, [4, 5], length, cfg)
+                want, admitted = reference_protocol(m, reg, [4, 5], length,
+                                                    cfg)
+                branches[admitted] += 1
+                assert (got.tokens, got.logp, got.q_term, got.combined) == (
+                    want.tokens, want.logp, want.q_term, want.combined)
+        assert branches[True] and branches[False], branches
 
     def test_scorer_requires_length(self):
         with pytest.raises(ConfigError):

@@ -1,14 +1,16 @@
 """Metric oracles: hand-counted n-gram examples and closed-form penalties."""
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdq.errors import ContractError
-from fdq.metrics import (bleu, distinct_n, evaluate, exact_length_rate,
-                         ngram_counts, rouge2, sentence_bleu)
+from fdq.cli import _metric_table, main
+from fdq.errors import ConfigError, ContractError
+from fdq.metrics import (bleu, distinct_n, exact_length_rate, ngram_counts,
+                         rouge2, sentence_bleu)
 
 
 def toks(s):
@@ -132,21 +134,39 @@ class TestExactLength:
 
 
 class TestReports:
-    def test_bleu_report_echoes_config(self):
-        rep = evaluate("bleu", [toks("a b")], [toks("a b")])
-        assert rep.name == "bleu"
-        assert rep.corpus == pytest.approx(1.0)
-        assert rep.config["max_order"] == 4
-        assert len(rep.per_sentence) == 1
+    """The metric table `fdq eval` and `fdq compare` report."""
+
+    def test_bleu_report_echoes_config(self, tmp_path):
+        records = tmp_path / "refs.ndjson"
+        records.write_text('{"id": 0, "hyp": "a b"}\n', encoding="utf-8")
+        assert main(["eval", "--out", str(tmp_path / "run"),
+                     "--set", f"eval.hyp={records}",
+                     "--set", f"eval.ref={records}"]) == 0
+        report = json.loads((tmp_path / "run" / "eval.json").read_text())
+        assert report["metrics"]["bleu"] == pytest.approx(1.0)
+        assert report["config"]["bleu"] == {
+            "max_order": 4, "smooth": True, "per_sentence_smooth": True,
+            "effective_order": True}
 
     def test_rouge_report_means_sentences(self):
-        rep = evaluate("rouge2", [toks("a b c"), toks("a b c")],
-                       [toks("a b d"), toks("a b c")])
-        assert rep.corpus == pytest.approx((0.5 + 1.0) / 2)
+        table = _metric_table([toks("a b c"), toks("a b c")],
+                              [toks("a b d"), toks("a b c")], smooth=True)
+        assert table["rouge2"] == pytest.approx((0.5 + 1.0) / 2)
 
-    def test_unknown_metric(self):
-        with pytest.raises(ContractError):
-            evaluate("meteor", [], [])
+    def test_table_is_the_metric_functions(self):
+        hyps = [toks("a b c a"), toks("b"), []]
+        refs = [toks("a b c d"), toks("b c"), toks("d")]
+        for smooth in (False, True):
+            assert _metric_table(hyps, refs, smooth) == {
+                "bleu": bleu(hyps, refs, smooth=smooth),
+                "rouge2": sum(rouge2(h, r) for h, r in zip(hyps, refs)) / 3,
+                "distinct1": distinct_n(hyps, 1),
+                "distinct2": distinct_n(hyps, 2),
+                "len_ratio": 5 / 7}
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ConfigError):
+            _metric_table([], [], smooth=True)
 
     def test_ngram_counts_window(self):
         got = ngram_counts(["a", "b", "a", "b"], 2)

@@ -437,6 +437,23 @@ class TestOutcomePredictor:
                                8, 8, hidden=8)
         assert outcome_mse(pred, records) < 1e-3
 
+    def test_dev_report_leaves_the_fit_unchanged(self):
+        rng = np.random.default_rng(0)
+        records = [{"src": [4, 5], "prefix": [int(rng.integers(3, 7))],
+                    "t": 1, "completed": [4, EOS], "q": float(rng.random()),
+                    "seed": 0} for _ in range(30)]
+        train, dev = records[:24], records[24:]
+        sched = TrainSchedule(epochs=5, batch_size=8, lr=1e-2, seed=1)
+        plain = train_outcome_q(train, sched, 8, 8, hidden=8)
+        pred = train_outcome_q(train, sched, 8, 8, hidden=8, dev=dev)
+        assert not hasattr(plain, "dev_report")
+        assert pred.dev_report == {
+            "mse": outcome_mse(pred, dev),
+            "baseline_mse": constant_baseline_mse([r["q"] for r in train],
+                                                  [r["q"] for r in dev])}
+        for name, tensor in pred.p.items():
+            assert np.array_equal(tensor.data, plain.p[name].data), name
+
     def test_beats_label_variance(self, outcome_rig):
         _, _, _, train_recs, dev_recs, predictor = outcome_rig
         base = constant_baseline_mse([r["q"] for r in train_recs],

@@ -52,6 +52,10 @@ STEPS = [
     ("decode length_q", "decode", ["decode.mode=length_q"]),
     ("decode length_q unmasked", "decode",
      ["decode.mode=length_q", "decode.mask_eos=false"]),
+    # beam 1 at L=1 leaves most pairs with no admitted EOS, so the
+    # protocol's fallback (first finisher wins) decides them
+    ("decode length_q fallback", "decode",
+     ["decode.mode=length_q", "decode.beam=1", "decode.length=1"]),
     ("eval", "eval", []),
     ("train-q backward_opt1", "train-q", []),
     ("decode mmi_q opt1", "decode", ["decode.mode=mmi_q"]),
