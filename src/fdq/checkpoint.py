@@ -131,8 +131,6 @@ class Checkpointed:
     @classmethod
     def from_named(cls, named):
         named = dict(named)
-        if "meta" not in named:
-            raise CheckpointError(f"{cls.TYPE_TAG} checkpoint has no meta entry")
         meta = [float(x) for x in named.pop("meta")]
         return cls.from_meta(meta, {name: Tensor(arr)
                                     for name, arr in named.items()})
@@ -142,7 +140,12 @@ class Checkpointed:
 
     @classmethod
     def load(cls, path):
+        """The model at path; a file whose tensors make none is a CheckpointError."""
         tag, named = split_type_tag(load_tensors(path))
         if tag != cls.TYPE_TAG:
             raise CheckpointError(f"{path}: type tag {tag!r}, want {cls.TYPE_TAG!r}")
-        return cls.from_named(named)
+        try:
+            return cls.from_named(named)
+        except (LookupError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: not a {cls.TYPE_TAG} model ({exc!r})") from exc

@@ -10,7 +10,6 @@ failure.
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import sys
 import tempfile
@@ -20,8 +19,9 @@ import numpy as np
 
 from .autodiff import Tensor, fd_check, log_softmax, matmul, mul, sum_all, tanh
 from .checkpoint import load_tensors, save_tensors
-from .config import (RunManifest, apply_overrides, config_hash, default_config,
-                     load_config, timed, validate_config)
+from .config import (Q_FAMILIES, RunManifest, apply_overrides, config_hash,
+                     default_config, load_config, timed, validate_config,
+                     write_json)
 from .data import (TaskSpec, Vocab, gen_task, load_corpus, read_ndjson,
                    save_corpus, split, write_ndjson)
 from .decode import (DecodeConfig, RegressorScorer, beam_search, decode_corpus,
@@ -39,8 +39,6 @@ from .value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
 
 FORWARD = "forward.fdq"
 BACKWARD = "backward.fdq"
-Q_FILES = {"length": "q_length.fdq", "backward_opt1": "q_backward_opt1.fdq",
-           "backward_opt2": "q_backward_opt2.fdq", "outcome": "q_outcome.fdq"}
 ROLLOUTS = "rollouts.ndjson"
 VOCABS = ["dev.json.src.vocab", "dev.json.tgt.vocab"]
 
@@ -120,10 +118,9 @@ def _load_backward(config, out):
 
 
 def _print_epoch(record):
-    line = f"epoch={record['epoch']} train_ce={record['train_ce']:.4f}"
-    if "dev_ce" in record:
-        line += f" dev_ce={record['dev_ce']:.4f}"
-    print(line)
+    # cmd_train always trains with a dev set
+    print(f"epoch={record['epoch']} train_ce={record['train_ce']:.4f} "
+          f"dev_ce={record['dev_ce']:.4f}")
 
 
 def _from_section(cls, section, **given):
@@ -175,8 +172,7 @@ def cmd_train(config, out, manifest):
         _key_file(out / BACKWARD).write_text(_backward_key(config, out),
                                              encoding="utf-8")
         manifest.artifacts["backward"] = str(out / BACKWARD)
-    (out / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(out / "config.json", config)
     manifest.artifacts["config"] = str(out / "config.json")
     print(f"config_hash={manifest.config_hash}")
     return 0
@@ -248,12 +244,17 @@ def cmd_train_q(config, out, manifest):
     if report:
         print(f"mse={report['mse']:.4f} baseline_mse={report['baseline_mse']:.4f}")
         manifest.metrics.update(report)
-    q_model.save(out / Q_FILES[family])
-    _key_file(out / Q_FILES[family]).write_text(
-        _artifact_key(out, _q_sources(family)), encoding="utf-8")
-    manifest.artifacts["q"] = str(out / Q_FILES[family])
+    path = _q_path(out, family)
+    q_model.save(path)
+    _key_file(path).write_text(_artifact_key(out, _q_sources(family)),
+                               encoding="utf-8")
+    manifest.artifacts["q"] = str(path)
     print(f"config_hash={manifest.config_hash}")
     return 0
+
+
+def _q_path(out, family):
+    return out / f"q_{family}.fdq"
 
 
 def _q_sources(family):
@@ -263,13 +264,13 @@ def _q_sources(family):
 
 def _check_q_key(out, family):
     sources = _q_sources(family)
-    _check_key(out / Q_FILES[family], _artifact_key(out, sources),
+    _check_key(_q_path(out, family), _artifact_key(out, sources),
                " and ".join(sources),
                f"rerun `fdq train-q` with q.family={family}")
 
 
 def _load_q(out, family, cls):
-    path = _require(out / Q_FILES[family],
+    path = _require(_q_path(out, family),
                     f"run `fdq train-q` with q.family={family}")
     _check_q_key(out, family)
     return cls.load(path)
@@ -385,13 +386,11 @@ def cmd_eval(config, out, manifest):
                                          _eval_records(ref_path, ("id", "hyp")))
     metrics = _metric_table(hyps, refs, e["smooth"])
     bleu_echo = {"max_order": 4, "smooth": e["smooth"],
-                 "per_sentence_smooth": True, "effective_order": True}
+                 "effective_order": True}
     report = {"pairs": len(hyps), "errors": errors, "metrics": metrics,
               "config": {"smooth": e["smooth"], "bleu": bleu_echo,
                          "hyp": str(hyp_path), "ref": str(ref_path)}}
-    (out / "eval.json").write_text(json.dumps(report, indent=2,
-                                              sort_keys=True) + "\n",
-                                   encoding="utf-8")
+    write_json(out / "eval.json", report)
     lines = ["metric,value"]
     lines += [f"{name},{value:.6f}" for name, value in metrics.items()]
     (out / "eval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -422,9 +421,9 @@ def cmd_compare(config, out, manifest):
     model = _load_forward(out)
     _, corpus, _ = load_task(config)
     _check_vocab(model, corpus, out)
-    for family, name in Q_FILES.items():
+    for family in Q_FAMILIES:
         # a missing Q file fails its cells; a stale one fails the table
-        if (out / name).exists():
+        if _q_path(out, family).exists():
             _check_q_key(out, family)
     ref_records = _reference_records(corpus)
     cells = [("sbs", None), ("mmi_rerank", d["weight"])]
@@ -447,9 +446,7 @@ def cmd_compare(config, out, manifest):
             rows.append(row)
     table = {"rows": rows, "winners": _pick_winners(rows),
              "cells": len(rows), "baselines": ["sbs", "mmi_rerank"]}
-    (out / "compare.json").write_text(json.dumps(table, indent=2,
-                                                 sort_keys=True) + "\n",
-                                      encoding="utf-8")
+    write_json(out / "compare.json", table)
     lines = [",".join(("mode", "weight", "status") + METRICS)]
     for row in rows:
         cells_text = [f"{row[k]:.6f}" if row["status"] == "ok" else ""

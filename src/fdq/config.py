@@ -180,6 +180,14 @@ def validate_config(config):
     return config
 
 
+def write_json(path, doc):
+    """Write doc as indented JSON with sorted keys; returns the Path."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 def config_hash(config):
     """Hash of the canonical JSON form; reruns of one config share it."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -209,14 +217,11 @@ class RunManifest:
             if not Path(target).exists():
                 raise ContractError(
                     f"manifest artifact {name!r} missing on disk: {target}")
-        doc = {"command": self.command, "config_hash": self.config_hash,
-               "seed": self.seed, "artifacts": self.artifacts,
-               "wall_times": self.wall_times, "metrics": self.metrics,
-               "versions": self.versions}
-        path = Path(path)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return path
+        return write_json(path, {
+            "command": self.command, "config_hash": self.config_hash,
+            "seed": self.seed, "artifacts": self.artifacts,
+            "wall_times": self.wall_times, "metrics": self.metrics,
+            "versions": self.versions})
 
 
 @contextmanager

@@ -261,22 +261,24 @@ class Batch:
         return self.src.shape[0]
 
 
+def pad_ids(seqs):
+    """PAD-filled [B,S] int64 ids of the id lists and their float32 mask."""
+    lens = [len(seq) for seq in seqs]
+    width = max(1, *lens)
+    ids = np.full((len(seqs), width), PAD, dtype=np.int64)
+    for r, seq in enumerate(seqs):
+        ids[r, :lens[r]] = seq
+    mask = (np.arange(width) < np.array(lens)[:, None]).astype(np.float32)
+    return ids, mask
+
+
 def make_batch(pairs):
-    b = len(pairs)
-    s_max = max(1, max(len(p.src) for p in pairs))
-    t_max = max(len(p.tgt) for p in pairs)
-    src = np.full((b, s_max), PAD, dtype=np.int64)
-    src_mask = np.zeros((b, s_max), dtype=np.float32)
-    tgt_in = np.full((b, t_max), PAD, dtype=np.int64)
-    tgt_out = np.full((b, t_max), PAD, dtype=np.int64)
-    tgt_mask = np.zeros((b, t_max), dtype=np.float32)
-    for k, p in enumerate(pairs):
-        src[k, :len(p.src)] = p.src
-        src_mask[k, :len(p.src)] = 1.0
-        tgt_in[k, 0] = BOS
-        tgt_in[k, 1:len(p.tgt)] = p.tgt[:-1]
-        tgt_out[k, :len(p.tgt)] = p.tgt
-        tgt_mask[k, :len(p.tgt)] = 1.0
+    src, src_mask = pad_ids([p.src for p in pairs])
+    tgt_out, tgt_mask = pad_ids([p.tgt for p in pairs])
+    tgt_in = np.empty_like(tgt_out)
+    tgt_in[:, 0] = BOS
+    tgt_in[:, 1:] = tgt_out[:, :-1]
+    tgt_in[tgt_mask == 0] = PAD
     return Batch(src, src_mask, tgt_in, tgt_out, tgt_mask)
 
 
@@ -299,7 +301,8 @@ def write_ndjson(path, records, separators=(",", ":")):
             fh.write(json.dumps(rec, separators=separators) + "\n")
 
 
-def _is_ids(value):
+def is_ids(value):
+    """True for a list of int ids (bools are not ids)."""
     return isinstance(value, list) and all(type(t) is int for t in value)
 
 
@@ -346,6 +349,6 @@ def load_corpus(path):
     tgt_vocab = Vocab.load(path.with_suffix(path.suffix + ".tgt.vocab"))
     pairs = [SequencePair(rec["src"], rec["tgt"])
              for rec in read_ndjson(path, ("src", "tgt"),
-                                    (("src", _is_ids), ("tgt", _is_ids)))]
+                                    (("src", is_ids), ("tgt", is_ids)))]
     corpus = Corpus(pairs, src_vocab, tgt_vocab, {"cache": str(path)})
     return corpus.validate()

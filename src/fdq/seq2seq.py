@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import LSTMParams, Tape, Tensor, backward
 from .checkpoint import Checkpointed
-from .data import EOS, batch_iter, make_batch
+from .data import EOS, batch_iter, make_batch, pad_ids
 from .errors import ContractError, TrainingDivergenceError
 from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
@@ -230,8 +230,7 @@ class Seq2Seq(Checkpointed):
             raise ContractError("cannot encode an empty source sequence")
         if any(not 0 <= t < self.src_vocab for t in src):
             raise ContractError("source token id out of vocabulary range")
-        ids = np.asarray([src], dtype=np.int64)
-        mask = np.ones((1, len(src)), dtype=np.float32)
+        ids, mask = pad_ids([src])
         enc, h, c = self._encode_graph(ids, mask)
         ctx = EncoderContext(enc.data, mask, self)
         state = DecoderState(h.data[0], c.data[0],

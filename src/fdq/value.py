@@ -23,8 +23,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpointed
-from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter,
-                   read_ndjson, write_ndjson)
+from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter, is_ids,
+                   pad_ids, read_ndjson, write_ndjson)
 from .decode import NEG_SENTINEL, DecodeConfig, Scorer, beam_complete
 from .errors import ConfigError, ContractError, DimensionError, LoadError
 from .metrics import rouge2, sentence_bleu
@@ -40,6 +40,12 @@ from .optim import optimizer_step  # noqa: F401
 DEFAULT_BUCKETS = ((1, 2), (3, 4), (5, 7), (8, 12), (13, None))
 
 ROLLOUT_FIELDS = ("src", "prefix", "t", "completed", "q", "seed")
+# the check of each rollout field; q is a number finite as a float64
+ROLLOUT_KINDS = (("src", is_ids), ("prefix", is_ids), ("completed", is_ids),
+                 ("t", lambda v: type(v) is int),
+                 ("seed", lambda v: type(v) is int),
+                 ("q", lambda v: type(v) in (int, float)
+                  and abs(v) <= 1.7976931348623157e308))
 
 
 def _require_trained(model, role):
@@ -145,69 +151,60 @@ def backward_examples(forward, backward, corpus, batch_size=32):
                             lambda i, t: labels[i])
 
 
-def _row_batches(n, batch_size):
-    """fit's epoch_batches over n rows: slices of a seeded permutation."""
+def _fit_q(q, graph, labels, schedule):
+    """Fit q by summed squared error of graph(rows), a [B,1] prediction
+    Tensor for the given example rows, against labels[rows]; each epoch
+    visits the rows in slices of a seeded permutation."""
+    if len(labels) == 0:
+        raise ContractError("no training examples for Q")
+    size = schedule.batch_size
+
     def epoch(seed):
-        order = np.random.default_rng(seed).permutation(n)
-        return [order[start:start + batch_size]
-                for start in range(0, n, batch_size)]
-    return epoch
+        order = np.random.default_rng(seed).permutation(len(labels))
+        return [order[start:start + size]
+                for start in range(0, len(labels), size)]
+
+    def loss_fn(rows):
+        err = ad.sub(graph(rows), Tensor(labels[rows][:, None]))
+        return ad.sum_all(ad.square(err)), len(rows)
+
+    fit(q.params(), schedule, epoch, loss_fn, "mse")
 
 
-def _sse(pred, labels):
-    """Summed squared error of [B,1] predictions against [B] labels."""
-    return ad.sum_all(ad.square(ad.sub(pred, Tensor(labels[:, None]))))
-
-
-def _fit_regressor(reg, examples, corpus, schedule, dev=None, log=None):
-    """MSE training of a head on the fixed features examples(corpus).
-
-    Given dev, the fitted head carries dev_report: its dev-set mse and
-    the baseline_mse of always predicting the mean training label.
-    """
-    feats, labels, _ = examples(corpus)
-    if len(feats) == 0:
-        raise ContractError("no training examples for the regressor")
-
-    def loss_fn(idx):
-        return _sse(reg._graph(Tensor(feats[idx])), labels[idx]), len(idx)
-
-    dev_mse = None
-    if dev is not None:
-        dev_feats, dev_labels, _ = examples(dev)
-
-        def dev_mse():
-            return regression_mse(reg, dev_feats, dev_labels)
-
-    fit(reg.params(), schedule, _row_batches(len(feats), schedule.batch_size),
-        loss_fn, "mse", dev_metric=dev_mse, log=log)
-    if dev is not None:
-        reg.dev_report = {"mse": dev_mse(), "baseline_mse":
-                          constant_baseline_mse(labels, dev_labels)}
-    return reg
-
-
-def regression_mse(reg, feats, labels):
-    """Mean squared error of a head on fixed features."""
-    if len(feats) == 0:
+def mse(pred, labels):
+    """Mean squared error of predictions against labels."""
+    if len(labels) == 0:
         raise ContractError("empty evaluation set")
-    pred = reg.predict(feats)
     return float(np.mean((pred - np.asarray(labels, np.float64)) ** 2))
 
 
-def constant_baseline_mse(train_labels, eval_labels):
-    """MSE of always predicting the training-label mean."""
-    mean = float(np.mean(train_labels))
-    return float(np.mean((np.asarray(eval_labels, np.float64) - mean) ** 2))
+def dev_report(pred, dev_labels, train_labels):
+    """Dev-set mse and baseline_mse, the mse of always predicting the mean
+    training label."""
+    mean = np.full(len(dev_labels), float(np.mean(train_labels)))
+    return {"mse": mse(pred, dev_labels),
+            "baseline_mse": mse(mean, dev_labels)}
 
 
-def train_length_q(model, corpus, schedule, dev=None, log=None):
+def _fit_regressor(reg, examples, corpus, schedule, dev=None):
+    """MSE training of a head on the fixed features examples(corpus);
+    given dev, the fitted head carries its dev_report."""
+    feats, labels, _ = examples(corpus)
+    _fit_q(reg, lambda rows: reg._graph(Tensor(feats[rows])), labels,
+           schedule)
+    if dev is not None:
+        dev_feats, dev_labels, _ = examples(dev)
+        reg.dev_report = dev_report(reg.predict(dev_feats), dev_labels, labels)
+    return reg
+
+
+def train_length_q(model, corpus, schedule, dev=None):
     """Fit a remaining-length head on teacher-forced states."""
     _require_trained(model, "forward")
     return _fit_regressor(
         LengthRegressor(model.hidden, seed=schedule.seed),
         lambda c: length_examples(model, c, schedule.batch_size),
-        corpus, schedule, dev, log)
+        corpus, schedule, dev)
 
 
 # -- backward-probability estimators -------------------------------------------
@@ -223,26 +220,25 @@ def swap_corpus(corpus):
 
 
 def train_backward_model(corpus, schedule, hidden=64, attention=True,
-                         max_len=21, dev=None, log=None):
+                         max_len=21, log=None):
     """A standard seq2seq fit on the swapped corpus, modelling p(X|Y)."""
     swapped = swap_corpus(corpus)
     model = Seq2Seq(len(corpus.tgt_vocab), len(corpus.src_vocab),
                     hidden=hidden, attention=attention, max_len=max_len,
                     seed=schedule.seed)
-    train_mle(model, swapped, schedule,
-              dev=swap_corpus(dev) if dev is not None else None, log=log)
+    train_mle(model, swapped, schedule, log=log)
     return model
 
 
 def train_backward_q_option1(forward, backward, corpus, schedule,
-                             dev=None, log=None):
+                             dev=None):
     """Fit h_t -> log p(X|Y) with the full-pair score as a constant label."""
     _require_trained(forward, "forward")
     _require_trained(backward, "backward")
     return _fit_regressor(
         BackwardRegressor(forward.hidden, seed=schedule.seed),
         lambda c: backward_examples(forward, backward, c, schedule.batch_size),
-        corpus, schedule, dev, log)
+        corpus, schedule, dev)
 
 
 def _check_buckets(buckets):
@@ -328,7 +324,7 @@ class PartialBackwardEnsemble(Checkpointed):
 
 def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
                              hidden=64, attention=True, max_len=21,
-                             full_targets_only=False, log=None):
+                             full_targets_only=False):
     """Train per-bucket backward models on (partial target -> source) pairs.
 
     Bucket i trains with seed schedule.seed + i; empty buckets are left
@@ -357,9 +353,7 @@ def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
         model = Seq2Seq(len(corpus.tgt_vocab), len(corpus.src_vocab),
                         hidden=hidden, attention=attention, max_len=max_len,
                         seed=schedule.seed + i)
-        bucket_log = (lambda rec, _i=i: log(dict(rec, bucket=_i))) if log else None
-        train_mle(model, sub, replace(schedule, seed=schedule.seed + i),
-                  log=bucket_log)
+        train_mle(model, sub, replace(schedule, seed=schedule.seed + i))
         models[i] = model
     ensemble = PartialBackwardEnsemble(buckets, models)
     ensemble.example_counts = {i: len(pairs) for i, pairs in per_bucket.items()
@@ -392,26 +386,6 @@ class RolloutConfig:
         return self
 
 
-def _score_outcome(metric, hyp_content, ref_content):
-    if metric == "bleu":
-        return float(sentence_bleu(list(hyp_content), list(ref_content)))
-    return float(rouge2(list(hyp_content), list(ref_content)))
-
-
-def _sample_token(model, ctx, state0, prefix, rng):
-    """One ancestral draw after a forced prefix; PAD and BOS are barred."""
-    state, prev = state0, BOS
-    for tok in prefix:
-        _, state = model.decode_step(state, prev, ctx)
-        prev = tok
-    logprobs, _ = model.decode_step(state, prev, ctx)
-    probs = np.exp(logprobs.astype(np.float64))
-    probs[PAD] = 0.0
-    probs[BOS] = 0.0
-    probs /= probs.sum()
-    return int(rng.choice(model.tgt_vocab, p=probs))
-
-
 def generate_rollouts(model, corpus, config=None):
     """Sample one action per chosen position, beam-complete, score.
 
@@ -424,6 +398,7 @@ def generate_rollouts(model, corpus, config=None):
     config = (config or RolloutConfig()).validate()
     _require_trained(model, "forward")
     complete_cfg = DecodeConfig(beam=config.beam)
+    score = sentence_bleu if config.metric == "bleu" else rouge2
     records = []
     for i, pair in enumerate(corpus.pairs):
         gold = list(pair.tgt[:-1])
@@ -438,12 +413,23 @@ def generate_rollouts(model, corpus, config=None):
         rng = substream(config.seed, "rollout", i)
         k = min(config.positions, n)
         positions = sorted(int(t) + 1 for t in rng.permutation(n)[:k])
-        ctx, state0 = model.encode(pair.src)
+        # one replay of the prefix: logprobs follows BOS + base[:done]
+        ctx, state = model.encode(pair.src)
+        logprobs, state = model.decode_step(state, BOS, ctx)
+        done = 0
         for t in positions:
+            for tok in base[done:t - 1]:
+                logprobs, state = model.decode_step(state, tok, ctx)
+            done = t - 1
+            # one ancestral draw per sample; PAD and BOS are barred
+            probs = np.exp(logprobs.astype(np.float64))
+            probs[PAD] = 0.0
+            probs[BOS] = 0.0
+            probs /= probs.sum()
             for j in range(config.samples):
                 sample_seed = stream_key(config.seed, "action", i, t, j) % (2 ** 63)
                 action_rng = np.random.default_rng(sample_seed)
-                y_t = _sample_token(model, ctx, state0, base[:t - 1], action_rng)
+                y_t = int(action_rng.choice(model.tgt_vocab, p=probs))
                 prefix = base[:t - 1] + [y_t]
                 if y_t == EOS:
                     completed = list(prefix)
@@ -451,7 +437,7 @@ def generate_rollouts(model, corpus, config=None):
                     completed = list(beam_complete(model, pair.src, prefix,
                                                    complete_cfg).tokens)
                 content = completed[:-1] if completed[-1] == EOS else completed
-                q = _score_outcome(config.metric, content, gold)
+                q = float(score(content, gold))
                 records.append({
                     "src": [int(x) for x in pair.src],
                     "prefix": [int(x) for x in prefix],
@@ -470,7 +456,8 @@ def save_rollouts(path, records):
 
 
 def load_rollouts(path):
-    records = read_ndjson(path)
+    """Rollout records; a missing, extra or mistyped field is a LoadError."""
+    records = read_ndjson(path, ROLLOUT_FIELDS, ROLLOUT_KINDS)
     for i, rec in enumerate(records):
         if set(rec) != set(ROLLOUT_FIELDS):
             raise LoadError(f"{path}: record {i}: fields {sorted(rec)}, "
@@ -479,18 +466,6 @@ def load_rollouts(path):
 
 
 # -- outcome predictor ----------------------------------------------------------
-
-
-def _pad_ids(seqs):
-    """Pack variable-length id lists into ([B,S] ids, [B,S] float mask)."""
-    b = len(seqs)
-    s = max(len(x) for x in seqs)
-    ids = np.zeros((b, s), dtype=np.int64)
-    mask = np.zeros((b, s), dtype=np.float32)
-    for r, seq in enumerate(seqs):
-        ids[r, :len(seq)] = seq
-        mask[r, :len(seq)] = 1.0
-    return ids, mask
 
 
 class OutcomePredictor(Checkpointed):
@@ -530,9 +505,10 @@ class OutcomePredictor(Checkpointed):
         hid = ad.tanh(ad.affine(self.p["head1/w"], self.p["head1/b"], cat))
         return ad.affine(self.p["head2/w"], self.p["head2/b"], hid)
 
-    def _graph(self, src_ids, src_mask, pre_ids, pre_mask):
-        hx = self._encode("x", src_ids, src_mask)
-        hy = self._encode("y", pre_ids, pre_mask)
+    def _graph(self, srcs, prefixes):
+        """Prediction Tensor [B,1] of the id lists srcs[b], prefixes[b]."""
+        hx = self._encode("x", *pad_ids(srcs))
+        hy = self._encode("y", *pad_ids(prefixes))
         return self._head(hx, hy)
 
     def _check_ids(self, seq, vocab, role):
@@ -555,19 +531,12 @@ class OutcomePredictor(Checkpointed):
         h2, c2 = ad.lstm_step(lstm_params(self.p, "enc_y"), x, h, c)
         return h2.data, c2.data
 
-    def predict(self, src, prefix):
-        """Predicted outcome for one (X, y_{1:t}); untaped and deterministic."""
-        self._check_ids(src, self.src_vocab, "source")
-        self._check_ids(prefix, self.tgt_vocab, "prefix")
-        src_ids, src_mask = _pad_ids([list(src)])
-        pre_ids, pre_mask = _pad_ids([list(prefix)])
-        return float(self._graph(src_ids, src_mask, pre_ids, pre_mask).data[0, 0])
-
-    def predict_batch(self, srcs, prefixes):
-        src_ids, src_mask = _pad_ids([list(s) for s in srcs])
-        pre_ids, pre_mask = _pad_ids([list(p) for p in prefixes])
-        out = self._graph(src_ids, src_mask, pre_ids, pre_mask)
-        return out.data[:, 0].astype(np.float64)
+    def predict(self, srcs, prefixes):
+        """Predicted outcomes [B] of the pairs (X, y_{1:t}); untaped."""
+        for src, prefix in zip(srcs, prefixes, strict=True):
+            self._check_ids(src, self.src_vocab, "source")
+            self._check_ids(prefix, self.tgt_vocab, "prefix")
+        return self._graph(srcs, prefixes).data[:, 0].astype(np.float64)
 
     def meta(self):
         return [self.src_vocab, self.tgt_vocab, self.hidden]
@@ -578,38 +547,20 @@ class OutcomePredictor(Checkpointed):
         return cls(vs, vt, hidden, params=params)
 
 
-def outcome_mse(predictor, records):
-    if not records:
-        raise ContractError("empty evaluation set")
-    pred = predictor.predict_batch([r["src"] for r in records],
-                                   [r["prefix"] for r in records])
-    labels = np.array([r["q"] for r in records], dtype=np.float64)
-    return float(np.mean((pred - labels) ** 2))
-
-
 def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
-                    dev=None, log=None):
+                    dev=None):
     """Fit the dual-encoder predictor on rollout records by MSE; given dev
-    records, it carries dev_report as _fit_regressor's heads do."""
-    if not records:
-        raise ContractError("no rollout records to train on")
+    records, it carries their dev_report."""
     predictor = OutcomePredictor(src_vocab, tgt_vocab, hidden=hidden,
                                  seed=schedule.seed)
     labels = np.array([r["q"] for r in records], dtype=np.float64)
-
-    def loss_fn(idx):
-        src_ids, src_mask = _pad_ids([records[i]["src"] for i in idx])
-        pre_ids, pre_mask = _pad_ids([records[i]["prefix"] for i in idx])
-        pred = predictor._graph(src_ids, src_mask, pre_ids, pre_mask)
-        return _sse(pred, labels[idx]), len(idx)
-
-    dev_mse = (lambda: outcome_mse(predictor, dev)) if dev is not None else None
-    fit(predictor.params(), schedule,
-        _row_batches(len(records), schedule.batch_size), loss_fn, "mse",
-        dev_metric=dev_mse, log=log)
+    _fit_q(predictor, lambda rows: predictor._graph(
+        [records[i]["src"] for i in rows],
+        [records[i]["prefix"] for i in rows]), labels, schedule)
     if dev is not None:
-        baseline = constant_baseline_mse(labels, [r["q"] for r in dev])
-        predictor.dev_report = {"mse": dev_mse(), "baseline_mse": baseline}
+        pred = predictor.predict([r["src"] for r in dev],
+                                 [r["prefix"] for r in dev])
+        predictor.dev_report = dev_report(pred, [r["q"] for r in dev], labels)
     return predictor
 
 
@@ -628,8 +579,7 @@ class OutcomeScorer(Scorer):
         self.hx = None
 
     def prepare(self, model, src, ctx):
-        ids, mask = _pad_ids([list(src)])
-        self.hx = self.q._encode("x", ids, mask).data
+        self.hx = self.q._encode("x", *pad_ids([src])).data
         h = np.zeros((1, self.q.hidden), dtype=np.float32)
         return (h, h.copy())
 

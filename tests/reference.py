@@ -1,14 +1,15 @@
 """Slow or separate references the library's paths are checked against:
-the width-1 replay behind batched log p(Y|X) scores, the length protocol
-as its own loop over positions, and the unfused LSTM step and per-tensor
-optimizer behind the fused training kernels."""
+the width-1 replay behind batched log p(Y|X) scores, a rollout action
+drawn after a from-scratch prefix replay, the length protocol as its own
+loop over positions, and the unfused LSTM step and per-tensor optimizer
+behind the fused training kernels."""
 
 import numpy as np
 
 from fdq import autodiff as ad
 from fdq import decode
 from fdq.autodiff import Tensor, _record
-from fdq.data import BOS
+from fdq.data import BOS, PAD
 from fdq.errors import SearchSpaceError, TrainingDivergenceError
 from fdq.optim import clip_by_global_norm
 
@@ -24,6 +25,20 @@ def step_logprobs(model, src, tgt):
         out.append(float(logprobs[tok]))
         prev = tok
     return out
+
+
+def sampled_action(model, src, prefix, seed):
+    """The token a rollout samples after prefix: replay BOS + prefix by
+    width-1 decode_steps, then draw once under default_rng(seed) with PAD
+    and BOS barred."""
+    ctx, state = model.encode(src)
+    logprobs, state = model.decode_step(state, BOS, ctx)
+    for tok in prefix:
+        logprobs, state = model.decode_step(state, tok, ctx)
+    probs = np.exp(logprobs.astype(np.float64))
+    probs[PAD] = probs[BOS] = 0.0
+    probs /= probs.sum()
+    return int(np.random.default_rng(seed).choice(model.tgt_vocab, p=probs))
 
 
 def length_forced_select(model, regressor, src, length, config):

@@ -22,11 +22,10 @@ from fdq.metrics import (bleu, distinct_n, exact_length_rate, ngram_counts,
 from fdq.seeding import stream_key
 from fdq.seq2seq import Seq2Seq, TrainSchedule, _param_shapes, dataset_ce, train_mle
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
-                       PartialBackwardScorer, RolloutConfig, _pad_ids,
-                       constant_baseline_mse, generate_rollouts,
-                       length_examples, regression_mse, train_backward_model,
-                       train_backward_q_option2, train_length_q,
-                       train_outcome_q)
+                       PartialBackwardScorer, RolloutConfig, dev_report,
+                       generate_rollouts, length_examples,
+                       train_backward_model, train_backward_q_option2,
+                       train_length_q, train_outcome_q)
 
 
 def subcorpus(corpus, pairs):
@@ -113,13 +112,11 @@ def test_criterion_1_gradient_suite():
 
     pred = OutcomePredictor(7, 7, hidden=4, seed=3)
     names = list(pred.p)
-    src_ids, src_mask = _pad_ids([[3, 4], [5, 6, 4]])
-    pre_ids, pre_mask = _pad_ids([[1, 3], [1, 5]])
     targets = r.normal(size=(2, 1))
 
     def outcome_build(ps):
         pred.p = dict(zip(names, ps))
-        out = pred._graph(src_ids, src_mask, pre_ids, pre_mask)
+        out = pred._graph([[3, 4], [5, 6, 4]], [[1, 3], [1, 5]])
         return ad.sum_all(ad.square(ad.sub(out, Tensor(targets))))
 
     worst_composite = max(worst_composite, fd_check(outcome_build, pred.params()))
@@ -224,8 +221,8 @@ def test_criterion_4_length_control():
                                        seed=18))
     _, train_labels, _ = length_examples(model, train)
     dev_feats, dev_labels, _ = length_examples(model, dev)
-    ratio = (regression_mse(reg, dev_feats, dev_labels)
-             / constant_baseline_mse(train_labels, dev_labels))
+    report = dev_report(reg.predict(dev_feats), dev_labels, train_labels)
+    ratio = report["mse"] / report["baseline_mse"]
     assert ratio < 0.5, f"num2words regressor mse ratio {ratio:.3f}"
 
     base_cfg = DecodeConfig(mode="sbs", beam=5, use_length_protocol=True)
@@ -255,8 +252,8 @@ def test_criterion_4_length_control():
                                         seed=20))
     _, ctrain_labels, _ = length_examples(cmodel, ctrain)
     cfeats, clabels, _ = length_examples(cmodel, cdev)
-    cratio = (regression_mse(creg, cfeats, clabels)
-              / constant_baseline_mse(ctrain_labels, clabels))
+    creport = dev_report(creg.predict(cfeats), clabels, ctrain_labels)
+    cratio = creport["mse"] / creport["baseline_mse"]
     assert cratio < 0.5, f"copy regressor mse ratio {cratio:.3f}"
     finish(4, "length control",
            f"rate {rate_guided:.3f} vs {rate_base:.3f} (gap {gap:+.3f} >= 0.05), "

@@ -141,3 +141,23 @@ class TestModelFormat:
         save_tensors(path, named)
         with pytest.raises(CheckpointError, match="meta"):
             type(model).load(path)
+
+    @pytest.mark.parametrize("model", [
+        Seq2Seq(6, 7, hidden=4, seed=1),
+        LengthRegressor(4, seed=1),
+        OutcomePredictor(6, 7, hidden=4, seed=1),
+        PartialBackwardEnsemble(((1, None),), {0: Seq2Seq(7, 6, hidden=4)}),
+    ], ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("damage", ["drop_parameter", "empty_meta"])
+    def test_broken_model_file_names_the_file(self, tmp_path, model, damage):
+        path = tmp_path / "m.fdq"
+        model.save(path)
+        named = load_tensors(path)
+        if damage == "empty_meta":
+            named["meta"] = np.zeros(0, dtype=np.float32)
+        else:
+            del named[[k for k in named if k != "meta"
+                       and not k.startswith("__type__/")][-1]]
+        save_tensors(path, named)
+        with pytest.raises(CheckpointError, match=f"{path}: not a "):
+            type(model).load(path)

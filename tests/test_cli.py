@@ -3,17 +3,18 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from fdq.checkpoint import load_tensors
+from fdq.checkpoint import load_tensors, save_tensors
 from fdq.cli import _backward_key, load_task, main
 from fdq.config import apply_overrides, load_config, validate_config
 from fdq.decode import DecodeConfig, RegressorScorer, decode_corpus
 from fdq.seq2seq import Seq2Seq, TrainSchedule
 from fdq.value import (BackwardRegressor, LengthRegressor,
                        PartialBackwardEnsemble, PartialBackwardScorer,
-                       backward_examples, constant_baseline_mse,
-                       length_examples, regression_mse, train_backward_model)
+                       backward_examples, length_examples, mse,
+                       train_backward_model)
 
 RIG_CONFIG = {
     "task": {"name": "copy", "vocab": 6, "min_len": 1, "max_len": 5,
@@ -255,10 +256,11 @@ class TestTrainQ:
         _, train_labels, _ = examples(train)
         dev_feats, dev_labels, _ = examples(dev)
         doc = json.loads((out / "train-q.manifest.json").read_text())
-        assert doc["metrics"]["mse"] == regression_mse(reg, dev_feats,
-                                                       dev_labels)
-        assert doc["metrics"]["baseline_mse"] == constant_baseline_mse(
-            train_labels, dev_labels)
+        assert doc["metrics"]["mse"] == mse(reg.predict(dev_feats), dev_labels)
+        # the baseline as (label - mean)^2, bit for bit
+        mean = float(np.mean(train_labels))
+        assert doc["metrics"]["baseline_mse"] == float(
+            np.mean((dev_labels - mean) ** 2))
 
     def test_stale_rollouts_exit_two(self, rig, tmp_path, capsys):
         cfg, out = rig
@@ -274,6 +276,29 @@ class TestTrainQ:
         assert run("train", cfg, out2, "train.epochs=2") == 0
         assert run("train-q", cfg, out2, *sets) == 2
         assert "rollouts.ndjson" in capsys.readouterr().err
+
+    def test_mistyped_rollout_field_exits_two(self, rig, tmp_path, capsys):
+        # the rollouts key binds config and forward.fdq, not the file's
+        # own bytes, so an edited line reaches the loader
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        copy_forward(out, out2)
+        sets = ("q.family=outcome", "q.epochs=2", "q.hidden=8",
+                "q.rollout.pairs=10")
+        assert run("train-q", cfg, out2, *sets) == 0
+        rpath = out2 / "rollouts.ndjson"
+        lines = rpath.read_text().splitlines()
+        for field, value in (("q", "high"), ("prefix", "ab"), ("q", True),
+                             ("q", float("nan")), ("q", 10 ** 400),
+                             ("t", 1.0)):
+            rec = dict(json.loads(lines[1]), **{field: value})
+            rpath.write_text("\n".join([lines[0], json.dumps(rec)]
+                                       + lines[2:]) + "\n")
+            capsys.readouterr()
+            assert run("train-q", cfg, out2, *sets) == 2
+            err = capsys.readouterr().err
+            assert f"{rpath}:2: wrong type for ['{field}']" in err
 
     def test_stale_q_exits_two(self, rig, opt1_rig, tmp_path, capsys):
         # a Q file decodes only next to the models its key names
@@ -440,6 +465,19 @@ class TestDecode:
         assert run("decode", cfg, out, f"decode.input={corpus}") == 2
         err = capsys.readouterr().err
         assert f"{corpus}:2: " in err and why in err
+
+    def test_forward_missing_a_parameter_exits_two(self, rig, tmp_path,
+                                                   capsys):
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        copy_forward(out, out2)
+        named = load_tensors(out2 / "forward.fdq")
+        del named["out/b"]
+        save_tensors(out2 / "forward.fdq", named)
+        assert run("decode", cfg, out2) == 2
+        assert f"{out2 / 'forward.fdq'}: not a seq2seq" in \
+            capsys.readouterr().err
 
     def test_corpus_cache_as_input(self, rig):
         cfg, out = rig

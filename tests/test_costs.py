@@ -1,5 +1,5 @@
 """Pinned cost counters: tape nodes recorded by the training graphs, and
-decoder calls made by the search.
+decoder calls made by the search and by rollout generation.
 
 Unlike wall time, these counts are exact and the same on every run.  A
 change that moves one updates its pin here and says so in CHANGES.md.
@@ -13,7 +13,7 @@ from fdq.autodiff import LSTMParams, Tape, Tensor
 from fdq.data import TaskSpec, gen_task, make_batch
 from fdq.decode import DecodeConfig, beam_search, length_forced_select
 from fdq.seq2seq import Seq2Seq, masked_lstm
-from fdq.value import LengthRegressor
+from fdq.value import LengthRegressor, RolloutConfig, generate_rollouts
 
 
 def cell(hidden=3, din=2, seed=0):
@@ -105,3 +105,22 @@ def test_search_decoder_calls(monkeypatch, search, want):
             model, reg, [4, 5], 2, DecodeConfig(mode="length_q", beam=1)),
     }
     assert _search_counts(monkeypatch, runs[search]) == want
+
+
+def test_rollout_decoder_calls(monkeypatch):
+    # 5 pairs, 4 positions x 2 samples each: the prefix is replayed once
+    # per pair up to its last position (decode_step), and every sample
+    # that is not EOS is beam-completed (advance).  Replaying the prefix
+    # from scratch for every sample made 230 decode_step and 386 advance
+    # calls.
+    corpus = gen_task(TaskSpec("copy", vocab=4, min_len=3, max_len=6,
+                               pairs=5, seed=2))
+    model = Seq2Seq(len(corpus.src_vocab), len(corpus.tgt_vocab), hidden=3,
+                    max_len=8, seed=4)
+    model.trained = True
+    config = RolloutConfig(positions=4, samples=2, beam=2, seed=0)
+    records = []
+    counts = _search_counts(monkeypatch, lambda: records.extend(
+        generate_rollouts(model, corpus, config)))
+    assert len(records) == 40
+    assert counts == {"advance": 294, "rows": 450, "decode_step": 138}

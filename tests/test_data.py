@@ -191,9 +191,12 @@ class TestBatches:
         pairs = [SequencePair([4, 5], [4, EOS]), SequencePair([5], [5, 4, EOS])]
         b = d.make_batch(pairs)
         assert b.src[1, 1] == PAD and b.src_mask[1, 1] == 0.0
-        assert b.tgt_in[0, 0] == BOS
+        assert list(b.tgt_in[0]) == [BOS, 4, PAD]
         assert list(b.tgt_out[0]) == [4, EOS, PAD]
+        assert list(b.tgt_mask[0]) == [1.0, 1.0, 0.0]
         assert list(b.tgt_in[1]) == [BOS, 5, 4]
+        assert b.src.dtype == b.tgt_in.dtype == b.tgt_out.dtype == np.int64
+        assert b.src_mask.dtype == b.tgt_mask.dtype == np.float32
 
 
 class TestCacheRoundTrip:

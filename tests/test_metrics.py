@@ -145,8 +145,7 @@ class TestReports:
         report = json.loads((tmp_path / "run" / "eval.json").read_text())
         assert report["metrics"]["bleu"] == pytest.approx(1.0)
         assert report["config"]["bleu"] == {
-            "max_order": 4, "smooth": True, "per_sentence_smooth": True,
-            "effective_order": True}
+            "max_order": 4, "smooth": True, "effective_order": True}
 
     def test_rouge_report_means_sentences(self):
         table = _metric_table([toks("a b c"), toks("a b c")],

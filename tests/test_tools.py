@@ -1,5 +1,7 @@
-"""The artifact digest harness runs clean and reruns byte-identically."""
+"""The artifact digest harness runs clean and reruns byte-identically;
+the quick demo runs clean."""
 
+import os
 import runpy
 import subprocess
 import sys
@@ -21,3 +23,13 @@ def test_artifact_digests_rerun_identically(tmp_path):
     exited = [line.split("\t")[0] for line in runs[0].stdout.splitlines()
               if line.split("\t")[1] == "stdout (exit 0)"]
     assert exited == steps
+
+
+def test_gradcheck_demo_runs():
+    # the other demos train models for 10-20 s each and are run by hand
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "01_gradcheck_and_oracle.py")],
+        capture_output=True, text=True, check=False, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -13,13 +13,12 @@ from fdq.seq2seq import Seq2Seq, TrainSchedule, batch_logprobs, train_mle
 from fdq.value import (DEFAULT_BUCKETS, BackwardRegressor, LengthRegressor,
                        OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer,
-                       RolloutConfig, backward_examples, constant_baseline_mse,
-                       generate_rollouts, length_examples, load_rollouts,
-                       outcome_mse, regression_mse, save_rollouts,
-                       swap_corpus, train_backward_model,
+                       RolloutConfig, backward_examples, dev_report,
+                       generate_rollouts, length_examples, load_rollouts, mse,
+                       save_rollouts, swap_corpus, train_backward_model,
                        train_backward_q_option1, train_backward_q_option2,
                        train_length_q, train_outcome_q)
-from reference import step_logprobs
+from reference import sampled_action, step_logprobs
 
 
 def bucket_scores(ensemble, src, prefixes):
@@ -27,6 +26,17 @@ def bucket_scores(ensemble, src, prefixes):
     return [batch_logprobs(ensemble.models[ensemble.bucket_index(len(p))],
                            [SequencePair(list(p), list(src) + [EOS])])[0]
             for p in prefixes]
+
+
+def outcome_mse(predictor, records):
+    pred = predictor.predict([r["src"] for r in records],
+                             [r["prefix"] for r in records])
+    return mse(pred, [r["q"] for r in records])
+
+
+def beats_baseline(reg, train_labels, dev_feats, dev_labels):
+    report = dev_report(reg.predict(dev_feats), dev_labels, train_labels)
+    return report["mse"] < report["baseline_mse"]
 
 
 def subcorpus(corpus, pairs):
@@ -148,7 +158,7 @@ class TestLengthRegressor:
         reg = train_length_q(model, train, sched)
         tf, tl, _ = length_examples(model, train)
         df, dl, _ = length_examples(model, dev)
-        assert regression_mse(reg, df, dl) < constant_baseline_mse(tl, dl)
+        assert beats_baseline(reg, tl, df, dl)
 
     def test_long_source_early_prediction(self, copy_rig):
         train, dev, model = copy_rig
@@ -232,7 +242,7 @@ class TestBackwardOption1:
         reg = train_backward_q_option1(forward, backward, train, sched)
         tf, tl, _ = backward_examples(forward, backward, train)
         df, dl, _ = backward_examples(forward, backward, dev)
-        assert regression_mse(reg, df, dl) < constant_baseline_mse(tl, dl)
+        assert beats_baseline(reg, tl, df, dl)
 
     def test_untrained_inputs_rejected(self, dialogue_rig):
         train, _, forward, backward, _ = dialogue_rig
@@ -355,6 +365,20 @@ class TestRollouts:
                 # prefix = gold up to t-1 plus the sampled action
                 assert rec["prefix"][:-1] == gold[:rec["t"] - 1]
 
+    @pytest.mark.parametrize("prefix_source", ["gold", "decoded"])
+    def test_actions_match_a_fresh_replay(self, dialogue_rig,
+                                          prefix_source):
+        # one replay per pair serves all its positions; each action is
+        # still the draw a from-scratch replay of its own prefix gives
+        corpus, _, model, _, _ = dialogue_rig
+        sub = subcorpus(corpus, corpus.pairs[:8])
+        cfg = RolloutConfig(prefix_source=prefix_source, seed=45)
+        records = generate_rollouts(model, sub, cfg)
+        assert len(records) > len(sub.pairs)
+        for rec in records:
+            assert rec["prefix"][-1] == sampled_action(
+                model, rec["src"], rec["prefix"][:-1], rec["seed"])
+
     def test_degenerate_eos_sample(self, weak_copy_rig):
         corpus, model = weak_copy_rig
         sub = subcorpus(corpus, corpus.pairs[:30])
@@ -447,22 +471,25 @@ class TestOutcomePredictor:
         plain = train_outcome_q(train, sched, 8, 8, hidden=8)
         pred = train_outcome_q(train, sched, 8, 8, hidden=8, dev=dev)
         assert not hasattr(plain, "dev_report")
+        mean = float(np.mean([r["q"] for r in train]))
         assert pred.dev_report == {
             "mse": outcome_mse(pred, dev),
-            "baseline_mse": constant_baseline_mse([r["q"] for r in train],
-                                                  [r["q"] for r in dev])}
+            "baseline_mse": float(np.mean(
+                (np.array([r["q"] for r in dev]) - mean) ** 2))}
         for name, tensor in pred.p.items():
             assert np.array_equal(tensor.data, plain.p[name].data), name
 
     def test_beats_label_variance(self, outcome_rig):
         _, _, _, train_recs, dev_recs, predictor = outcome_rig
-        base = constant_baseline_mse([r["q"] for r in train_recs],
-                                     [r["q"] for r in dev_recs])
-        assert outcome_mse(predictor, dev_recs) < base
+        pred = predictor.predict([r["src"] for r in dev_recs],
+                                 [r["prefix"] for r in dev_recs])
+        report = dev_report(pred, [r["q"] for r in dev_recs],
+                            [r["q"] for r in train_recs])
+        assert report["mse"] < report["baseline_mse"]
 
     def test_mean_prediction_near_mean_label(self, outcome_rig):
         _, _, _, train_recs, dev_recs, predictor = outcome_rig
-        pred = np.mean(predictor.predict_batch(
+        pred = np.mean(predictor.predict(
             [r["src"] for r in dev_recs], [r["prefix"] for r in dev_recs]))
         label = np.mean([r["q"] for r in dev_recs])
         assert abs(pred - label) <= 0.15
@@ -477,29 +504,32 @@ class TestOutcomePredictor:
             prefix = gold[:t]
             corrupt = [int(rng.integers(4, len(train.tgt_vocab)))
                        for _ in prefix]
-            gold_scores.append(predictor.predict(pair.src, prefix))
-            bad_scores.append(predictor.predict(pair.src, corrupt))
+            gold_scores.append(predictor.predict([pair.src], [prefix])[0])
+            bad_scores.append(predictor.predict([pair.src], [corrupt])[0])
         assert np.mean(gold_scores) > np.mean(bad_scores)
 
     def test_predict_contract(self, outcome_rig):
         *_, predictor = outcome_rig
-        a = predictor.predict([4, 5], [4])
-        assert a == predictor.predict([4, 5], [4])
-        assert np.isfinite(a)
-        with pytest.raises(ContractError):
-            predictor.predict([4, 5], [])
-        with pytest.raises(ContractError):
-            predictor.predict([], [4])
-        with pytest.raises(ContractError):
-            predictor.predict([4], [10 ** 6])
+        a = predictor.predict([[4, 5]], [[4]])
+        assert a.shape == (1,) and np.isfinite(a).all()
+        assert np.array_equal(a, predictor.predict([[4, 5]], [[4]]))
+        # a row of a batch is the row alone, up to float32 batching
+        many = predictor.predict([[4, 5], [6], [4, 5]], [[4], [5, 4], [4]])
+        assert many[2] == pytest.approx(a[0], rel=0, abs=BATCH_ATOL)
+        for srcs, prefixes in (([[4, 5]], [[]]), ([[]], [[4]]),
+                               ([[4]], [[10 ** 6]]), ([[4], [-1]], [[4], [4]])):
+            with pytest.raises(ContractError):
+                predictor.predict(srcs, prefixes)
+        with pytest.raises(ValueError):
+            predictor.predict([[4]], [[4], [4]])
 
     def test_checkpoint_round_trip(self, outcome_rig, tmp_path):
         *_, predictor = outcome_rig
         path = tmp_path / "outcome.fdq"
         predictor.save(path)
         back = OutcomePredictor.load(path)
-        assert back.predict([4, 5, 6], [5, 4]) == \
-            predictor.predict([4, 5, 6], [5, 4])
+        assert np.array_equal(back.predict([[4, 5, 6]], [[5, 4]]),
+                              predictor.predict([[4, 5, 6]], [[5, 4]]))
 
     def test_training_requires_records(self):
         with pytest.raises(ContractError):
@@ -514,7 +544,7 @@ class TestScorers:
         cfg = DecodeConfig(mode="outcome_q", beam=3, weight=0.5)
         out = guided_beam_search(model, scorer, src, cfg)
         top = out.top()
-        want = predictor.predict(src, list(top.tokens))
+        want = predictor.predict([src], [list(top.tokens)])[0]
         assert top.q_term == pytest.approx(want, rel=0, abs=BATCH_ATOL)
         assert top.combined == pytest.approx(top.logp + 0.5 * top.q_term,
                                              abs=1e-5)
