@@ -115,7 +115,8 @@ class Checkpointed:
 
     A subclass sets TYPE_TAG and defines meta(), the hyperparameter list
     stored as the "meta" entry, and the classmethod from_meta(meta, params);
-    load refuses a file written under another tag.
+    load refuses a file written under another tag, and from_named a
+    stored meta that the model it builds does not reproduce.
     """
 
     TYPE_TAG = None
@@ -131,9 +132,12 @@ class Checkpointed:
     @classmethod
     def from_named(cls, named):
         named = dict(named)
-        meta = [float(x) for x in named.pop("meta")]
-        return cls.from_meta(meta, {name: Tensor(arr)
-                                    for name, arr in named.items()})
+        stored = named.pop("meta")
+        model = cls.from_meta([float(x) for x in stored], {
+            name: Tensor(arr) for name, arr in named.items()})
+        if not np.array_equal(np.array(model.meta(), np.float32), stored):
+            raise ValueError(f"meta {stored} does not describe its model")
+        return model
 
     def save(self, path):
         save_tensors(path, with_type_tag(self.to_named(), self.TYPE_TAG))

@@ -13,6 +13,7 @@ import hashlib
 import math
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
 FORWARD = "forward.fdq"
 BACKWARD = "backward.fdq"
 ROLLOUTS = "rollouts.ndjson"
+Q_FILE = "q_{}.fdq"
 VOCABS = ["dev.json.src.vocab", "dev.json.tgt.vocab"]
 
 
@@ -82,29 +84,47 @@ def _check_vocab(model, corpus, out):
                               f" {FORWARD} was trained on another task or seed")
 
 
-def _key_file(path):
-    return path.with_name(path.name + ".key")
+def _made_from(config, name):
+    """({label: config value}, [files in --out]) the derived file name is
+    made from; its key binds each value under the last part of its label
+    and each file's sha256 under the file's stem."""
+    run = {"task": config["task"], "split": config["split"],
+           "seed": config["seed"]}
+    if name == BACKWARD:
+        return run, VOCABS
+    if name == ROLLOUTS:
+        return {**run, "q.rollout": config["q"]["rollout"]}, [FORWARD]
+    # a Q file is fit to the models its family reads
+    if name == Q_FILE.format("backward_opt1"):
+        return {}, [FORWARD, BACKWARD]
+    return {}, [FORWARD]
 
 
-def _artifact_key(out, files, **fields):
-    """The key binding an artifact to config fields and to files in out."""
-    return config_hash({**fields, **{
-        Path(name).stem: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in files}})
+def _key(config, out, name):
+    """The key binding out/name to what _made_from says it is made from."""
+    fields, files = _made_from(config, name)
+    return config_hash({
+        **{label.split(".")[-1]: value for label, value in fields.items()},
+        **{Path(f).stem: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in files}})
 
 
-def _check_key(path, key, made_from, hint):
-    """Raise ConfigError unless the key file next to path holds key: path
-    was made from the made_from artifacts as they are now."""
-    kpath = _key_file(path)
-    if not kpath.exists() or kpath.read_text(encoding="utf-8") != key:
-        raise ConfigError(f"{path} was not made from this {made_from} "
-                          f"({kpath} differs or is missing); {hint}")
+def _write_key(config, out, name):
+    (out / f"{name}.key").write_text(_key(config, out, name), encoding="utf-8")
 
 
-def _backward_key(config, out):
-    return _artifact_key(out, VOCABS, task=config["task"],
-                         split=config["split"], seed=config["seed"])
+def _check_key(config, out, name, hint):
+    """Raise ConfigError unless the key file of out/name holds its key:
+    name was made from what _made_from names, as it is now."""
+    kpath = out / f"{name}.key"
+    if (kpath.exists()
+            and kpath.read_text(encoding="utf-8") == _key(config, out, name)):
+        return
+    fields, files = _made_from(config, name)
+    *rest, last = [*fields, *files]
+    made_from = f"{', '.join(rest)} and {last}" if rest else last
+    raise ConfigError(f"{out / name} was not made from this {made_from} "
+                      f"({kpath} differs or is missing); {hint}")
 
 
 def _load_backward(config, out):
@@ -112,8 +132,7 @@ def _load_backward(config, out):
     hint = ("train with q.family=backward_opt1 or decode.mode=mmi_rerank "
             "to produce a backward model")
     path = _require(out / BACKWARD, hint)
-    _check_key(path, _backward_key(config, out),
-               "task, split, seed, " + " and ".join(VOCABS), hint)
+    _check_key(config, out, BACKWARD, hint)
     return Seq2Seq.load(path)
 
 
@@ -169,8 +188,7 @@ def cmd_train(config, out, manifest):
         manifest.metrics["backward_dev_ce"] = ce
         backward.save(out / BACKWARD)
         # the key covers the vocabulary sidecars save_corpus wrote
-        _key_file(out / BACKWARD).write_text(_backward_key(config, out),
-                                             encoding="utf-8")
+        _write_key(config, out, BACKWARD)
         manifest.artifacts["backward"] = str(out / BACKWARD)
     write_json(out / "config.json", config)
     manifest.artifacts["config"] = str(out / "config.json")
@@ -179,19 +197,12 @@ def cmd_train(config, out, manifest):
 
 
 def _rollouts(config, out, model, train, manifest):
-    """Rollout records, generated or else reused from out.
-
-    Reuse requires the key file to match this run's task, split, seed,
-    q.rollout and forward checkpoint bytes.
-    """
+    """Rollout records, generated or else reused from out if its key holds."""
     rc = config["q"]["rollout"]
     rpath = out / ROLLOUTS
-    key = _artifact_key(out, [FORWARD], task=config["task"],
-                        split=config["split"], seed=config["seed"], rollout=rc)
     manifest.artifacts["rollouts"] = str(rpath)
     if rpath.exists():
-        _check_key(rpath, key, f"task, split, seed, q.rollout and {FORWARD}",
-                   "delete it to generate new rollouts")
+        _check_key(config, out, ROLLOUTS, "delete it to generate new rollouts")
         records = load_rollouts(rpath)
         print(f"rollouts={len(records)} (loaded)")
         return records
@@ -200,7 +211,7 @@ def _rollouts(config, out, model, train, manifest):
     with timed(manifest, "rollouts"):
         records = generate_rollouts(model, source, rcfg)
     save_rollouts(rpath, records)
-    _key_file(rpath).write_text(key, encoding="utf-8")
+    _write_key(config, out, ROLLOUTS)
     print(f"rollouts={len(records)} (generated)")
     return records
 
@@ -212,67 +223,48 @@ def cmd_train_q(config, out, manifest):
     q = config["q"]
     family = q["family"]
     sched = _from_section(TrainSchedule, q, seed=_seed(config, "q"))
+    # the inputs load first, so train_q times the fit alone
     if family == "length":
-        with timed(manifest, "train_q"):
-            q_model = train_length_q(model, train, sched, dev=dev)
+        fit = partial(train_length_q, model, train, sched, dev=dev)
     elif family == "backward_opt1":
-        backward = _load_backward(config, out)
-        with timed(manifest, "train_q"):
-            q_model = train_backward_q_option1(model, backward, train, sched,
-                                               dev=dev)
+        fit = partial(train_backward_q_option1, model,
+                      _load_backward(config, out), train, sched, dev=dev)
     elif family == "backward_opt2":
-        buckets = tuple((lo, hi) for lo, hi in q["buckets"])
-        with timed(manifest, "train_q"):
-            q_model = train_backward_q_option2(
-                train, sched, buckets=buckets, hidden=q["hidden"],
-                attention=config["model"]["attention"],
-                max_len=config["model"]["max_len"],
-                full_targets_only=q["full_targets_only"])
+        fit = partial(train_backward_q_option2, train, sched,
+                      buckets=q["buckets"], hidden=q["hidden"],
+                      attention=config["model"]["attention"],
+                      max_len=config["model"]["max_len"],
+                      full_targets_only=q["full_targets_only"])
+    else:
+        records = _rollouts(config, out, model, train, manifest)
+        cut = max(1, int(0.9 * len(records)))
+        fit = partial(train_outcome_q, records[:cut], sched,
+                      len(train.src_vocab), len(train.tgt_vocab),
+                      hidden=q["hidden"], dev=records[cut:] or None)
+    with timed(manifest, "train_q"):
+        q_model = fit()
+    if family == "backward_opt2":
         counts = sorted(q_model.example_counts.items())
         for i, count in counts:
             print(f"bucket_{i} examples={count}")
         manifest.metrics["bucket_examples"] = {str(i): c for i, c in counts}
-    else:
-        records = _rollouts(config, out, model, train, manifest)
-        cut = max(1, int(0.9 * len(records)))
-        train_recs, dev_recs = records[:cut], records[cut:]
-        with timed(manifest, "train_q"):
-            q_model = train_outcome_q(train_recs, sched, len(train.src_vocab),
-                                      len(train.tgt_vocab), hidden=q["hidden"],
-                                      dev=dev_recs or None)
     report = getattr(q_model, "dev_report", None)
     if report:
         print(f"mse={report['mse']:.4f} baseline_mse={report['baseline_mse']:.4f}")
         manifest.metrics.update(report)
-    path = _q_path(out, family)
+    path = out / Q_FILE.format(family)
     q_model.save(path)
-    _key_file(path).write_text(_artifact_key(out, _q_sources(family)),
-                               encoding="utf-8")
+    _write_key(config, out, path.name)
     manifest.artifacts["q"] = str(path)
     print(f"config_hash={manifest.config_hash}")
     return 0
 
 
-def _q_path(out, family):
-    return out / f"q_{family}.fdq"
-
-
-def _q_sources(family):
-    """The models a Q file is fit to; its key holds their sha256."""
-    return [FORWARD, BACKWARD] if family == "backward_opt1" else [FORWARD]
-
-
-def _check_q_key(out, family):
-    sources = _q_sources(family)
-    _check_key(_q_path(out, family), _artifact_key(out, sources),
-               " and ".join(sources),
-               f"rerun `fdq train-q` with q.family={family}")
-
-
-def _load_q(out, family, cls):
-    path = _require(_q_path(out, family),
+def _load_q(config, out, family, cls):
+    path = _require(out / Q_FILE.format(family),
                     f"run `fdq train-q` with q.family={family}")
-    _check_q_key(out, family)
+    _check_key(config, out, path.name,
+               f"rerun `fdq train-q` with q.family={family}")
     return cls.load(path)
 
 
@@ -280,19 +272,19 @@ def _build_scorer(config, out, mode):
     """Per-mode (scorer_factory, backward) from on-disk checkpoints."""
     family = config["q"]["family"]
     if mode == "length_q":
-        reg = _load_q(out, "length", LengthRegressor)
+        reg = _load_q(config, out, "length", LengthRegressor)
         return (lambda pair: reg), None
     if mode == "mmi_q" and family == "backward_opt1":
-        reg = _load_q(out, family, BackwardRegressor)
+        reg = _load_q(config, out, family, BackwardRegressor)
         return (lambda pair: RegressorScorer(reg)), None
     if mode == "mmi_q" and family == "backward_opt2":
-        ens = _load_q(out, family, PartialBackwardEnsemble)
+        ens = _load_q(config, out, family, PartialBackwardEnsemble)
         return (lambda pair: PartialBackwardScorer(ens)), None
     if mode == "mmi_q":
         raise ConfigError(f"config key 'q.family': mmi_q decodes with a "
                           f"backward family, got {family!r}")
     if mode == "outcome_q":
-        pred = _load_q(out, "outcome", OutcomePredictor)
+        pred = _load_q(config, out, "outcome", OutcomePredictor)
         return (lambda pair: OutcomeScorer(pred)), None
     if mode == "mmi_rerank":
         return None, _load_backward(config, out)
@@ -423,8 +415,10 @@ def cmd_compare(config, out, manifest):
     _check_vocab(model, corpus, out)
     for family in Q_FAMILIES:
         # a missing Q file fails its cells; a stale one fails the table
-        if _q_path(out, family).exists():
-            _check_q_key(out, family)
+        name = Q_FILE.format(family)
+        if (out / name).exists():
+            _check_key(config, out, name,
+                       f"rerun `fdq train-q` with q.family={family}")
     ref_records = _reference_records(corpus)
     cells = [("sbs", None), ("mmi_rerank", d["weight"])]
     cells += [(mode, w) for mode in d["modes"] for w in d["weights"]]

@@ -306,11 +306,12 @@ def is_ids(value):
     return isinstance(value, list) and all(type(t) is int for t in value)
 
 
-def read_ndjson(path, required=(), kinds=()):
+def read_ndjson(path, required=(), kinds=(), exact=False):
     """The objects of a newline-delimited JSON file; blank lines skipped.
 
-    A line that is not an object with every required field, or whose field
-    f fails check for (f, check) in kinds, raises LoadError at path:line.
+    A line that is not an object with every required field (and, if
+    exact, no other), or whose field f fails check for (f, check) in
+    kinds, raises LoadError at path:line.
     """
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
@@ -327,6 +328,9 @@ def read_ndjson(path, required=(), kinds=()):
             missing = [k for k in required if k not in rec]
             if missing:
                 raise LoadError(f"{path}:{n}: record lacks {missing}")
+            if exact and len(rec) != len(required):
+                raise LoadError(f"{path}:{n}: fields {sorted(rec)}, "
+                                f"want {sorted(required)}")
             bad = [k for k, ok in kinds if k in rec and not ok(rec[k])]
             if bad:
                 raise LoadError(f"{path}:{n}: wrong type for {bad}")

@@ -283,18 +283,15 @@ def _admitted_eos(beam, scores, limit):
     return _finished(beam, scores, np.flatnonzero(rank < limit).tolist())
 
 
-def _nbest(pool, limit):
-    ordered = sorted(pool, key=lambda h: (-h.combined, h.tokens))
-    return NBestList(ordered[:limit] if limit else ordered)
-
-
 def _run(model, scorer, src, config, keep_all=False, prefix=(), length=None):
-    """The finished hypotheses of one search; the only loop over positions.
+    """The NBestList of one search, its best `nbest or beam` finished
+    hypotheses; the only loop over positions.
 
     It ends once `beam` hypotheses have finished (never, with keep_all).
     A demanded length L bars EOS before position L+1, where the rows with
     EOS in their own top `beam` are admitted and the best log p among them
-    is the result; if none is, the first step that finishes anything ends it.
+    is the only entry; if none is, the first step that finishes anything
+    ends it.
     """
     config.validate()
     cap = config.cap if config.cap is not None else model.max_len
@@ -314,19 +311,19 @@ def _run(model, scorer, src, config, keep_all=False, prefix=(), length=None):
             if admitted:
                 # footnote rule: the pool competes on likelihood, not
                 # combined score
-                return [min(admitted, key=lambda h: (-h.logp, h.tokens))]
+                pool = [min(admitted, key=lambda h: (-h.logp, h.tokens))]
+                break
         live, finished = eng.settle(live, scores, eng.ranked(scores, limit))
         pool.extend(finished)
         if not keep_all and len(pool) >= stop:
             break
-    return pool
+    pool.sort(key=lambda h: (-h.combined, h.tokens))
+    return NBestList(pool[:config.nbest or config.beam])
 
 
 def beam_search(model, src, config=None):
     """Standard beam search ranked by cumulative log-probability."""
-    config = config or DecodeConfig()
-    pool = _run(model, None, src, config)
-    return _nbest(pool, config.nbest or config.beam)
+    return _run(model, None, src, config or DecodeConfig())
 
 
 def beam_complete(model, src, prefix, config=None):
@@ -335,15 +332,13 @@ def beam_complete(model, src, prefix, config=None):
     Returns a DecodedHyp whose tokens include the prefix; its logp covers
     the whole sequence, forced steps included.
     """
-    config = config or DecodeConfig()
-    pool = _run(model, None, src, config, prefix=tuple(prefix))
-    return _nbest(pool, config.nbest or config.beam).top()
+    return _run(model, None, src, config or DecodeConfig(),
+                prefix=tuple(prefix)).top()
 
 
 def guided_beam_search(model, scorer, src, config):
     """Beam search ranked by log p + weight * qterm at every step."""
-    pool = _run(model, scorer, src, config)
-    return _nbest(pool, config.nbest or config.beam)
+    return _run(model, scorer, src, config)
 
 
 def exhaustive_decode(model, scorer, src, config=None):
@@ -357,8 +352,7 @@ def exhaustive_decode(model, scorer, src, config=None):
     if model.tgt_vocab ** cap > EXHAUSTIVE_GUARD:
         raise SearchSpaceError(
             f"search space {model.tgt_vocab}^{cap} exceeds {EXHAUSTIVE_GUARD}")
-    pool = _run(model, scorer, src, config, keep_all=True)
-    return _nbest(pool, None).top()
+    return _run(model, scorer, src, config, keep_all=True).top()
 
 
 def length_forced_select(model, regressor, src, length, config=None):
@@ -369,9 +363,8 @@ def length_forced_select(model, regressor, src, length, config=None):
     if length is None or length < 1:
         raise ConfigError(f"target length must be >= 1, got {length}")
     scorer = LengthScorer(regressor, length) if regressor is not None else None
-    pool = _run(model, scorer, src, config,
-                length=length if config.mask_eos else None)
-    return _nbest(pool, None).top()
+    return _run(model, scorer, src, config,
+                length=length if config.mask_eos else None).top()
 
 
 NEG_SENTINEL = -1e30  # stands in for -inf; keeps scores finite and JSON-safe
@@ -398,7 +391,6 @@ def rescore_nbest(entries, backward, src, weight):
 
 def mmi_rerank(forward, backward, src, config):
     """N-best from forward beam search, reranked by log p + w*log p(X|Y)."""
-    config.validate()
     base = beam_search(forward, src, config)
     rescored = rescore_nbest(base.entries, backward, src, config.weight)
     nbest = NBestList(rescored)

@@ -26,7 +26,7 @@ from .checkpoint import Checkpointed
 from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter, is_ids,
                    pad_ids, read_ndjson, write_ndjson)
 from .decode import NEG_SENTINEL, DecodeConfig, Scorer, beam_complete
-from .errors import ConfigError, ContractError, DimensionError, LoadError
+from .errors import ConfigError, ContractError, DimensionError
 from .metrics import rouge2, sentence_bleu
 from .seeding import stream_key, substream
 from .seq2seq import (Seq2Seq, batch_logprobs, fit, init_params, lstm_params,
@@ -296,16 +296,16 @@ class PartialBackwardEnsemble(Checkpointed):
         spread = sorted(self.models, key=lambda j: (abs(j - i), j))
         return self.models[spread[0]]
 
-    def to_named(self):
-        named = {}
-        meta = [float(len(self.buckets))]
+    def meta(self):
+        meta = [len(self.buckets)]
         for i, (lo, hi) in enumerate(self.buckets):
-            meta += [float(lo), -1.0 if hi is None else float(hi),
-                     1.0 if i in self.models else 0.0]
-            if i in self.models:
-                for name, arr in self.models[i].to_named().items():
-                    named[f"b{i}/{name}"] = arr
-        named["meta"] = np.array(meta, dtype=np.float32)
+            meta += [lo, -1 if hi is None else hi, int(i in self.models)]
+        return meta
+
+    def to_named(self):
+        named = {f"b{i}/{name}": arr for i in sorted(self.models)
+                 for name, arr in self.models[i].to_named().items()}
+        named["meta"] = np.array(self.meta(), dtype=np.float32)
         return named
 
     @classmethod
@@ -456,13 +456,9 @@ def save_rollouts(path, records):
 
 
 def load_rollouts(path):
-    """Rollout records; a missing, extra or mistyped field is a LoadError."""
-    records = read_ndjson(path, ROLLOUT_FIELDS, ROLLOUT_KINDS)
-    for i, rec in enumerate(records):
-        if set(rec) != set(ROLLOUT_FIELDS):
-            raise LoadError(f"{path}: record {i}: fields {sorted(rec)}, "
-                            f"want {sorted(ROLLOUT_FIELDS)}")
-    return records
+    """Rollout records; a line with a missing, extra or mistyped field is a
+    LoadError naming path:line."""
+    return read_ndjson(path, ROLLOUT_FIELDS, ROLLOUT_KINDS, exact=True)
 
 
 # -- outcome predictor ----------------------------------------------------------

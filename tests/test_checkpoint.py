@@ -11,7 +11,7 @@ from fdq.checkpoint import (MAGIC, load_tensors, save_tensors, split_type_tag,
                             with_type_tag)
 from fdq.errors import CheckpointError
 from fdq.seq2seq import Seq2Seq
-from fdq.value import (LengthRegressor, OutcomePredictor,
+from fdq.value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
                        PartialBackwardEnsemble)
 
 
@@ -145,16 +145,23 @@ class TestModelFormat:
     @pytest.mark.parametrize("model", [
         Seq2Seq(6, 7, hidden=4, seed=1),
         LengthRegressor(4, seed=1),
+        BackwardRegressor(4, seed=1),
         OutcomePredictor(6, 7, hidden=4, seed=1),
         PartialBackwardEnsemble(((1, None),), {0: Seq2Seq(7, 6, hidden=4)}),
     ], ids=lambda m: type(m).__name__)
-    @pytest.mark.parametrize("damage", ["drop_parameter", "empty_meta"])
+    @pytest.mark.parametrize("damage", ["drop_parameter", "empty_meta",
+                                        "extra_meta", "non_integral_meta"])
     def test_broken_model_file_names_the_file(self, tmp_path, model, damage):
+        # the meta damages leave every tensor shape as the model wants it
         path = tmp_path / "m.fdq"
         model.save(path)
         named = load_tensors(path)
         if damage == "empty_meta":
             named["meta"] = np.zeros(0, dtype=np.float32)
+        elif damage == "extra_meta":
+            named["meta"] = np.append(named["meta"], np.float32([99, 7]))
+        elif damage == "non_integral_meta":
+            named["meta"][0] += 0.5  # e.g. hidden 4.5 for a regression head
         else:
             del named[[k for k in named if k != "meta"
                        and not k.startswith("__type__/")][-1]]

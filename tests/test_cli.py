@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fdq.checkpoint import load_tensors, save_tensors
-from fdq.cli import _backward_key, load_task, main
+from fdq.cli import _key, load_task, main
 from fdq.config import apply_overrides, load_config, validate_config
 from fdq.decode import DecodeConfig, RegressorScorer, decode_corpus
 from fdq.seq2seq import Seq2Seq, TrainSchedule
@@ -88,7 +88,7 @@ def opt1_rig(rig, tmp_path_factory):
                                     hidden=8, max_len=8)
     backward.save(out3 / "backward.fdq")
     (out3 / "backward.fdq.key").write_text(
-        _backward_key(task_config(cfg), out3), encoding="utf-8")
+        _key(task_config(cfg), out3, "backward.fdq"), encoding="utf-8")
     code = run("train-q", cfg, out3, "q.family=backward_opt1", "q.epochs=5")
     assert code == 0
     return cfg, out3
@@ -299,6 +299,13 @@ class TestTrainQ:
             assert run("train-q", cfg, out2, *sets) == 2
             err = capsys.readouterr().err
             assert f"{rpath}:2: wrong type for ['{field}']" in err
+        # a blank line, then a record with an extra field, on line 3
+        rec = dict(json.loads(lines[1]), extra=1)
+        rpath.write_text("\n".join([lines[0], "", json.dumps(rec)]
+                                   + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert run("train-q", cfg, out2, *sets) == 2
+        assert f"{rpath}:3: fields" in capsys.readouterr().err
 
     def test_stale_q_exits_two(self, rig, opt1_rig, tmp_path, capsys):
         # a Q file decodes only next to the models its key names
@@ -466,12 +473,26 @@ class TestDecode:
         err = capsys.readouterr().err
         assert f"{corpus}:2: " in err and why in err
 
-    def test_forward_missing_a_parameter_exits_two(self, rig, tmp_path,
-                                                   capsys):
+    def test_forward_missing_a_parameter_exits_two(self, rig, opt2_rig,
+                                                   tmp_path, capsys):
         cfg, out = rig
         out2 = tmp_path / "r"
         out2.mkdir()
         copy_forward(out, out2)
+        # a Q key binds forward.fdq, not the Q file, so an edited meta
+        # reaches the loader: two values appended to each head's meta
+        for src, mode, family, tag in (
+                (out, "length_q", "length", "length_q"),
+                (opt2_rig[1], "mmi_q", "backward_opt2", "backward_q2")):
+            qpath = out2 / f"q_{family}.fdq"
+            for name in (qpath.name, f"{qpath.name}.key"):
+                shutil.copyfile(src / name, out2 / name)
+            named = load_tensors(qpath)
+            named["meta"] = np.append(named["meta"], np.float32([99, 7]))
+            save_tensors(qpath, named)
+            assert run("decode", cfg, out2, f"decode.mode={mode}",
+                       f"q.family={family}") == 2
+            assert f"{qpath}: not a {tag}" in capsys.readouterr().err
         named = load_tensors(out2 / "forward.fdq")
         del named["out/b"]
         save_tensors(out2 / "forward.fdq", named)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fdq.config import Q_FAMILIES
+
 ROOT = Path(__file__).resolve().parents[1]
 HARNESS = ROOT / "tools" / "artifact_digests.py"
 
@@ -23,6 +25,11 @@ def test_artifact_digests_rerun_identically(tmp_path):
     exited = [line.split("\t")[0] for line in runs[0].stdout.splitlines()
               if line.split("\t")[1] == "stdout (exit 0)"]
     assert exited == steps
+    # every key file the made-from rule writes is digested
+    files = {line.split("\t")[1] for line in runs[0].stdout.splitlines()}
+    keys = ["backward.fdq", "rollouts.ndjson",
+            *(f"q_{family}.fdq" for family in Q_FAMILIES)]
+    assert {f"run/{name}.key" for name in keys} <= files
 
 
 def test_gradcheck_demo_runs():

@@ -1,5 +1,7 @@
 """Value estimators: label oracles, baselines, routing, rollouts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -446,6 +448,14 @@ class TestRollouts:
         path = tmp_path / "bad.ndjson"
         path.write_text('{"src": [4], "q": 0.5}\n', encoding="utf-8")
         with pytest.raises(LoadError):
+            load_rollouts(path)
+        # a blank line, then a record with an extra field: named by line
+        rec = {"src": [4], "prefix": [4], "t": 1, "completed": [4, EOS],
+               "q": 0.5, "seed": 0}
+        path.write_text("\n".join([json.dumps(rec), "",
+                                   json.dumps(dict(rec, extra=1))]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(LoadError, match=f"{path}:3: fields"):
             load_rollouts(path)
 
 
