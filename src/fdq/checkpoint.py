@@ -116,7 +116,8 @@ class Checkpointed:
     A subclass sets TYPE_TAG and defines meta(), the hyperparameter list
     stored as the "meta" entry, and the classmethod from_meta(meta, params);
     load refuses a file written under another tag, and from_named a
-    stored meta that the model it builds does not reproduce.
+    stored meta or a set of tensor names that the model it builds does not
+    reproduce.
     """
 
     TYPE_TAG = None
@@ -133,10 +134,16 @@ class Checkpointed:
     def from_named(cls, named):
         named = dict(named)
         stored = named.pop("meta")
+        if stored.ndim != 1:
+            raise ValueError(f"meta of shape {stored.shape} is not a list")
         model = cls.from_meta([float(x) for x in stored], {
             name: Tensor(arr) for name, arr in named.items()})
-        if not np.array_equal(np.array(model.meta(), np.float32), stored):
+        want = model.to_named()
+        if not np.array_equal(want.pop("meta"), stored):
             raise ValueError(f"meta {stored} does not describe its model")
+        if set(want) != set(named):
+            raise ValueError(f"tensors {sorted(set(want) ^ set(named))} "
+                             f"do not match the model")
         return model
 
     def save(self, path):

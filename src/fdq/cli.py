@@ -1,4 +1,4 @@
-"""Command-line driver: train, train-q, decode, eval, compare, selftest.
+"""Command-line driver: train, train-q, decode, eval, compare.
 
 One entry point ties the library together.  Every command reads one JSON
 config (plus ``--set`` overrides), derives all randomness from the global
@@ -12,21 +12,15 @@ import dataclasses
 import hashlib
 import math
 import sys
-import tempfile
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from .autodiff import Tensor, fd_check, log_softmax, matmul, mul, sum_all, tanh
-from .checkpoint import load_tensors, save_tensors
 from .config import (Q_FAMILIES, RunManifest, apply_overrides, config_hash,
                      default_config, load_config, timed, validate_config,
                      write_json)
 from .data import (TaskSpec, Vocab, gen_task, load_corpus, read_ndjson,
                    save_corpus, split, write_ndjson)
-from .decode import (DecodeConfig, RegressorScorer, beam_search, decode_corpus,
-                     exhaustive_decode)
+from .decode import DecodeConfig, RegressorScorer, decode_corpus
 from .errors import ConfigError, FdqError, LoadError, TrainingDivergenceError
 from .metrics import bleu, distinct_n, rouge2
 from .seeding import stream_key
@@ -461,79 +455,8 @@ def cmd_compare(config, out, manifest):
     return 0
 
 
-# -- selftest -------------------------------------------------------------------
-
-
-def _selftest_gradient():
-    rng = np.random.default_rng(0)
-    x_np = rng.normal(size=(2, 3))
-    mask_np = rng.normal(size=(2, 5))
-    w1_np = rng.normal(size=(3, 4)) * 0.5
-    w2_np = rng.normal(size=(4, 5)) * 0.5
-
-    def build(params):
-        w1, w2 = params
-        h = tanh(matmul(Tensor(x_np), w1))
-        return sum_all(mul(log_softmax(matmul(h, w2)), Tensor(mask_np)))
-
-    worst = fd_check(build, [Tensor(w1_np), Tensor(w2_np)])
-    assert worst < 1e-6, f"gradient disagreement {worst:.3e}"
-    return f"max_rel={worst:.2e}"
-
-
-def _selftest_beam_oracle():
-    model = Seq2Seq(6, 7, hidden=8, max_len=6, seed=3)
-    src = [4, 5]
-    wide = DecodeConfig(beam=400, cap=3)
-    full = DecodeConfig(mode="exhaustive", cap=3)
-    got = beam_search(model, src, wide).top()
-    want = exhaustive_decode(model, None, src, full)
-    assert got.tokens == want.tokens, f"{got.tokens} != {want.tokens}"
-    assert abs(got.combined - want.combined) < 1e-9
-    return f"combined={got.combined:.4f}"
-
-
-def _selftest_checkpoint():
-    rng = np.random.default_rng(1)
-    named = {"a/w": rng.normal(size=(3, 4)).astype(np.float32),
-             "b": rng.normal(size=(5,)).astype(np.float32)}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "self.fdq"
-        save_tensors(path, named)
-        back = load_tensors(path)
-    assert set(back) == set(named)
-    for name in named:
-        assert np.array_equal(back[name], named[name]), name
-    return "bit-exact"
-
-
-def _selftest_metrics():
-    ref = ["a", "b", "c", "d"]
-    assert bleu([ref], [ref]) == 1.0
-    assert rouge2(ref, ref) == 1.0
-    assert distinct_n([["a", "b"], ["a", "b"]], 1) == 0.5
-    return "oracles hold"
-
-
-def cmd_selftest():
-    checks = [("gradient", _selftest_gradient),
-              ("beam_vs_exhaustive", _selftest_beam_oracle),
-              ("checkpoint_round_trip", _selftest_checkpoint),
-              ("metric_oracles", _selftest_metrics)]
-    failed = 0
-    for name, check in checks:
-        try:
-            detail = check()
-            print(f"ok {name} ({detail})")
-        except Exception as exc:  # noqa: BLE001 - report every check
-            failed += 1
-            print(f"FAIL {name} ({exc})")
-    print(f"selftest: {len(checks) - failed}/{len(checks)} passed")
-    return 0 if failed == 0 else 3
-
-
 COMMANDS = {"train": cmd_train, "train-q": cmd_train_q, "decode": cmd_decode,
-            "eval": cmd_eval, "compare": cmd_compare, "selftest": cmd_selftest}
+            "eval": cmd_eval, "compare": cmd_compare}
 
 
 def build_parser():
@@ -569,8 +492,6 @@ def main(argv=None):
         config = effective_config(args)
         out = Path(config["out"])
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "selftest":
-            return cmd_selftest()
         manifest = RunManifest(args.command, config_hash(config),
                                config["seed"])
         code = COMMANDS[args.command](config, out, manifest)

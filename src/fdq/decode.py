@@ -1,8 +1,10 @@
 """Beam search with pluggable per-step value scoring.
 
-One engine and one loop over positions (`_run`) drive every mode; the
-length protocol is that loop given a demanded length.  At each step every
-live hypothesis is expanded over the candidate vocabulary; each
+One engine and one loop over positions (`Engine.search`) drive every
+mode; the length protocol is that loop given a demanded length.  A forced
+token takes the same step with one chosen candidate (`Engine.force`), so
+a search runs on from a forced prefix as from the root.  At each step
+every live hypothesis is expanded over the candidate vocabulary; each
 candidate's combined score is
 
     combined = cumulative log p(prefix + y | X) + weight * qterm(y)
@@ -179,33 +181,25 @@ class NBestList:
         return self.entries[0]
 
 
-class _Engine:
+class Engine:
     """Shared expansion machinery for beam, protocol, and exhaustive modes.
 
     A candidate is a (parent row, y) pair of the live _Beam.  The beam is
-    kept in token order, so a parent's row is its rank.
+    kept in token order, so a parent's row is its rank.  root is the beam
+    after BOS; force extends a beam by a chosen token, and search runs on
+    from any beam.
     """
 
-    def __init__(self, model, scorer, src, config, prefix=()):
-        if prefix and scorer is not None:
-            # a forced root was never admitted with a qterm to build on
-            raise ContractError("a scorer cannot guide a forced prefix")
+    def __init__(self, model, scorer, src, config):
         self.model = model
         self.weight = config.weight if scorer is not None else 0.0
         self.scorer = scorer if scorer is not None else Scorer()
         self.ctx, state = model.encode(src)
         rows = self.scorer.prepare(model, src, self.ctx)
         logprobs, state = model.decode_step(state, BOS, self.ctx)
-        cum = 0.0
-        for tok in prefix:
-            if tok in (PAD, BOS, EOS):
-                raise ContractError(f"prefix may only hold content tokens, "
-                                    f"got {tok}")
-            cum += float(logprobs[tok])
-            logprobs, state = model.decode_step(state, tok, self.ctx)
         root = DecoderState(state.h[None], state.c[None], state.feed[None],
                             model)
-        self.root = _Beam([tuple(prefix)], np.array([cum]), np.zeros(1), root,
+        self.root = _Beam([()], np.zeros(1), np.zeros(1), root,
                           logprobs[None], rows)
 
     def expand(self, beam, allow_content=True, allow_eos=True):
@@ -266,6 +260,52 @@ class _Engine:
                      self.scorer.advance(beam.scorer_rows, parents, ys))
         return live, finished
 
+    def force(self, beam, tok):
+        """The one-row beam that extends row 0 of beam by content token tok,
+        scored and advanced by the step a searched candidate takes."""
+        if tok in (PAD, BOS, EOS) or not 0 <= tok < self.model.tgt_vocab:
+            raise ContractError(f"cannot force non-content token {tok}")
+        scores = self.expand(beam)
+        return self.settle(beam, scores, (np.zeros(1, np.int64),
+                                          np.array([tok], np.int64)))[0]
+
+    def search(self, live, config, keep_all=False, length=None):
+        """The NBestList of a search from the live beam, its best
+        `nbest or beam` finished hypotheses; the only loop over positions.
+
+        Positions start after the live beam's length.  It ends once `beam`
+        hypotheses have finished (never, with keep_all).  A demanded length
+        L bars EOS before position L+1, where the rows with EOS in their
+        own top `beam` are admitted and the best log p among them is the
+        only entry; if none is, the first step that finishes anything ends
+        it.
+        """
+        start = len(live.tokens[0])
+        cap = config.cap if config.cap is not None else self.model.max_len
+        cap = max(cap, start, 0 if length is None else length + 1)
+        pool = []
+        limit = None if keep_all else config.beam
+        stop = config.beam if length is None else 1
+        for pos in range(start + 1, cap + 2):
+            if live is None:
+                break
+            scores = self.expand(live, allow_content=pos <= cap,
+                                 allow_eos=length is None or pos > length)
+            if length is not None and pos == length + 1:
+                admitted = _admitted_eos(live, scores, config.beam)
+                if admitted:
+                    # footnote rule: the pool competes on likelihood, not
+                    # combined score
+                    pool = [min(admitted, key=lambda h: (-h.logp, h.tokens))]
+                    break
+            live, finished = self.settle(live, scores,
+                                         self.ranked(scores, limit))
+            pool.extend(finished)
+            if not keep_all and len(pool) >= stop:
+                break
+        pool.sort(key=lambda h: (-h.combined, h.tokens))
+        return NBestList(pool[:config.nbest or config.beam])
+
 
 def _finished(beam, scores, rows):
     """The DecodedHyps that close the given beam rows with EOS."""
@@ -283,57 +323,16 @@ def _admitted_eos(beam, scores, limit):
     return _finished(beam, scores, np.flatnonzero(rank < limit).tolist())
 
 
-def _run(model, scorer, src, config, keep_all=False, prefix=(), length=None):
-    """The NBestList of one search, its best `nbest or beam` finished
-    hypotheses; the only loop over positions.
-
-    It ends once `beam` hypotheses have finished (never, with keep_all).
-    A demanded length L bars EOS before position L+1, where the rows with
-    EOS in their own top `beam` are admitted and the best log p among them
-    is the only entry; if none is, the first step that finishes anything
-    ends it.
-    """
+def _run(model, scorer, src, config, keep_all=False, length=None):
+    """Engine.search from the root of a fresh engine over src."""
     config.validate()
-    cap = config.cap if config.cap is not None else model.max_len
-    cap = max(cap, len(prefix), 0 if length is None else length + 1)
-    eng = _Engine(model, scorer, src, config, prefix=prefix)
-    live = eng.root
-    pool = []
-    limit = None if keep_all else config.beam
-    stop = config.beam if length is None else 1
-    for pos in range(len(prefix) + 1, cap + 2):
-        if live is None:
-            break
-        scores = eng.expand(live, allow_content=pos <= cap,
-                            allow_eos=length is None or pos > length)
-        if length is not None and pos == length + 1:
-            admitted = _admitted_eos(live, scores, config.beam)
-            if admitted:
-                # footnote rule: the pool competes on likelihood, not
-                # combined score
-                pool = [min(admitted, key=lambda h: (-h.logp, h.tokens))]
-                break
-        live, finished = eng.settle(live, scores, eng.ranked(scores, limit))
-        pool.extend(finished)
-        if not keep_all and len(pool) >= stop:
-            break
-    pool.sort(key=lambda h: (-h.combined, h.tokens))
-    return NBestList(pool[:config.nbest or config.beam])
+    eng = Engine(model, scorer, src, config)
+    return eng.search(eng.root, config, keep_all, length)
 
 
 def beam_search(model, src, config=None):
     """Standard beam search ranked by cumulative log-probability."""
     return _run(model, None, src, config or DecodeConfig())
-
-
-def beam_complete(model, src, prefix, config=None):
-    """Beam-search the best completion of a forced content prefix.
-
-    Returns a DecodedHyp whose tokens include the prefix; its logp covers
-    the whole sequence, forced steps included.
-    """
-    return _run(model, None, src, config or DecodeConfig(),
-                prefix=tuple(prefix)).top()
 
 
 def guided_beam_search(model, scorer, src, config):

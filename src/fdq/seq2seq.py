@@ -73,10 +73,14 @@ class EncoderContext:
 
 
 def init_params(shapes, params, rng):
-    """Check named parameters against shapes; draw them from rng if absent."""
+    """Check named parameters against shapes, with no name left over; draw
+    them from rng if absent."""
     if params is None:
         params = {name: Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
                   for name, shape in shapes}
+    extra = set(params).difference(name for name, _ in shapes)
+    if extra:
+        raise ContractError(f"unexpected parameters {sorted(extra)}")
     for name, shape in shapes:
         if params[name].shape != shape:
             raise ContractError(

@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .checkpoint import Checkpointed
 from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter, is_ids,
                    pad_ids, read_ndjson, write_ndjson)
-from .decode import NEG_SENTINEL, DecodeConfig, Scorer, beam_complete
+from .decode import NEG_SENTINEL, DecodeConfig, Engine, Scorer
 from .errors import ConfigError, ContractError, DimensionError
 from .metrics import rouge2, sentence_bleu
 from .seeding import stream_key, substream
@@ -402,27 +402,25 @@ def generate_rollouts(model, corpus, config=None):
     records = []
     for i, pair in enumerate(corpus.pairs):
         gold = list(pair.tgt[:-1])
+        # one engine per pair: the root is forced along base, and every
+        # completion searches on from it
+        eng = Engine(model, None, pair.src, complete_cfg)
         if config.prefix_source == "gold":
             base = gold
         else:
-            base = list(beam_complete(model, pair.src, (),
-                                      complete_cfg).content)
+            base = list(eng.search(eng.root, complete_cfg).top().content)
         n = len(base)
         if n == 0:
             continue
         rng = substream(config.seed, "rollout", i)
         k = min(config.positions, n)
         positions = sorted(int(t) + 1 for t in rng.permutation(n)[:k])
-        # one replay of the prefix: logprobs follows BOS + base[:done]
-        ctx, state = model.encode(pair.src)
-        logprobs, state = model.decode_step(state, BOS, ctx)
-        done = 0
+        root = eng.root
         for t in positions:
-            for tok in base[done:t - 1]:
-                logprobs, state = model.decode_step(state, tok, ctx)
-            done = t - 1
+            for tok in base[len(root.tokens[0]):t - 1]:
+                root = eng.force(root, tok)
             # one ancestral draw per sample; PAD and BOS are barred
-            probs = np.exp(logprobs.astype(np.float64))
+            probs = np.exp(root.logprobs[0].astype(np.float64))
             probs[PAD] = 0.0
             probs[BOS] = 0.0
             probs /= probs.sum()
@@ -434,8 +432,8 @@ def generate_rollouts(model, corpus, config=None):
                 if y_t == EOS:
                     completed = list(prefix)
                 else:
-                    completed = list(beam_complete(model, pair.src, prefix,
-                                                   complete_cfg).tokens)
+                    completed = list(eng.search(eng.force(root, y_t),
+                                                complete_cfg).top().tokens)
                 content = completed[:-1] if completed[-1] == EOS else completed
                 q = float(score(content, gold))
                 records.append({

@@ -1,8 +1,9 @@
 """Slow or separate references the library's paths are checked against:
 the width-1 replay behind batched log p(Y|X) scores, a rollout action
-drawn after a from-scratch prefix replay, the length protocol as its own
-loop over positions, and the unfused LSTM step and per-tensor optimizer
-behind the fused training kernels."""
+drawn after a from-scratch prefix replay, a forced prefix replayed as a
+search root, the length protocol as its own loop over positions, and the
+unfused LSTM step and per-tensor optimizer behind the fused training
+kernels."""
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from fdq.autodiff import Tensor, _record
 from fdq.data import BOS, PAD
 from fdq.errors import SearchSpaceError, TrainingDivergenceError
 from fdq.optim import clip_by_global_norm
+from fdq.seq2seq import DecoderState
 
 
 def step_logprobs(model, src, tgt):
@@ -41,6 +43,21 @@ def sampled_action(model, src, prefix, seed):
     return int(np.random.default_rng(seed).choice(model.tgt_vocab, p=probs))
 
 
+def replayed_root(model, src, prefix):
+    """The one-row search root after BOS + a forced content prefix, as the
+    engine once built it: width-1 decode_steps, with the forced tokens'
+    log-probs summed into cum one float at a time."""
+    ctx, state = model.encode(src)
+    logprobs, state = model.decode_step(state, BOS, ctx)
+    cum = 0.0
+    for tok in prefix:
+        cum += float(logprobs[tok])
+        logprobs, state = model.decode_step(state, tok, ctx)
+    rows = DecoderState(state.h[None], state.c[None], state.feed[None], model)
+    return decode._Beam([tuple(prefix)], np.array([cum]), np.zeros(1), rows,
+                        logprobs[None], None)
+
+
 def length_forced_select(model, regressor, src, length, config):
     """The length protocol as a loop of its own; returns the hypothesis
     and whether it was admitted at L+1 (False: it fell back to the first
@@ -54,7 +71,7 @@ def length_forced_select(model, regressor, src, length, config):
                                          config).top(), None
     cap = config.cap if config.cap is not None else model.max_len
     cap = max(cap, length + 1)
-    eng = decode._Engine(model, scorer, src, config)
+    eng = decode.Engine(model, scorer, src, config)
     live = eng.root
     for pos in range(1, cap + 2):
         if live is None:

@@ -150,9 +150,11 @@ class TestModelFormat:
         PartialBackwardEnsemble(((1, None),), {0: Seq2Seq(7, 6, hidden=4)}),
     ], ids=lambda m: type(m).__name__)
     @pytest.mark.parametrize("damage", ["drop_parameter", "empty_meta",
-                                        "extra_meta", "non_integral_meta"])
+                                        "extra_meta", "non_integral_meta",
+                                        "extra_tensor", "scalar_meta"])
     def test_broken_model_file_names_the_file(self, tmp_path, model, damage):
-        # the meta damages leave every tensor shape as the model wants it
+        # the meta damages and the extra tensor leave every tensor the
+        # model wants in place, with the shape it wants
         path = tmp_path / "m.fdq"
         model.save(path)
         named = load_tensors(path)
@@ -162,9 +164,26 @@ class TestModelFormat:
             named["meta"] = np.append(named["meta"], np.float32([99, 7]))
         elif damage == "non_integral_meta":
             named["meta"][0] += 0.5  # e.g. hidden 4.5 for a regression head
+        elif damage == "extra_tensor":
+            named["junk/w"] = np.zeros(2, dtype=np.float32)
+        elif damage == "scalar_meta":
+            named["meta"] = named["meta"][0]
         else:
             del named[[k for k in named if k != "meta"
                        and not k.startswith("__type__/")][-1]]
         save_tensors(path, named)
         with pytest.raises(CheckpointError, match=f"{path}: not a "):
             type(model).load(path)
+
+    def test_group_for_an_empty_bucket_names_the_file(self, tmp_path):
+        # bucket 1 is marked empty in meta, yet the file holds a b1/ group
+        model = PartialBackwardEnsemble(((1, 2), (3, None)),
+                                        {0: Seq2Seq(7, 6, hidden=4)})
+        path = tmp_path / "m.fdq"
+        model.save(path)
+        named = load_tensors(path)
+        named.update({"b1/" + k[3:]: v for k, v in list(named.items())
+                      if k.startswith("b0/")})
+        save_tensors(path, named)
+        with pytest.raises(CheckpointError, match=f"{path}: not a .*b1/"):
+            PartialBackwardEnsemble.load(path)

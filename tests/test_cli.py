@@ -500,6 +500,34 @@ class TestDecode:
         assert f"{out2 / 'forward.fdq'}: not a seq2seq" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["extra_tensor", "scalar_meta",
+                                        "empty_bucket_group"])
+    def test_damaged_checkpoint_exits_two(self, rig, opt2_rig, tmp_path,
+                                          capsys, damage):
+        # each damage keeps every tensor the model wants, as it wants it
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        copy_forward(out, out2)
+        path, tag, sets = out2 / "forward.fdq", "seq2seq", []
+        if damage == "empty_bucket_group":
+            # opt2_rig's last bucket is empty
+            path, tag = out2 / "q_backward_opt2.fdq", "backward_q2"
+            for name in (path.name, f"{path.name}.key"):
+                shutil.copyfile(opt2_rig[1] / name, out2 / name)
+            sets = ["decode.mode=mmi_q", "q.family=backward_opt2"]
+        named = load_tensors(path)
+        if damage == "extra_tensor":
+            named["junk/w"] = np.zeros(2, dtype=np.float32)
+        elif damage == "scalar_meta":
+            named["meta"] = named["meta"][0]
+        else:
+            named.update({"b1/" + k[3:]: v for k, v in list(named.items())
+                          if k.startswith("b0/")})
+        save_tensors(path, named)
+        assert run("decode", cfg, out2, *sets) == 2
+        assert f"{path}: not a {tag}" in capsys.readouterr().err
+
     def test_corpus_cache_as_input(self, rig):
         cfg, out = rig
         code = run("decode", cfg, out,
@@ -622,12 +650,6 @@ class TestCompare:
         cfg, out2 = opt2_rig
         assert run("compare", cfg, out2, "decode.weights=[]") == 2
         assert "decode.weights" in capsys.readouterr().err
-
-
-class TestSelftest:
-    def test_all_checks_pass(self, tmp_path, capsys):
-        assert main(["selftest", "--out", str(tmp_path / "s")]) == 0
-        assert "selftest: 4/4 passed" in capsys.readouterr().out
 
 
 class TestManifests:

@@ -1,5 +1,5 @@
 """Pinned cost counters: tape nodes recorded by the training graphs, and
-decoder calls made by the search and by rollout generation.
+encoder and decoder calls made by the search and by rollout generation.
 
 Unlike wall time, these counts are exact and the same on every run.  A
 change that moves one updates its pin here and says so in CHANGES.md.
@@ -65,10 +65,16 @@ def test_mle_loss_node_count(attention, nodes):
 
 
 def _search_counts(monkeypatch, search):
-    """Seq2Seq.advance calls and rows, and decode_step calls, of search().
-    decode_step advances one row itself, so it adds one call and one row."""
-    counts = {"advance": 0, "rows": 0, "decode_step": 0}
-    advance, decode_step = Seq2Seq.advance, Seq2Seq.decode_step
+    """Seq2Seq.encode calls, advance calls and rows, and decode_step calls,
+    of search().  decode_step advances one row itself, so it adds one call
+    and one row."""
+    counts = {"encode": 0, "advance": 0, "rows": 0, "decode_step": 0}
+    encode, advance = Seq2Seq.encode, Seq2Seq.advance
+    decode_step = Seq2Seq.decode_step
+
+    def counted_encode(self, src):
+        counts["encode"] += 1
+        return encode(self, src)
 
     def counted_advance(self, state, ctx, token_ids):
         counts["advance"] += 1
@@ -79,6 +85,7 @@ def _search_counts(monkeypatch, search):
         counts["decode_step"] += 1
         return decode_step(self, state, prev_token, ctx)
 
+    monkeypatch.setattr(Seq2Seq, "encode", counted_encode)
     monkeypatch.setattr(Seq2Seq, "advance", counted_advance)
     monkeypatch.setattr(Seq2Seq, "decode_step", counted_step)
     search()
@@ -87,12 +94,14 @@ def _search_counts(monkeypatch, search):
 
 @pytest.mark.parametrize("search, want", [
     # beam 3: three steps of kept rows after the root
-    ("beam", {"advance": 4, "rows": 7, "decode_step": 1}),
+    ("beam", {"encode": 1, "advance": 4, "rows": 7, "decode_step": 1}),
     # beam 2, L=2: EOS is admitted at position 3; each step adds the
     # scorer's speculative [B*V] advance to the kept rows' advance
-    ("admitted", {"advance": 6, "rows": 50, "decode_step": 1}),
+    ("admitted", {"encode": 1, "advance": 6, "rows": 50,
+                  "decode_step": 1}),
     # beam 1, L=2: nothing is admitted, so the search runs to the cap of 8
-    ("fallback", {"advance": 18, "rows": 90, "decode_step": 1}),
+    ("fallback", {"encode": 1, "advance": 18, "rows": 90,
+                  "decode_step": 1}),
 ])
 def test_search_decoder_calls(monkeypatch, search, want):
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
@@ -108,11 +117,10 @@ def test_search_decoder_calls(monkeypatch, search, want):
 
 
 def test_rollout_decoder_calls(monkeypatch):
-    # 5 pairs, 4 positions x 2 samples each: the prefix is replayed once
-    # per pair up to its last position (decode_step), and every sample
-    # that is not EOS is beam-completed (advance).  Replaying the prefix
-    # from scratch for every sample made 230 decode_step and 386 advance
-    # calls.
+    # 5 pairs, 4 positions x 2 samples each: one engine per pair encodes
+    # the source and steps BOS (decode_step), forces its root along the
+    # prefix up to the last position, and searches on from the root
+    # forced by every sample that is not EOS (advance).
     corpus = gen_task(TaskSpec("copy", vocab=4, min_len=3, max_len=6,
                                pairs=5, seed=2))
     model = Seq2Seq(len(corpus.src_vocab), len(corpus.tgt_vocab), hidden=3,
@@ -123,4 +131,5 @@ def test_rollout_decoder_calls(monkeypatch):
     counts = _search_counts(monkeypatch, lambda: records.extend(
         generate_rollouts(model, corpus, config)))
     assert len(records) == 40
-    assert counts == {"advance": 294, "rows": 450, "decode_step": 138}
+    assert counts == {"encode": 5, "advance": 210, "rows": 366,
+                      "decode_step": 5}

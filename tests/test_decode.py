@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from fdq.autodiff import Tensor, log_softmax
-from fdq.data import BOS, EOS, PAD, SequencePair, TaskSpec, gen_task
-from fdq.decode import (BATCH_ATOL, CallableScorer, DecodeConfig,
-                        LengthScorer, _admitted_eos, _Beam, _Engine,
-                        beam_complete, beam_search, decode_corpus,
-                        exhaustive_decode, guided_beam_search,
+from fdq.data import BOS, EOS, PAD, UNK, SequencePair, TaskSpec, gen_task
+from fdq.decode import (BATCH_ATOL, CallableScorer, DecodeConfig, Engine,
+                        LengthScorer, _admitted_eos, _Beam, beam_search,
+                        decode_corpus, exhaustive_decode, guided_beam_search,
                         length_forced_select, mmi_rerank, rescore_nbest)
 from fdq.errors import ConfigError, ContractError, SearchSpaceError
 from fdq.seeding import stream_key
@@ -20,7 +19,7 @@ from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, train_mle,
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer)
 from reference import length_forced_select as reference_protocol
-from reference import step_logprobs
+from reference import replayed_root, step_logprobs
 
 
 def tiny_model(seed=0, vs=6, vt=6, hidden=3):
@@ -209,8 +208,8 @@ class TestGuidedBeam:
 
 def live_beam(model, scorer, src, steps, beam=4):
     """The engine and its live beam after `steps` EOS-free steps."""
-    eng = _Engine(model, scorer, src,
-                  DecodeConfig(mode="mmi_q", beam=beam, weight=1.0))
+    eng = Engine(model, scorer, src,
+                 DecodeConfig(mode="mmi_q", beam=beam, weight=1.0))
     live = eng.root
     for _ in range(steps):
         scores = eng.expand(live, allow_eos=False)
@@ -271,8 +270,8 @@ class TestBatchedStep:
             scorer = CallableScorer(
                 lambda prefix, y, s=seed: float(stream_key(s, *prefix, y) % 3),
                 7)
-            eng = _Engine(m, scorer, [4, 5],
-                          DecodeConfig(mode="mmi_q", beam=4, weight=1.0))
+            eng = Engine(m, scorer, [4, 5],
+                         DecodeConfig(mode="mmi_q", beam=4, weight=1.0))
             live = eng.root
             for pos in range(1, 5):
                 flags = dict(allow_content=pos < 4, allow_eos=pos > 1)
@@ -316,8 +315,8 @@ class TestBatchedStep:
         for m in (uniform_model(vt=vt, hidden=hidden),
                   tiny_model(7, vt=vt, hidden=hidden)):
             scorer = Coarse(predictor)
-            eng = _Engine(m, scorer, src,
-                          DecodeConfig(mode="outcome_q", beam=4, weight=1.0))
+            eng = Engine(m, scorer, src,
+                         DecodeConfig(mode="outcome_q", beam=4, weight=1.0))
             live = eng.root
             moved = False
             for _ in range(4):
@@ -383,12 +382,43 @@ class TestBatchedStep:
                 assert eos[b] == live.qterm[b]
                 assert eos[b] == pytest.approx(fresh, rel=0, abs=BATCH_ATOL)
 
-    def test_scorer_cannot_guide_a_forced_prefix(self):
+    @pytest.mark.parametrize("seed, attention", [(0, True), (1, False),
+                                                 (2, True)])
+    def test_forced_search_matches_a_prefix_replay(self, seed, attention):
+        # forcing a prefix token by token gives the root a width-1 replay
+        # of BOS + prefix builds, bitwise, and so the same completions
+        m = Seq2Seq(6, 9, hidden=5, attention=attention, max_len=6, seed=seed)
+        src = [4, 5, 3][:seed + 1]
+        config = DecodeConfig(beam=3)
+        eng = Engine(m, None, src, config)
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, 3, 7):
+            prefix = tuple(int(t) for t in rng.integers(UNK, 9, size=n))
+            live = eng.root
+            for tok in prefix:
+                live = eng.force(live, tok)
+            want = replayed_root(m, src, prefix)
+            assert live.tokens == want.tokens
+            for got, ref in ((live.cum, want.cum),
+                             (live.logprobs, want.logprobs),
+                             (live.state.h, want.state.h),
+                             (live.state.c, want.state.c),
+                             (live.state.feed, want.state.feed)):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+            got, ref = (eng.search(root, config).entries
+                        for root in (live, want))
+            assert [(h.tokens, h.logp, h.combined) for h in got] == \
+                [(h.tokens, h.logp, h.combined) for h in ref]
+            assert all(h.tokens[:n] == prefix for h in got)
+
+    @pytest.mark.parametrize("tok", [PAD, BOS, EOS, -1, 6])
+    def test_force_takes_only_content_tokens(self, tok):
         m = tiny_model(5)
-        scorer = bounded_random_scorer(m.tgt_vocab, "prefix")
-        with pytest.raises(ContractError, match="forced prefix"):
-            _Engine(m, scorer, [4, 5], DecodeConfig(mode="mmi_q"), prefix=(3,))
-        assert beam_complete(m, [4, 5], (3,)).tokens[0] == 3
+        eng = Engine(m, None, [4, 5], DecodeConfig())
+        with pytest.raises(ContractError, match="content token"):
+            eng.force(eng.root, tok)
+        assert eng.force(eng.root, UNK).tokens == [(UNK,)]
 
     def test_scorer_shape_is_checked(self):
         m = tiny_model(6)

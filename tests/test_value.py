@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdq.data import EOS, Corpus, SequencePair, TaskSpec, gen_task, make_batch, split
-from fdq.decode import (BATCH_ATOL, NEG_SENTINEL, DecodeConfig, _Engine,
+from fdq.decode import (BATCH_ATOL, NEG_SENTINEL, DecodeConfig, Engine,
                         guided_beam_search)
 from fdq.errors import (CheckpointError, ConfigError, ContractError,
                         DimensionError, LoadError)
@@ -573,7 +573,7 @@ class TestScorers:
     def test_partial_backward_scorer_empty_prefix_eos(self, dialogue_rig):
         train, dev, forward, backward, ensemble = dialogue_rig
         scorer = PartialBackwardScorer(ensemble)
-        eng = _Engine(forward, scorer, dev.pairs[0].src,
-                      DecodeConfig(mode="mmi_q"))
+        eng = Engine(forward, scorer, dev.pairs[0].src,
+                     DecodeConfig(mode="mmi_q"))
         vec = scorer.score_candidates(eng.root, eng.ctx)
         assert vec[0, EOS] == NEG_SENTINEL
