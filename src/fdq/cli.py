@@ -227,8 +227,7 @@ def cmd_train_q(config, out, manifest):
         fit = partial(train_backward_q_option2, train, sched,
                       buckets=q["buckets"], hidden=q["hidden"],
                       attention=config["model"]["attention"],
-                      max_len=config["model"]["max_len"],
-                      full_targets_only=q["full_targets_only"])
+                      max_len=config["model"]["max_len"])
     else:
         records = _rollouts(config, out, model, train, manifest)
         cut = max(1, int(0.9 * len(records)))

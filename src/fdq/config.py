@@ -40,7 +40,6 @@ DEFAULT_CONFIG = {
         "backward": {"hidden": 32, "epochs": 30, "batch_size": 32,
                      "lr": 5e-3},
         "buckets": [[1, 2], [3, 4], [5, 7], [8, 12], [13, None]],
-        "full_targets_only": False,
         "rollout": {"positions": 4, "samples": 2, "beam": 7,
                     "metric": "bleu", "prefix_source": "gold",
                     "pairs": None},

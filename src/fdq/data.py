@@ -66,6 +66,8 @@ class Vocab:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if tuple(lines[:4]) != RESERVED:
             raise LoadError(f"{path}: reserved tokens missing or reordered")
+        if len(set(lines)) != len(lines):
+            raise LoadError(f"{path}: a token occurs twice")
         return cls(lines[4:])
 
 

@@ -17,7 +17,7 @@ expansion code with an unbounded keep limit, so score arithmetic agrees
 bitwise and ties resolve identically.
 
 The live beam is kept as rows of one length in token order, so a step is
-batched: one scorer call, one sort and one decoder call cover the beam.
+batched: one scorer call, one sort, and one gather or decoder call cover it.
 
 Ties everywhere: higher combined score first, then the lexicographically
 smaller token tuple (lower token id, then shorter prefix).
@@ -46,6 +46,7 @@ EXHAUSTIVE_GUARD = 10 ** 6
 
 # A row batched into a K-row matmul rounds differently in float32 than the
 # row alone: by 1e-6 to 8e-6 in log p for trained lab models, within this.
+# A kept row gathered from its step's B*V batch rounds as in that batch.
 BATCH_ATOL = 1e-5
 
 
@@ -81,19 +82,15 @@ class Scorer:
     """Per-step value estimator interface for guided search.
 
     prepare(model, src, ctx) readies the scorer for one source and returns
-    its rows for the root hypothesis, or None if it keeps none.
-    score_candidates(beam, ctx) returns a [B, V] array: row b holds one
-    qterm per target-vocabulary id for the hypothetical extension of beam
-    row b by that id; EOS is scored mechanically like any other token.
-    advance(rows, parents, ys) returns the rows of the kept candidates:
-    row k extends row parents[k] by token ys[k].
+    its rows (a tuple of arrays) for the root hypothesis, or None.
+    score_candidates(beam, ctx) returns (qterm, rows): qterm[b, y] is the
+    qterm of extending beam row b by id y, EOS scored mechanically like
+    any other token; rows is None or the scorer's rows of every
+    candidate, candidate (b, y) at row b*V + y.
     """
 
     def prepare(self, model, src, ctx):
         return None
-
-    def advance(self, rows, parents, ys):
-        return rows
 
     def score_candidates(self, beam, ctx):
         raise NotImplementedError
@@ -108,21 +105,19 @@ class CallableScorer(Scorer):
 
     def score_candidates(self, beam, ctx):
         return np.array([[self.fn(tokens, y) for y in range(self.vocab)]
-                         for tokens in beam.tokens], dtype=np.float64)
+                         for tokens in beam.tokens], dtype=np.float64), None
 
 
 class RegressorScorer(Scorer):
-    """qterm = estimator.predict(h_t) on speculative candidate states."""
+    """qterm = estimator.predict(h_t) on the candidates' decoder states."""
 
     def __init__(self, regressor):
         self.regressor = regressor
 
     def score_candidates(self, beam, ctx):
-        b, vocab = len(beam), ctx.owner.tgt_vocab
-        state = beam.state.take(np.repeat(np.arange(b), vocab))
-        h, _, _, _ = ctx.owner.advance(state, ctx, np.tile(np.arange(vocab), b))
+        h = beam.children(ctx)[0]
         return np.asarray(self.regressor.predict(h),
-                          dtype=np.float64).reshape(b, vocab)
+                          dtype=np.float64).reshape(len(beam), -1), None
 
 
 class LengthScorer(RegressorScorer):
@@ -135,9 +130,9 @@ class LengthScorer(RegressorScorer):
         self.length = int(length)
 
     def score_candidates(self, beam, ctx):
-        qhat = super().score_candidates(beam, ctx)
+        qhat, rows = super().score_candidates(beam, ctx)
         remaining = self.length - (len(beam.tokens[0]) + 1)
-        return -((remaining - qhat) ** 2)
+        return -((remaining - qhat) ** 2), rows
 
 
 @dataclass(slots=True, eq=False)
@@ -150,9 +145,19 @@ class _Beam:
     state: DecoderState    # [B,H] decoder rows
     logprobs: np.ndarray   # [B,V] next-token log-probs
     scorer_rows: object    # the scorer's rows, or None
+    advanced: tuple = None  # children(), once made
 
     def __len__(self):
         return len(self.tokens)
+
+    def children(self, ctx):
+        """The decoder advance (h, c, feed, logits) of every candidate (b, y)
+        at row b*V + y; made at most once."""
+        if self.advanced is None:
+            b, vocab = len(self), ctx.owner.tgt_vocab
+            self.advanced = ctx.owner.advance(self.state.take(np.repeat(
+                np.arange(b), vocab)), ctx, np.tile(np.arange(vocab), b))
+        return self.advanced
 
 
 @dataclass
@@ -203,12 +208,12 @@ class Engine:
                           logprobs[None], rows)
 
     def expand(self, beam, allow_content=True, allow_eos=True):
-        """[B, V] float64 (base, qterm, combined) of every extension of
-        the beam, and the ids that may be candidates at this step."""
+        """[B, V] float64 (base, qterm, combined) of every extension, the
+        ids that may be candidates now, and the scorer's rows or None."""
         base = beam.cum[:, None] + beam.logprobs.astype(np.float64)
         if self.weight != 0.0:
-            qterm = np.asarray(self.scorer.score_candidates(beam, self.ctx),
-                               dtype=np.float64)
+            qterm, rows = self.scorer.score_candidates(beam, self.ctx)
+            qterm = np.asarray(qterm, dtype=np.float64)
             if qterm.shape != base.shape:
                 raise ContractError(f"scorer returned shape {qterm.shape}, "
                                     f"want {base.shape}")
@@ -216,11 +221,11 @@ class Engine:
                 # a NaN would make every comparison in the sort false
                 raise ContractError("scorer returned a non-finite qterm")
         else:
-            qterm = np.zeros_like(base)
+            qterm, rows = np.zeros_like(base), None
         combined = base + self.weight * qterm
         ids = [y for y in range(self.model.tgt_vocab) if y not in (PAD, BOS)
                and (allow_eos if y == EOS else allow_content)]
-        return base, qterm, combined, np.array(ids, dtype=np.int64)
+        return base, qterm, combined, np.array(ids, dtype=np.int64), rows
 
     def ranked(self, scores, limit=None):
         """(parent rows, ys) of the best `limit` candidates (all if None) of
@@ -229,7 +234,7 @@ class Engine:
         Ranked by combined score, then the parent's row, then y: the tie
         rule, because beam rows share a length and are in token order.
         """
-        _, _, combined, ids = scores
+        _, _, combined, ids, _ = scores
         rows = np.repeat(np.arange(combined.shape[0]), len(ids))
         ys = np.tile(ids, combined.shape[0])
         pick = np.lexsort((ys, rows, -combined[:, ids].ravel()))[:limit]
@@ -238,11 +243,12 @@ class Engine:
     def settle(self, beam, scores, chosen):
         """Split chosen (parent rows, ys) into (new beam, finished DecodedHyps).
 
-        The content candidates advance in one decoder call over their
-        parents' gathered rows and form the new beam in token order, or
-        None if there are none; the finished keep the chosen order.
+        The content candidates form the new beam in token order, or None
+        if there are none; the finished keep the chosen order.  Their rows
+        are gathered from the rows of every candidate, the scorer's and,
+        if made, the decoder's; else one decoder call advances them.
         """
-        base, qterm, _, _ = scores
+        base, qterm, _, _, rows = scores
         parents, ys = chosen
         finished = _finished(beam, scores, parents[ys == EOS].tolist())
         order = np.lexsort((ys, parents))
@@ -250,14 +256,16 @@ class Engine:
         if not len(grow):
             return None, finished
         parents, ys = parents[grow], ys[grow]
-        h, c, feed, logits = self.model.advance(beam.state.take(parents),
-                                                self.ctx, ys)
+        kept = parents * self.model.tgt_vocab + ys
+        h, c, feed, logits = (
+            (r[kept] for r in beam.advanced) if beam.advanced is not None
+            else self.model.advance(beam.state.take(parents), self.ctx, ys))
         live = _Beam([beam.tokens[i] + (y,) for i, y in
                       zip(parents.tolist(), ys.tolist())],
                      base[parents, ys], qterm[parents, ys],
                      DecoderState(h, c, feed, self.model),
                      log_softmax(Tensor(logits)).data,
-                     self.scorer.advance(beam.scorer_rows, parents, ys))
+                     None if rows is None else tuple(r[kept] for r in rows))
         return live, finished
 
     def force(self, beam, tok):
@@ -309,7 +317,7 @@ class Engine:
 
 def _finished(beam, scores, rows):
     """The DecodedHyps that close the given beam rows with EOS."""
-    base, qterm, combined, _ = scores
+    base, qterm, combined, _, _ = scores
     return [DecodedHyp(beam.tokens[i] + (EOS,), float(base[i, EOS]),
                        float(qterm[i, EOS]), float(combined[i, EOS]))
             for i in rows]
@@ -318,7 +326,7 @@ def _finished(beam, scores, rows):
 def _admitted_eos(beam, scores, limit):
     """EOS extensions ranked within the top `limit` of their own parent;
     EOS wins its ties, as the lowest candidate id (PAD, BOS never are)."""
-    _, _, combined, ids = scores
+    _, _, combined, ids, _ = scores
     rank = (combined[:, ids] > combined[:, EOS:EOS + 1]).sum(axis=1)
     return _finished(beam, scores, np.flatnonzero(rank < limit).tolist())
 

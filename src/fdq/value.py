@@ -108,35 +108,30 @@ class BackwardRegressor(_MlpRegressor):
 
 
 def _forced_examples(model, corpus, batch_size, label_fn):
-    """(features, labels, index) over states h_t for t = 1..N of each pair.
+    """(features, labels, index) over states h_t for t = 1..N of each pair,
+    pair-major with t ascending.
 
-    label_fn(i, t) supplies the regression target of pair i (its position
-    in corpus order); index rows are (i, t).
+    label_fn(i, t) maps arrays of pair positions (in corpus order) and
+    steps to their regression targets; index rows are (i, t).
     """
-    feats, labels, index = [], [], []
+    feats = [np.zeros((0, model.hidden), np.float32)]
+    index = [np.zeros((0, 2), np.int64)]
     offset = 0
     for batch in batch_iter(corpus, batch_size):
-        states = model.forced_states(batch)
-        rows = int(batch.src.shape[0])
-        for r in range(rows):
-            pair = corpus.pairs[offset + r]
-            for t in range(1, pair.n + 1):
-                feats.append(states[r, t])
-                labels.append(label_fn(offset + r, t))
-                index.append((offset + r, t))
-        offset += rows
-    h = model.hidden
-    if not feats:
-        return (np.zeros((0, h), np.float32), np.zeros(0, np.float64),
-                np.zeros((0, 2), np.int64))
-    return (np.asarray(feats, np.float32), np.asarray(labels, np.float64),
-            np.asarray(index, np.int64))
+        rows, t = np.nonzero(batch.tgt_mask[:, 1:])
+        feats.append(model.forced_states(batch)[rows, t + 1])
+        index.append(np.stack([rows + offset, t + 1], axis=1))
+        offset += batch.src.shape[0]
+    index = np.concatenate(index)
+    labels = label_fn(index[:, 0], index[:, 1])
+    return (np.concatenate(feats), np.asarray(labels, np.float64), index)
 
 
 def length_examples(model, corpus, batch_size=32):
     """Features h_t with labels N - t for every pair and every t."""
+    lengths = np.array([p.n for p in corpus.pairs], dtype=np.int64)
     return _forced_examples(model, corpus, batch_size,
-                            lambda i, t: float(corpus.pairs[i].n - t))
+                            lambda i, t: lengths[i] - t)
 
 
 def backward_examples(forward, backward, corpus, batch_size=32):
@@ -323,25 +318,19 @@ class PartialBackwardEnsemble(Checkpointed):
 
 
 def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
-                             hidden=64, attention=True, max_len=21,
-                             full_targets_only=False):
+                             hidden=64, attention=True, max_len=21):
     """Train per-bucket backward models on (partial target -> source) pairs.
 
     Bucket i trains with seed schedule.seed + i; empty buckets are left
     without a model, and nearest_model routes their lengths to the
-    closest populated one.  full_targets_only restricts examples to t = N,
-    the controlled configuration in which a single-bucket ensemble must
-    match a plain backward model exactly.
+    closest populated one.
     """
     buckets = tuple(tuple(b) for b in buckets)
     _check_buckets(buckets)
     per_bucket = {i: [] for i in range(len(buckets))}
     for pair in corpus.pairs:
         content = list(pair.tgt[:-1])
-        ts = [len(content)] if full_targets_only else range(1, len(content) + 1)
-        for t in ts:
-            if t == 0:
-                continue
+        for t in range(1, len(content) + 1):
             per_bucket[_bucket_index(buckets, t)].append(
                 SequencePair(content[:t], list(pair.src) + [EOS]))
     models = {}
@@ -565,7 +554,8 @@ class OutcomeScorer(Scorer):
     """qterm = predicted outcome of (X, hypothesis + candidate).
 
     Keeps the prefix encoder's (h, c) as [B,H] rows, one per beam row, so
-    each expansion costs one batched LSTM step over the vocabulary.
+    each expansion costs one batched LSTM step over the vocabulary; that
+    step's (h, c) of every candidate are its rows.
     """
 
     def __init__(self, predictor):
@@ -577,16 +567,13 @@ class OutcomeScorer(Scorer):
         h = np.zeros((1, self.q.hidden), dtype=np.float32)
         return (h, h.copy())
 
-    def advance(self, rows, parents, ys):
-        return self.q.step_prefix([r[parents] for r in rows], ys)
-
     def score_candidates(self, beam, ctx):
         b, v = len(beam), ctx.owner.tgt_vocab
         state = [np.repeat(r, v, axis=0) for r in beam.scorer_rows]
-        h, _ = self.q.step_prefix(state, np.tile(np.arange(v), b))
+        h, c = self.q.step_prefix(state, np.tile(np.arange(v), b))
         hx = Tensor(np.broadcast_to(self.hx, (b * v, self.q.hidden)).copy())
         out = self.q._head(hx, Tensor(h))
-        return out.data[:, 0].astype(np.float64).reshape(b, v)
+        return out.data[:, 0].astype(np.float64).reshape(b, v), (h, c)
 
 
 class PartialBackwardScorer(Scorer):
@@ -617,4 +604,4 @@ class PartialBackwardScorer(Scorer):
         out = np.zeros((len(beam), vocab), dtype=np.float64)
         out[:, content] = batch_logprobs(model, pairs).reshape(len(beam), -1)
         out[:, EOS] = beam.qterm if t else NEG_SENTINEL
-        return out
+        return out, None

@@ -219,6 +219,18 @@ class TestTrainQ:
         assert "dev.json.src.vocab differs" in capsys.readouterr().err
         assert run("decode", cfg, out2) == 0
 
+    def test_repeated_vocab_token_exits_two(self, rig, tmp_path, capsys):
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        copy_forward(out, out2)
+        vocab = out2 / "dev.json.tgt.vocab"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        vocab.write_text("\n".join(lines + lines[4:5]) + "\n",
+                         encoding="utf-8")
+        assert run("decode", cfg, out2) == 2
+        assert f"{vocab}: a token occurs twice" in capsys.readouterr().err
+
     def test_opt1_without_backward_exits_two(self, rig, tmp_path, capsys):
         cfg, out = rig
         out2 = tmp_path / "r"

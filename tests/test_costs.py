@@ -1,5 +1,6 @@
-"""Pinned cost counters: tape nodes recorded by the training graphs, and
-encoder and decoder calls made by the search and by rollout generation.
+"""Pinned cost counters: tape nodes recorded by the training graphs,
+encoder and decoder calls made by the search and by rollout generation,
+and the scorers' own calls.
 
 Unlike wall time, these counts are exact and the same on every run.  A
 change that moves one updates its pin here and says so in CHANGES.md.
@@ -9,11 +10,15 @@ import numpy as np
 import pytest
 
 from fdq import autodiff as ad
+from fdq import value
 from fdq.autodiff import LSTMParams, Tape, Tensor
 from fdq.data import TaskSpec, gen_task, make_batch
-from fdq.decode import DecodeConfig, beam_search, length_forced_select
+from fdq.decode import (DecodeConfig, beam_search, guided_beam_search,
+                        length_forced_select)
 from fdq.seq2seq import Seq2Seq, masked_lstm
-from fdq.value import LengthRegressor, RolloutConfig, generate_rollouts
+from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
+                       PartialBackwardEnsemble, PartialBackwardScorer,
+                       RolloutConfig, generate_rollouts)
 
 
 def cell(hidden=3, din=2, seed=0):
@@ -95,12 +100,13 @@ def _search_counts(monkeypatch, search):
 @pytest.mark.parametrize("search, want", [
     # beam 3: three steps of kept rows after the root
     ("beam", {"encode": 1, "advance": 4, "rows": 7, "decode_step": 1}),
-    # beam 2, L=2: EOS is admitted at position 3; each step adds the
-    # scorer's speculative [B*V] advance to the kept rows' advance
-    ("admitted", {"encode": 1, "advance": 6, "rows": 50,
+    # beam 2, L=2: EOS is admitted at position 3; each step makes one
+    # speculative [B*V] advance for the scorer, and the kept rows are
+    # gathered from it (1 + 9 + 18 + 18 rows)
+    ("admitted", {"encode": 1, "advance": 4, "rows": 46,
                   "decode_step": 1}),
     # beam 1, L=2: nothing is admitted, so the search runs to the cap of 8
-    ("fallback", {"encode": 1, "advance": 18, "rows": 90,
+    ("fallback", {"encode": 1, "advance": 10, "rows": 82,
                   "decode_step": 1}),
 ])
 def test_search_decoder_calls(monkeypatch, search, want):
@@ -133,3 +139,53 @@ def test_rollout_decoder_calls(monkeypatch):
     assert len(records) == 40
     assert counts == {"encode": 5, "advance": 210, "rows": 366,
                       "decode_step": 5}
+
+
+def _counted(monkeypatch, owner, name, **fields):
+    """The calls of owner.name while the test runs, and for each field f
+    the sum of fields[f](*args) over those calls."""
+    counts = dict.fromkeys(("calls", *fields), 0)
+    original = getattr(owner, name)
+
+    def counted(*args):
+        counts["calls"] += 1
+        for field, count in fields.items():
+            counts[field] += count(*args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("weight, want", [
+    # one prefix step per search step over every candidate (9 + 18 + 18
+    # rows); the kept rows are gathered from it
+    (1.0, {"calls": 3, "rows": 45}),
+    # the scorer is never consulted at weight 0, so it makes no rows
+    (0.0, {"calls": 0, "rows": 0}),
+])
+def test_outcome_scorer_prefix_steps(monkeypatch, weight, want):
+    model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    scorer = OutcomeScorer(OutcomePredictor(6, 9, hidden=3, seed=2))
+    counts = _counted(monkeypatch, OutcomePredictor, "step_prefix",
+                      rows=lambda self, state, tokens: len(tokens))
+    guided_beam_search(model, scorer, [4, 5],
+                       DecodeConfig(mode="outcome_q", beam=3, weight=weight))
+    assert counts == want
+
+
+def test_partial_backward_scorer_sequences(monkeypatch):
+    # one batched pass per step over every content candidate: the root's
+    # 6 one-token prefixes, then 3 rows x 6 two-token prefixes; tokens
+    # counts the prefix tokens the bucket models re-encode
+    model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    scorer = PartialBackwardScorer(PartialBackwardEnsemble(
+        ((1, 1), (2, None)), {0: Seq2Seq(9, 6, hidden=3, seed=5),
+                              1: Seq2Seq(9, 6, hidden=3, seed=6)}))
+    counts = _counted(
+        monkeypatch, value, "batch_logprobs",
+        seqs=lambda model, pairs: len(pairs),
+        tokens=lambda model, pairs: sum(len(p.src) for p in pairs))
+    guided_beam_search(model, scorer, [4, 5],
+                       DecodeConfig(mode="mmi_q", beam=3, weight=1.0))
+    assert counts == {"calls": 2, "seqs": 24, "tokens": 42}

@@ -231,7 +231,7 @@ def reference_candidates(live, scores, allow_content=True, allow_eos=True):
 
     A candidate is (combined, tokens, parent row, y, cum, qterm).
     """
-    base, qterm, combined, _ = scores
+    base, qterm, combined, *_ = scores
     out = []
     for i, tokens in enumerate(live.tokens):
         for y in range(combined.shape[1]):
@@ -300,45 +300,71 @@ class TestBatchedStep:
             np.testing.assert_allclose(h[k], state.h, rtol=0, atol=BATCH_ATOL)
 
     def test_beam_rows_follow_their_parents(self):
-        # after every step, each beam row's decoder and scorer rows equal a
-        # replay of its own tokens; coarse scores tie often across parents,
-        # and on the uniform model every log-prob ties too
+        # after every step, each beam row's decoder rows, next log-probs
+        # and scorer rows equal a replay of its own tokens; coarse scores
+        # tie often across parents, and on the uniform model every
+        # log-prob ties too.  The outcome scorer's rows come from its
+        # B*V prefix step, and its decoder rows from the kept rows'
+        # advance; the length scorer read every candidate's decoder
+        # advance (children), and the kept decoder rows come from there.
         vt, hidden, src = 9, 8, [4, 5]
 
-        class Coarse(OutcomeScorer):
-            def score_candidates(self, beam, ctx):
-                return np.floor(2 * super().score_candidates(beam, ctx))
+        def coarse(base):
+            class Coarse(base):
+                def score_candidates(self, beam, ctx):
+                    qterm, rows = super().score_candidates(beam, ctx)
+                    return np.floor(2 * qterm), rows
+            return Coarse
 
         predictor = OutcomePredictor(9, vt, hidden=hidden, seed=3)
-        for t in predictor.p.values():
-            t.data *= 15  # spread the predictions across prefixes
-        for m in (uniform_model(vt=vt, hidden=hidden),
-                  tiny_model(7, vt=vt, hidden=hidden)):
-            scorer = Coarse(predictor)
-            eng = Engine(m, scorer, src,
-                         DecodeConfig(mode="outcome_q", beam=4, weight=1.0))
-            live = eng.root
-            moved = False
-            for _ in range(4):
-                first = live.tokens[0]
-                scores = eng.expand(live, allow_eos=False)
-                live, _ = eng.settle(live, scores, eng.ranked(scores, 4))
-                moved |= any(t[:-1] != first for t in live.tokens)
-                for b, tokens in enumerate(live.tokens):
-                    ctx, state = m.encode(src)
-                    _, state = m.decode_step(state, BOS, ctx)
-                    prefix = [np.zeros((1, hidden), dtype=np.float32)] * 2
-                    for tok in tokens:
-                        _, state = m.decode_step(state, tok, ctx)
-                        prefix = scorer.q.step_prefix(prefix, [tok])
-                    row = live.state.take(b)
-                    h, c = (r[b] for r in live.scorer_rows)
-                    for got, want in ((row.h, state.h), (row.c, state.c),
-                                      (row.feed, state.feed),
-                                      (h, prefix[0][0]), (c, prefix[1][0])):
-                        np.testing.assert_allclose(got, want, rtol=0,
-                                                   atol=BATCH_ATOL)
-            assert moved  # some row extends a parent other than row 0
+        regressor = LengthRegressor(hidden, seed=3)
+        for q in (predictor, regressor):
+            for t in q.p.values():
+                t.data *= 15  # spread the predictions across prefixes
+        cases = [  # (scorer factory, models)
+            (lambda: coarse(OutcomeScorer)(predictor),
+             (uniform_model(vt=vt, hidden=hidden),
+              tiny_model(7, vt=vt, hidden=hidden))),
+            # on the uniform model every candidate's h ties, so no row moves
+            (lambda: coarse(LengthScorer)(regressor, 5),
+             (tiny_model(7, vt=vt, hidden=hidden),
+              tiny_model(8, vt=vt, hidden=hidden))),
+        ]
+        for make, models in cases:
+            for m in models:
+                scorer = make()
+                outcome = isinstance(scorer, OutcomeScorer)
+                eng = Engine(m, scorer, src,
+                             DecodeConfig(mode="outcome_q", beam=4, weight=1.0))
+                live = eng.root
+                moved = False
+                for _ in range(4):
+                    first = live.tokens[0]
+                    scores = eng.expand(live, allow_eos=False)
+                    assert (live.advanced is None) == outcome
+                    live, _ = eng.settle(live, scores, eng.ranked(scores, 4))
+                    moved |= any(t[:-1] != first for t in live.tokens)
+                    for b, tokens in enumerate(live.tokens):
+                        ctx, state = m.encode(src)
+                        _, state = m.decode_step(state, BOS, ctx)
+                        prefix = [np.zeros((1, hidden), dtype=np.float32)] * 2
+                        for tok in tokens:
+                            logprobs, state = m.decode_step(state, tok, ctx)
+                            if outcome:
+                                prefix = scorer.q.step_prefix(prefix, [tok])
+                        row = live.state.take(b)
+                        pairs = [(row.h, state.h), (row.c, state.c),
+                                 (row.feed, state.feed),
+                                 (live.logprobs[b], logprobs)]
+                        if outcome:
+                            h, c = (r[b] for r in live.scorer_rows)
+                            pairs += [(h, prefix[0][0]), (c, prefix[1][0])]
+                        else:
+                            assert live.scorer_rows is None
+                        for got, want in pairs:
+                            np.testing.assert_allclose(got, want, rtol=0,
+                                                       atol=BATCH_ATOL)
+                assert moved  # some row extends a parent other than row 0
 
     @pytest.mark.parametrize("family", ["callable", "length", "outcome",
                                         "partial_backward"])
@@ -358,12 +384,17 @@ class TestBatchedStep:
         for steps in (1, 2):
             eng, live = live_beam(m, scorer, [4, 5], steps)
             assert len(live) > 1
-            batch = scorer.score_candidates(live, eng.ctx)
+            batch, rows = scorer.score_candidates(live, eng.ctx)
             assert batch.shape == (len(live), vt)
+            assert (rows is None) == (family != "outcome")
             for b in range(len(live)):
-                alone = scorer.score_candidates(beam_row(live, b), eng.ctx)[0]
-                np.testing.assert_allclose(batch[b], alone, rtol=0,
+                alone, own = scorer.score_candidates(beam_row(live, b),
+                                                     eng.ctx)
+                np.testing.assert_allclose(batch[b], alone[0], rtol=0,
                                            atol=BATCH_ATOL)
+                for got, want in zip(rows or (), own or (), strict=True):
+                    np.testing.assert_allclose(got[b * vt:(b + 1) * vt], want,
+                                               rtol=0, atol=BATCH_ATOL)
 
     def test_partial_backward_eos_is_the_admitted_estimate(self):
         vt, hidden = 9, 8
@@ -375,7 +406,7 @@ class TestBatchedStep:
         src = [4, 5]
         for steps in (1, 2, 3):
             eng, live = live_beam(m, scorer, src, steps)
-            eos = scorer.score_candidates(live, eng.ctx)[:, EOS]
+            eos = scorer.score_candidates(live, eng.ctx)[0][:, EOS]
             for b, tokens in enumerate(live.tokens):
                 fresh = batch_logprobs(ensemble.nearest_model(steps), [
                     SequencePair(list(tokens), src + [EOS])])[0]
@@ -423,7 +454,8 @@ class TestBatchedStep:
     def test_scorer_shape_is_checked(self):
         m = tiny_model(6)
         flat = CallableScorer(lambda prefix, y: 0.0, m.tgt_vocab)
-        flat.score_candidates = lambda beam, ctx: np.zeros(m.tgt_vocab)
+        flat.score_candidates = lambda beam, ctx: (np.zeros(m.tgt_vocab),
+                                                   None)
         with pytest.raises(ContractError, match="shape"):
             guided_beam_search(m, flat, [4, 5],
                                DecodeConfig(mode="mmi_q", weight=1.0))

@@ -288,19 +288,24 @@ class TestBucketRouting:
 
 
 class TestBackwardOption2:
-    def test_full_target_bucket_matches_plain_backward(self):
+    def test_one_bucket_matches_plain_mle_on_every_prefix(self):
+        # one open bucket holds every prefix, so its model is train_mle
+        # on the (y_{1:t} -> X) corpus, under the same seed
         corpus = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=4,
                                    pairs=80, seed=9))
         sched = TrainSchedule(epochs=4, batch_size=16, lr=3e-3, seed=23)
-        plain = train_backward_model(corpus, sched, hidden=12, max_len=8)
+        prefixes = Corpus([SequencePair(p.tgt[:t], list(p.src) + [EOS])
+                           for p in corpus.pairs for t in range(1, p.n + 1)],
+                          corpus.tgt_vocab, corpus.src_vocab, {})
+        plain = Seq2Seq(len(corpus.tgt_vocab), len(corpus.src_vocab),
+                        hidden=12, max_len=8, seed=sched.seed)
+        train_mle(plain, prefixes, sched)
         ens = train_backward_q_option2(corpus, sched, buckets=((1, None),),
-                                       hidden=12, max_len=8,
-                                       full_targets_only=True)
-        for pair in corpus.pairs[:10]:
-            content = list(pair.tgt[:-1])
-            want = sum(step_logprobs(plain, content, list(pair.src) + [EOS]))
-            assert sum(step_logprobs(ens.models[0], content,
-                                     list(pair.src) + [EOS])) == want
+                                       hidden=12, max_len=8)
+        got, want = ens.models[0].to_named(), plain.to_named()
+        assert sorted(got) == sorted(want)
+        for name, arr in want.items():
+            assert np.array_equal(got[name], arr), name
 
     def test_example_routing_is_exhaustive(self, dialogue_rig):
         train, *_ , ensemble = dialogue_rig
@@ -575,5 +580,6 @@ class TestScorers:
         scorer = PartialBackwardScorer(ensemble)
         eng = Engine(forward, scorer, dev.pairs[0].src,
                      DecodeConfig(mode="mmi_q"))
-        vec = scorer.score_candidates(eng.root, eng.ctx)
+        vec, rows = scorer.score_candidates(eng.root, eng.ctx)
+        assert rows is None
         assert vec[0, EOS] == NEG_SENTINEL
