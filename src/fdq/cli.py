@@ -58,10 +58,6 @@ def load_task(config):
     return split(corpus, config["split"], seed=_seed(config, "split"))
 
 
-def _load_forward(out):
-    return Seq2Seq.load(_require(out / FORWARD, "run `fdq train` first"))
-
-
 def _check_vocab(model, corpus, out):
     """The corpus must use the vocabularies `fdq train` saved by dev.json."""
     want = (len(corpus.src_vocab), len(corpus.tgt_vocab))
@@ -84,7 +80,7 @@ def _made_from(config, name):
     and each file's sha256 under the file's stem."""
     run = {"task": config["task"], "split": config["split"],
            "seed": config["seed"]}
-    if name == BACKWARD:
+    if name in (FORWARD, BACKWARD):
         return run, VOCABS
     if name == ROLLOUTS:
         return {**run, "q.rollout": config["q"]["rollout"]}, [FORWARD]
@@ -119,6 +115,13 @@ def _check_key(config, out, name, hint):
     made_from = f"{', '.join(rest)} and {last}" if rest else last
     raise ConfigError(f"{out / name} was not made from this {made_from} "
                       f"({kpath} differs or is missing); {hint}")
+
+
+def _load_forward(config, out):
+    """forward.fdq, if `fdq train` made it for this task, split and seed."""
+    path = _require(out / FORWARD, "run `fdq train` first")
+    _check_key(config, out, FORWARD, "rerun `fdq train`")
+    return Seq2Seq.load(path)
 
 
 def _load_backward(config, out):
@@ -168,6 +171,8 @@ def cmd_train(config, out, manifest):
     model.save(out / FORWARD)
     manifest.artifacts["forward"] = str(out / FORWARD)
     save_corpus(dev, out / "dev.json")
+    # the keys cover the vocabulary sidecars save_corpus wrote
+    _write_key(config, out, FORWARD)
     manifest.artifacts["dev_corpus"] = str(out / "dev.json")
     if _needs_backward(config):
         b = config["q"]["backward"]
@@ -181,7 +186,6 @@ def cmd_train(config, out, manifest):
         print(f"backward_dev_ce={ce:.4f}")
         manifest.metrics["backward_dev_ce"] = ce
         backward.save(out / BACKWARD)
-        # the key covers the vocabulary sidecars save_corpus wrote
         _write_key(config, out, BACKWARD)
         manifest.artifacts["backward"] = str(out / BACKWARD)
     write_json(out / "config.json", config)
@@ -211,7 +215,7 @@ def _rollouts(config, out, model, train, manifest):
 
 
 def cmd_train_q(config, out, manifest):
-    model = _load_forward(out)
+    model = _load_forward(config, out)
     train, dev, _ = load_task(config)
     _check_vocab(model, train, out)
     q = config["q"]
@@ -295,7 +299,7 @@ def _reference_records(corpus):
 
 
 def cmd_decode(config, out, manifest):
-    model = _load_forward(out)
+    model = _load_forward(config, out)
     d = config["decode"]
     if d["input"] is not None:
         corpus = load_corpus(_require(d["input"], "decode.input must exist"))
@@ -403,7 +407,7 @@ def cmd_compare(config, out, manifest):
     if not d["weights"]:
         raise ConfigError("config key 'decode.weights': compare needs a "
                           "non-empty weight grid")
-    model = _load_forward(out)
+    model = _load_forward(config, out)
     _, corpus, _ = load_task(config)
     _check_vocab(model, corpus, out)
     for family in Q_FAMILIES:

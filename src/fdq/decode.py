@@ -78,25 +78,7 @@ class DecodeConfig:
         return self
 
 
-class Scorer:
-    """Per-step value estimator interface for guided search.
-
-    prepare(model, src, ctx) readies the scorer for one source and returns
-    its rows (a tuple of arrays) for the root hypothesis, or None.
-    score_candidates(beam, ctx) returns (qterm, rows): qterm[b, y] is the
-    qterm of extending beam row b by id y, EOS scored mechanically like
-    any other token; rows is None or the scorer's rows of every
-    candidate, candidate (b, y) at row b*V + y.
-    """
-
-    def prepare(self, model, src, ctx):
-        return None
-
-    def score_candidates(self, beam, ctx):
-        raise NotImplementedError
-
-
-class CallableScorer(Scorer):
+class CallableScorer:
     """Adapts fn(prefix_tuple, candidate_id) -> float; for tests and demos."""
 
     def __init__(self, fn, vocab):
@@ -108,7 +90,7 @@ class CallableScorer(Scorer):
                          for tokens in beam.tokens], dtype=np.float64), None
 
 
-class RegressorScorer(Scorer):
+class RegressorScorer:
     """qterm = estimator.predict(h_t) on the candidates' decoder states."""
 
     def __init__(self, regressor):
@@ -193,19 +175,25 @@ class Engine:
     kept in token order, so a parent's row is its rank.  root is the beam
     after BOS; force extends a beam by a chosen token, and search runs on
     from any beam.
+
+    A scorer, consulted only at a nonzero weight, has one method:
+    score_candidates(beam, ctx) returns (qterm, rows).  qterm[b, y] is the
+    qterm of extending beam row b by id y, EOS scored like any token;
+    rows is None or the scorer's rows of every candidate, (b, y) at row
+    b*V + y.  The source is ctx.src and the root has no scorer rows, so a
+    scorer keeps no per-source state and serves any number of searches.
     """
 
     def __init__(self, model, scorer, src, config):
         self.model = model
         self.weight = config.weight if scorer is not None else 0.0
-        self.scorer = scorer if scorer is not None else Scorer()
+        self.scorer = scorer
         self.ctx, state = model.encode(src)
-        rows = self.scorer.prepare(model, src, self.ctx)
         logprobs, state = model.decode_step(state, BOS, self.ctx)
         root = DecoderState(state.h[None], state.c[None], state.feed[None],
                             model)
         self.root = _Beam([()], np.zeros(1), np.zeros(1), root,
-                          logprobs[None], rows)
+                          logprobs[None], None)
 
     def expand(self, beam, allow_content=True, allow_eos=True):
         """[B, V] float64 (base, qterm, combined) of every extension, the

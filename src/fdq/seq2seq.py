@@ -62,14 +62,15 @@ class DecoderState:
 
 
 class EncoderContext:
-    """Encoder outputs for one source, shared by all hypotheses over it."""
+    """Encoder outputs for the source ids src, shared by its hypotheses."""
 
-    __slots__ = ("enc", "mask", "owner")
+    __slots__ = ("enc", "mask", "owner", "src")
 
-    def __init__(self, enc, mask, owner):
+    def __init__(self, enc, mask, owner, src):
         self.enc = enc
         self.mask = mask
         self.owner = owner
+        self.src = src
 
 
 def init_params(shapes, params, rng):
@@ -97,8 +98,8 @@ def lstm_params(p, prefix):
 def masked_lstm(table, lstm, ids, mask):
     """LSTM over [B,S] ids that holds its state wherever mask is 0.
 
-    Returns (steps, h, c): steps[t] is the state after position t, zeroed
-    where mask is 0, and h, c are the final states.
+    Returns (steps, h, c): steps[t] is the state after position t, held
+    where mask is 0 for attention to weight by zero; h, c are the last.
     """
     b = ids.shape[0]
     hidden = lstm.w_hh.shape[1]
@@ -108,7 +109,7 @@ def masked_lstm(table, lstm, ids, mask):
     for t in range(ids.shape[1]):
         m = mask[:, t:t + 1]
         h, c = ad.lstm_step(lstm, ad.rows(table, ids[:, t]), h, c, m)
-        steps.append(ad.mul_const(h, m))
+        steps.append(h)
     return steps, h, c
 
 
@@ -236,7 +237,7 @@ class Seq2Seq(Checkpointed):
             raise ContractError("source token id out of vocabulary range")
         ids, mask = pad_ids([src])
         enc, h, c = self._encode_graph(ids, mask)
-        ctx = EncoderContext(enc.data, mask, self)
+        ctx = EncoderContext(enc.data, mask, self, tuple(src))
         state = DecoderState(h.data[0], c.data[0],
                              np.zeros(self.hidden, dtype=np.float32), self)
         return ctx, state

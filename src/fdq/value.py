@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .checkpoint import Checkpointed
 from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter, is_ids,
                    pad_ids, read_ndjson, write_ndjson)
-from .decode import NEG_SENTINEL, DecodeConfig, Engine, Scorer
+from .decode import NEG_SENTINEL, DecodeConfig, Engine
 from .errors import ConfigError, ContractError, DimensionError
 from .metrics import rouge2, sentence_bleu
 from .seeding import stream_key, substream
@@ -550,34 +550,31 @@ def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
 # -- scorers wiring the estimators into guided search ---------------------------
 
 
-class OutcomeScorer(Scorer):
-    """qterm = predicted outcome of (X, hypothesis + candidate).
+class OutcomeScorer:
+    """qterm = predicted outcome of (ctx.src, hypothesis + candidate).
 
-    Keeps the prefix encoder's (h, c) as [B,H] rows, one per beam row, so
-    each expansion costs one batched LSTM step over the vocabulary; that
-    step's (h, c) of every candidate are its rows.
+    Its rows are the prefix encoder's (h, c) and the source encoding hx,
+    one per beam row; the root has none, so its step encodes the source
+    and starts from zero (h, c).  A step is one LSTM step over B*V rows.
     """
 
     def __init__(self, predictor):
         self.q = predictor
-        self.hx = None
-
-    def prepare(self, model, src, ctx):
-        self.hx = self.q._encode("x", *pad_ids([src])).data
-        h = np.zeros((1, self.q.hidden), dtype=np.float32)
-        return (h, h.copy())
 
     def score_candidates(self, beam, ctx):
         b, v = len(beam), ctx.owner.tgt_vocab
-        state = [np.repeat(r, v, axis=0) for r in beam.scorer_rows]
-        h, c = self.q.step_prefix(state, np.tile(np.arange(v), b))
-        hx = Tensor(np.broadcast_to(self.hx, (b * v, self.q.hidden)).copy())
-        out = self.q._head(hx, Tensor(h))
-        return out.data[:, 0].astype(np.float64).reshape(b, v), (h, c)
+        rows = beam.scorer_rows
+        if rows is None:
+            zero = np.zeros((1, self.q.hidden), dtype=np.float32)
+            rows = (zero, zero, self.q._encode("x", *pad_ids([ctx.src])).data)
+        h, c, hx = (np.repeat(r, v, axis=0) for r in rows)
+        h, c = self.q.step_prefix((h, c), np.tile(np.arange(v), b))
+        out = self.q._head(Tensor(hx), Tensor(h))
+        return out.data[:, 0].astype(np.float64).reshape(b, v), (h, c, hx)
 
 
-class PartialBackwardScorer(Scorer):
-    """qterm = bucket-model estimate of log p(X | hypothesis + candidate).
+class PartialBackwardScorer:
+    """qterm = bucket-model estimate of log p(ctx.src | prefix + candidate).
 
     The content candidates of all beam rows share one bucket and are
     scored in one padded batch.  EOS closes the sequence, so its qterm is
@@ -588,14 +585,10 @@ class PartialBackwardScorer(Scorer):
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
-        self.src = None
-
-    def prepare(self, model, src, ctx):
-        self.src = list(src)
 
     def score_candidates(self, beam, ctx):
         t = len(beam.tokens[0])
-        tgt = self.src + [EOS]
+        tgt = [*ctx.src, EOS]
         vocab = ctx.owner.tgt_vocab
         content = [y for y in range(vocab) if y not in (PAD, BOS, EOS)]
         model = self.ensemble.nearest_model(t + 1)

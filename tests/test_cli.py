@@ -34,9 +34,18 @@ def run(cmd, cfg, out, *sets, seed=1):
 
 
 def copy_forward(out, dst):
-    """Copy a trained forward model with the vocabularies it is bound to."""
-    for name in ("forward.fdq", "dev.json.src.vocab", "dev.json.tgt.vocab"):
+    """Copy a trained forward model with its key and the vocabularies it
+    is bound to."""
+    for name in ("forward.fdq", "forward.fdq.key", "dev.json.src.vocab",
+                 "dev.json.tgt.vocab"):
         shutil.copyfile(out / name, dst / name)
+
+
+def input_corpus(out, dst):
+    """A decode.input copy of out's dev corpus and its vocabularies."""
+    for suffix in ("", ".src.vocab", ".tgt.vocab"):
+        shutil.copyfile(out / f"dev.json{suffix}", dst / f"in.json{suffix}")
+    return dst / "in.json"
 
 
 def read_ndjson(path):
@@ -205,31 +214,57 @@ class TestTrainQ:
 
     def test_vocab_binding_exits_two(self, rig, tmp_path, capsys):
         # same vocab sizes, another token-to-id map: another task, or the
-        # same task drawn under another seed
+        # same task drawn under another seed.  The key of forward.fdq
+        # binds both, and the sidecars bind a decode.input corpus
         cfg, out = rig
         out2 = tmp_path / "r"
         out2.mkdir()
         shutil.copyfile(out / "forward.fdq", out2 / "forward.fdq")
         assert run("decode", cfg, out2) == 2
-        assert "dev.json.src.vocab" in capsys.readouterr().err
+        assert "forward.fdq.key differs or is missing" in \
+            capsys.readouterr().err
         copy_forward(out, out2)
-        assert run("decode", cfg, out2, "task.name=reverse") == 2
-        assert "dev.json.src.vocab differs" in capsys.readouterr().err
-        assert run("decode", cfg, out2, seed=2) == 2
-        assert "dev.json.src.vocab differs" in capsys.readouterr().err
+        for sets, seed in ((["task.name=reverse"], 1), ([], 2)):
+            assert run("decode", cfg, out2, *sets, seed=seed) == 2
+            err = capsys.readouterr().err
+            assert f"{out2 / 'forward.fdq'} was not made from this task" in err
+            assert "rerun `fdq train`" in err
         assert run("decode", cfg, out2) == 0
+        corpus = input_corpus(out, tmp_path)
+        vocab = tmp_path / "in.json.tgt.vocab"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        lines[4], lines[5] = lines[5], lines[4]
+        vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("decode", cfg, out2, f"decode.input={corpus}") == 2
+        assert "dev.json.tgt.vocab differs" in capsys.readouterr().err
 
     def test_repeated_vocab_token_exits_two(self, rig, tmp_path, capsys):
+        cfg, out = rig
+        corpus = input_corpus(out, tmp_path)
+        vocab = tmp_path / "in.json.tgt.vocab"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        vocab.write_text("\n".join(lines + lines[4:5]) + "\n",
+                         encoding="utf-8")
+        assert run("decode", cfg, out, f"decode.input={corpus}") == 2
+        assert f"{vocab}: a token occurs twice" in capsys.readouterr().err
+
+    def test_split_change_exits_two(self, rig, tmp_path, capsys):
+        # dev pairs of another split may be the forward model's training
+        # pairs, so neither a Q fit nor a decode may run on them
         cfg, out = rig
         out2 = tmp_path / "r"
         out2.mkdir()
         copy_forward(out, out2)
-        vocab = out2 / "dev.json.tgt.vocab"
-        lines = vocab.read_text(encoding="utf-8").splitlines()
-        vocab.write_text("\n".join(lines + lines[4:5]) + "\n",
-                         encoding="utf-8")
-        assert run("decode", cfg, out2) == 2
-        assert f"{vocab}: a token occurs twice" in capsys.readouterr().err
+        for name in ("q_length.fdq", "q_length.fdq.key"):
+            shutil.copyfile(out / name, out2 / name)
+        split = "split=[0.6,0.3,0.1]"
+        for command, sets in (("train-q", []), ("decode", []),
+                              ("decode", ["decode.mode=length_q"])):
+            assert run(command, cfg, out2, split, *sets) == 2
+            err = capsys.readouterr().err
+            assert f"{out2 / 'forward.fdq'} was not made from this task, " \
+                "split" in err
+        assert run("decode", cfg, out2, "decode.mode=length_q") == 0
 
     def test_opt1_without_backward_exits_two(self, rig, tmp_path, capsys):
         cfg, out = rig
@@ -475,10 +510,7 @@ class TestDecode:
     def test_malformed_input_exits_two(self, rig, tmp_path, capsys, line,
                                        why):
         cfg, out = rig
-        corpus = tmp_path / "in.json"
-        for side in ("src", "tgt"):
-            shutil.copyfile(out / f"dev.json.{side}.vocab",
-                            tmp_path / f"in.json.{side}.vocab")
+        corpus = input_corpus(out, tmp_path)
         first = (out / "dev.json").read_text().splitlines()[0]
         corpus.write_text(f"{first}\n{line}\n")
         assert run("decode", cfg, out, f"decode.input={corpus}") == 2

@@ -15,7 +15,7 @@ from fdq.autodiff import LSTMParams, Tape, Tensor
 from fdq.data import TaskSpec, gen_task, make_batch
 from fdq.decode import (DecodeConfig, beam_search, guided_beam_search,
                         length_forced_select)
-from fdq.seq2seq import Seq2Seq, masked_lstm
+from fdq.seq2seq import Seq2Seq, TrainSchedule, masked_lstm
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer,
                        RolloutConfig, generate_rollouts)
@@ -39,24 +39,25 @@ def test_lstm_step_records_one_node(lead, mask):
 
 
 @pytest.mark.parametrize("positions", [1, 4, 7])
-def test_masked_lstm_records_three_nodes_per_position(positions):
-    # per position: the embedding rows, the fused step, the zeroed output
+def test_masked_lstm_records_two_nodes_per_position(positions):
+    # per position: the embedding rows and the fused step; a padded
+    # position's held state is read by attention with weight zero
     table = Tensor(np.random.default_rng(1).normal(size=(5, 2)))
     ids = np.zeros((2, positions), dtype=np.int64)
     mask = np.ones((2, positions), dtype=np.float32)
     mask[1, positions // 2:] = 0.0
     with Tape() as tape:
         masked_lstm(table, cell(), ids, mask)
-    assert len(tape.nodes) == 3 * positions
+    assert len(tape.nodes) == 2 * positions
 
 
-@pytest.mark.parametrize("attention, nodes", [(True, 82), (False, 37)])
+@pytest.mark.parametrize("attention, nodes", [(True, 78), (False, 33)])
 def test_mle_loss_node_count(attention, nodes):
     # three copy pairs: S=4 source positions, T=5 target slots.  Encoder
-    # 3S + 1 (stack).  Per slot: rows, fused step, the attention block
+    # 2S + 1 (stack).  Per slot: rows, fused step, the attention block
     # (concat in, scores, masked softmax, context, concat, two tanh
     # affines) when on, the output affine, the cross-entropy; T-1 adds.
-    # 13 + 5*13 + 4 = 82 with attention, 13 + 5*4 + 4 = 37 without.
+    # 9 + 5*13 + 4 = 78 with attention, 9 + 5*4 + 4 = 33 without.
     # The unfused cell recorded 250 and 205.
     corpus = gen_task(TaskSpec("copy", vocab=3, min_len=2, max_len=4,
                                pairs=3, seed=1))
@@ -159,19 +160,73 @@ def _counted(monkeypatch, owner, name, **fields):
 
 @pytest.mark.parametrize("weight, want", [
     # one prefix step per search step over every candidate (9 + 18 + 18
-    # rows); the kept rows are gathered from it
-    (1.0, {"calls": 3, "rows": 45}),
-    # the scorer is never consulted at weight 0, so it makes no rows
-    (0.0, {"calls": 0, "rows": 0}),
+    # rows); the kept rows are gathered from it.  The root's step encodes
+    # the source once
+    (1.0, {"calls": 3, "rows": 45, "sources": 1}),
+    # the scorer is never consulted at weight 0, so it makes no rows and
+    # encodes nothing
+    (0.0, {"calls": 0, "rows": 0, "sources": 0}),
 ])
 def test_outcome_scorer_prefix_steps(monkeypatch, weight, want):
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
     scorer = OutcomeScorer(OutcomePredictor(6, 9, hidden=3, seed=2))
     counts = _counted(monkeypatch, OutcomePredictor, "step_prefix",
                       rows=lambda self, state, tokens: len(tokens))
+    sources = _counted(monkeypatch, OutcomePredictor, "_encode",
+                       x=lambda self, side, ids, mask: side == "x")
     guided_beam_search(model, scorer, [4, 5],
                        DecodeConfig(mode="outcome_q", beam=3, weight=weight))
-    assert counts == want
+    assert {**counts, "sources": sources["x"]} == want
+
+
+def test_outcome_fit_step_tape_nodes(monkeypatch):
+    # one train_outcome_q step on three records: the source encoder 2S
+    # (S=3), the prefix encoder 2S (S=4), the head (concat, two affines,
+    # tanh) 4 and the loss (sub, square, sum) 3
+    records = [{"src": src, "prefix": prefix, "q": q}
+               for src, prefix, q in (([4, 5], [4], 0.5),
+                                      ([5, 4, 4], [5, 6, 7, 4], 0.25),
+                                      ([4], [6, 6], 1.0))]
+    steps = []
+    monkeypatch.setattr(value, "fit", lambda params, schedule, epoch,
+                        loss_fn, metric: steps.append(loss_fn))
+    value.train_outcome_q(records, TrainSchedule(seed=2), 6, 9, hidden=3)
+    with Tape() as tape:
+        steps[0](np.arange(3))
+    assert len(tape.nodes) == 6 + 8 + 4 + 3
+
+
+@pytest.mark.parametrize("search, want", [
+    ("sbs", 85), ("length_q", 101), ("mmi_q", 148), ("outcome_q", 126),
+    ("outcome_q_weight_0", 85)])
+def test_tensor_constructions_per_pair(monkeypatch, search, want):
+    # every Tensor one decoded pair builds, untaped ones included; the
+    # models and heads are built before counting.  At weight 0 the
+    # outcome search builds what sbs builds
+    model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    reg = LengthRegressor(3, seed=0)
+    ensemble = PartialBackwardEnsemble(
+        ((1, 1), (2, None)), {0: Seq2Seq(9, 6, hidden=3, seed=5),
+                              1: Seq2Seq(9, 6, hidden=3, seed=6)})
+    predictor = OutcomePredictor(6, 9, hidden=3, seed=2)
+
+    def guided(scorer, mode, weight=1.0):
+        return lambda: guided_beam_search(
+            model, scorer, [4, 5],
+            DecodeConfig(mode=mode, beam=3, weight=weight))
+
+    runs = {
+        "sbs": lambda: beam_search(model, [4, 5], DecodeConfig(beam=3)),
+        "length_q": lambda: length_forced_select(
+            model, reg, [4, 5], 2, DecodeConfig(mode="length_q", beam=3)),
+        "mmi_q": guided(PartialBackwardScorer(ensemble), "mmi_q"),
+        "outcome_q": guided(OutcomeScorer(predictor), "outcome_q"),
+        "outcome_q_weight_0": guided(OutcomeScorer(predictor), "outcome_q",
+                                     0.0),
+    }
+    counts = _counted(monkeypatch, Tensor, "__init__")
+    runs[search]()
+    assert counts["calls"] == want
 
 
 def test_partial_backward_scorer_sequences(monkeypatch):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fdq.autodiff import Tensor, log_softmax
-from fdq.data import BOS, EOS, PAD, UNK, SequencePair, TaskSpec, gen_task
+from fdq.data import (BOS, EOS, PAD, UNK, SequencePair, TaskSpec, gen_task,
+                      pad_ids)
 from fdq.decode import (BATCH_ATOL, CallableScorer, DecodeConfig, Engine,
                         LengthScorer, _admitted_eos, _Beam, beam_search,
                         decode_corpus, exhaustive_decode, guided_beam_search,
@@ -334,6 +335,8 @@ class TestBatchedStep:
             for m in models:
                 scorer = make()
                 outcome = isinstance(scorer, OutcomeScorer)
+                if outcome:
+                    source = scorer.q._encode("x", *pad_ids([src])).data
                 eng = Engine(m, scorer, src,
                              DecodeConfig(mode="outcome_q", beam=4, weight=1.0))
                 live = eng.root
@@ -357,8 +360,9 @@ class TestBatchedStep:
                                  (row.feed, state.feed),
                                  (live.logprobs[b], logprobs)]
                         if outcome:
-                            h, c = (r[b] for r in live.scorer_rows)
-                            pairs += [(h, prefix[0][0]), (c, prefix[1][0])]
+                            h, c, hx = (r[b] for r in live.scorer_rows)
+                            pairs += [(h, prefix[0][0]), (c, prefix[1][0]),
+                                      (hx, source[0])]
                         else:
                             assert live.scorer_rows is None
                         for got, want in pairs:
@@ -395,6 +399,30 @@ class TestBatchedStep:
                 for got, want in zip(rows or (), own or (), strict=True):
                     np.testing.assert_allclose(got[b * vt:(b + 1) * vt], want,
                                                rtol=0, atol=BATCH_ATOL)
+
+    @pytest.mark.parametrize("family", ["outcome", "partial_backward"])
+    def test_one_scorer_serves_many_searches(self, family):
+        # a scorer reads its source from ctx and its state from the rows,
+        # so two engines built before either searches can share it
+        vt, hidden = 9, 8
+        m = tiny_model(4, vt=vt, hidden=hidden)
+        make = {
+            "outcome": lambda: OutcomeScorer(
+                OutcomePredictor(6, vt, hidden=hidden, seed=2)),
+            "partial_backward": lambda: PartialBackwardScorer(
+                PartialBackwardEnsemble(((1, 1), (2, None)), {
+                    0: Seq2Seq(vt, 6, hidden=hidden, seed=5),
+                    1: Seq2Seq(vt, 6, hidden=hidden, seed=6)})),
+        }[family]
+        config = DecodeConfig(mode="mmi_q", beam=3, weight=1.0)
+        srcs = ([4, 5], [5, 3, 3, 4])
+        shared = make()
+        engines = [Engine(m, shared, src, config) for src in srcs]
+        got = [eng.search(eng.root, config).entries for eng in engines]
+        want = [guided_beam_search(m, make(), src, config).entries
+                for src in srcs]
+        assert got == want
+        assert got[0] != got[1]
 
     def test_partial_backward_eos_is_the_admitted_estimate(self):
         vt, hidden = 9, 8

@@ -27,7 +27,7 @@ def test_artifact_digests_rerun_identically(tmp_path):
     assert exited == steps
     # every key file the made-from rule writes is digested
     files = {line.split("\t")[1] for line in runs[0].stdout.splitlines()}
-    keys = ["backward.fdq", "rollouts.ndjson",
+    keys = ["forward.fdq", "backward.fdq", "rollouts.ndjson",
             *(f"q_{family}.fdq" for family in Q_FAMILIES)]
     assert {f"run/{name}.key" for name in keys} <= files
 
