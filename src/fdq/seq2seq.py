@@ -202,12 +202,16 @@ class Seq2Seq(Checkpointed):
         batch.tgt_out[:, t]; batch.tgt_mask marks valid slots.
         """
         enc, h, c = self._encode_graph(batch.src, batch.src_mask)
-        b, t_max = batch.tgt_in.shape
-        feed = Tensor(np.zeros((b, self.hidden)))
-        for t in range(t_max):
-            x = ad.rows(self.p["tgt_embed"], batch.tgt_in[:, t])
+        yield from self.decode_forced(enc, batch.src_mask, h, c, batch.tgt_in)
+
+    def decode_forced(self, enc, src_mask, h, c, tgt_in):
+        """The decoder fed the [B,T] ids tgt_in from the encoder's outputs
+        enc and last state (h, c): yields (t, logits, h) per slot."""
+        feed = Tensor(np.zeros((tgt_in.shape[0], self.hidden)))
+        for t in range(tgt_in.shape[1]):
+            x = ad.rows(self.p["tgt_embed"], tgt_in[:, t])
             logits, h, c, feed = self._decode_graph_step(
-                enc, batch.src_mask, x, feed, h, c)
+                enc, src_mask, x, feed, h, c)
             yield t, logits, h
 
     def mle_loss(self, batch):
@@ -221,20 +225,20 @@ class Seq2Seq(Checkpointed):
 
     def forced_states(self, batch):
         """Teacher-forced decoder states [B, T, H], untaped; slots as in forced."""
-        b, t_max = batch.tgt_in.shape
-        out = np.zeros((b, t_max, self.hidden), dtype=np.float32)
-        for t, _, h in self.forced(batch):
-            out[:, t] = h.data
-        return out
+        return np.stack([h.data for _, _, h in self.forced(batch)], axis=1)
 
     # -- single-sequence inference -------------------------------------------
 
-    def encode(self, src):
-        """Encode one source; returns (EncoderContext, initial DecoderState)."""
+    def check_source(self, src):
+        """Raise ContractError unless src is a non-empty list of source ids."""
         if len(src) == 0:
             raise ContractError("cannot encode an empty source sequence")
         if any(not 0 <= t < self.src_vocab for t in src):
             raise ContractError("source token id out of vocabulary range")
+
+    def encode(self, src):
+        """Encode one source; returns (EncoderContext, initial DecoderState)."""
+        self.check_source(src)
         ids, mask = pad_ids([src])
         enc, h, c = self._encode_graph(ids, mask)
         ctx = EncoderContext(enc.data, mask, self, tuple(src))
@@ -290,23 +294,30 @@ def dataset_ce(model, corpus, batch_size=32):
 def batch_logprobs(model, pairs):
     """log p(tgt|src) for each pair, EOS-terminated, from one padded pass.
 
-    This is the library's one scorer of complete targets.  A pair's score
-    matches a width-1 decode_step replay of it up to float32 batching
-    noise (decode.BATCH_ATOL).
+    A pair's score matches a width-1 decode_step replay of it up to
+    float32 batching noise (decode.BATCH_ATOL).
     """
     if not pairs:
         return np.zeros(0, dtype=np.float64)
     if any(not p.tgt or p.tgt[-1] != EOS for p in pairs):
         raise ContractError("every target must end with EOS")
+    for p in pairs:
+        model.check_source(p.src)
     batch = make_batch(pairs)
     if batch.tgt_out.min() < 0 or batch.tgt_out.max() >= model.tgt_vocab:
         raise ContractError("target token id out of vocabulary range")
-    b = batch.tgt_in.shape[0]
-    out = np.zeros(b, dtype=np.float64)
-    rows = np.arange(b)
-    for t, logits, _ in model.forced(batch):
+    return forced_logprobs(model.forced(batch), batch.tgt_out, batch.tgt_mask)
+
+
+def forced_logprobs(steps, tgt_out, tgt_mask):
+    """Summed float64 log p of the [B,T] ids tgt_out where tgt_mask is set,
+    from the slots of a teacher-forced pass: the library's one scorer of
+    complete targets, for batch_logprobs and the partial-backward scorer."""
+    out = np.zeros(tgt_out.shape[0], dtype=np.float64)
+    rows = np.arange(tgt_out.shape[0])
+    for t, logits, _ in steps:
         lp = ad.log_softmax(logits).data
-        out += lp[rows, batch.tgt_out[:, t]] * batch.tgt_mask[:, t]
+        out += lp[rows, tgt_out[:, t]] * tgt_mask[:, t]
     return out
 
 

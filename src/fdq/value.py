@@ -11,7 +11,9 @@ scalar property of the full sequence it will become.
                         finished sequence, fit on sampled rollouts
 
 Regression heads train on teacher-forced decoder states over gold
-targets; they never backpropagate into the sequence model.
+targets; they never backpropagate into the sequence model.  The scorers
+keep what they carry between steps, such as the partial-backward bucket
+encoder over each prefix, in the beam's rows.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .decode import NEG_SENTINEL, DecodeConfig, Engine
 from .errors import ConfigError, ContractError, DimensionError
 from .metrics import rouge2, sentence_bleu
 from .seeding import stream_key, substream
-from .seq2seq import (Seq2Seq, batch_logprobs, fit, init_params, lstm_params,
-                      masked_lstm, train_mle)
+from .seq2seq import (Seq2Seq, batch_logprobs, fit, forced_logprobs,
+                      init_params, lstm_params, masked_lstm, train_mle)
 
 # fdqbench wraps these names in this module, so they stay bound here
 from .autodiff import backward  # noqa: F401
@@ -576,25 +578,41 @@ class OutcomeScorer:
 class PartialBackwardScorer:
     """qterm = bucket-model estimate of log p(ctx.src | prefix + candidate).
 
-    The content candidates of all beam rows share one bucket and are
-    scored in one padded batch.  EOS closes the sequence, so its qterm is
-    the row's own admitted qterm: its parent's step scored it under the
-    same bucket model (a fresh score agrees up to BATCH_ATOL).
-    Buckets without a model fall back to the nearest populated one.
+    Its rows are the bucket model's encoder outputs enc [N,t,H] and last
+    state (h, c) over each prefix, empty at the root.  A step is one
+    encoder step over the B*V candidates, then one decoder pass of those
+    rows over the shared target ctx.src + EOS.  At a bucket edge, where
+    the candidates' model did not make the rows, the prefixes are encoded
+    afresh; an empty bucket's lengths take the nearest populated bucket's
+    model and carry on its rows.  EOS closes the sequence, so its qterm
+    is the row's admitted qterm (a fresh score agrees up to BATCH_ATOL).
     """
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
 
     def score_candidates(self, beam, ctx):
+        b, v = len(beam), ctx.owner.tgt_vocab
         t = len(beam.tokens[0])
-        tgt = [*ctx.src, EOS]
-        vocab = ctx.owner.tgt_vocab
-        content = [y for y in range(vocab) if y not in (PAD, BOS, EOS)]
         model = self.ensemble.nearest_model(t + 1)
-        pairs = [SequencePair(list(tokens) + [y], tgt)
-                 for tokens in beam.tokens for y in content]
-        out = np.zeros((len(beam), vocab), dtype=np.float64)
-        out[:, content] = batch_logprobs(model, pairs).reshape(len(beam), -1)
+        rows = beam.scorer_rows
+        if not t:
+            rows = (np.zeros((b, 0, model.hidden), np.float32),
+                    *np.zeros((2, b, model.hidden), np.float32))
+        elif rows is None or model is not self.ensemble.nearest_model(t):
+            ids = np.array(beam.tokens, dtype=np.int64)
+            rows = (r.data for r in model._encode_graph(
+                ids, np.ones(ids.shape, np.float32)))
+        enc, h, c = (np.repeat(r, v, axis=0) for r in rows)
+        x = ad.rows(model.p["src_embed"], np.tile(np.arange(v), b))
+        h, c = ad.lstm_step(lstm_params(model.p, "enc"), x, Tensor(h),
+                            Tensor(c))
+        enc = np.concatenate([enc, h.data[:, None]], axis=1)
+        tgt = np.array([BOS, *ctx.src, EOS])
+        tgt_in, tgt_out, ones = (np.broadcast_to(a, (b * v, len(tgt) - 1))
+                                 for a in (tgt[:-1], tgt[1:], np.float32(1)))
+        steps = model.decode_forced(
+            Tensor(enc), np.ones(enc.shape[:2], np.float32), h, c, tgt_in)
+        out = forced_logprobs(steps, tgt_out, ones).reshape(b, v)
         out[:, EOS] = beam.qterm if t else NEG_SENTINEL
-        return out, None
+        return out, (enc, h.data, c.data)

@@ -1,7 +1,8 @@
 """Slow or separate references the library's paths are checked against:
 the width-1 replay behind batched log p(Y|X) scores, a rollout action
 drawn after a from-scratch prefix replay, a forced prefix replayed as a
-search root, the length protocol as its own loop over positions, and the
+search root, the length protocol as its own loop over positions, the
+partial-backward scorer that re-encodes every candidate prefix, and the
 unfused LSTM step and per-tensor optimizer behind the fused training
 kernels."""
 
@@ -10,10 +11,10 @@ import numpy as np
 from fdq import autodiff as ad
 from fdq import decode
 from fdq.autodiff import Tensor, _record
-from fdq.data import BOS, PAD
+from fdq.data import BOS, EOS, PAD, SequencePair
 from fdq.errors import SearchSpaceError, TrainingDivergenceError
 from fdq.optim import clip_by_global_norm
-from fdq.seq2seq import DecoderState
+from fdq.seq2seq import DecoderState, batch_logprobs
 
 
 def step_logprobs(model, src, tgt):
@@ -87,6 +88,29 @@ def length_forced_select(model, regressor, src, length, config):
         if finished:
             return min(finished, key=lambda h: (-h.combined, h.tokens)), False
     raise SearchSpaceError("length-forced decoding exhausted its cap")
+
+
+class ReencodingBackwardScorer:
+    """The partial-backward scorer with no rows: every step scores each
+    content candidate's whole prefix afresh, as the pair (prefix + y,
+    src + EOS), through batch_logprobs under the candidates' bucket model.
+    PAD and BOS score 0; EOS keeps the row's admitted qterm."""
+
+    def __init__(self, ensemble):
+        self.ensemble = ensemble
+
+    def score_candidates(self, beam, ctx):
+        t = len(beam.tokens[0])
+        tgt = [*ctx.src, EOS]
+        vocab = ctx.owner.tgt_vocab
+        content = [y for y in range(vocab) if y not in (PAD, BOS, EOS)]
+        model = self.ensemble.nearest_model(t + 1)
+        pairs = [SequencePair(list(tokens) + [y], tgt)
+                 for tokens in beam.tokens for y in content]
+        out = np.zeros((len(beam), vocab), dtype=np.float64)
+        out[:, content] = batch_logprobs(model, pairs).reshape(len(beam), -1)
+        out[:, EOS] = beam.qterm if t else decode.NEG_SENTINEL
+        return out, None
 
 
 # -- the unfused training path the fused kernels are checked against ----------

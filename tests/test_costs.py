@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fdq import autodiff as ad
-from fdq import value
+from fdq import seq2seq, value
 from fdq.autodiff import LSTMParams, Tape, Tensor
 from fdq.data import TaskSpec, gen_task, make_batch
 from fdq.decode import (DecodeConfig, beam_search, guided_beam_search,
@@ -197,12 +197,13 @@ def test_outcome_fit_step_tape_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize("search, want", [
-    ("sbs", 85), ("length_q", 101), ("mmi_q", 148), ("outcome_q", 126),
+    ("sbs", 85), ("length_q", 101), ("mmi_q", 151), ("outcome_q", 126),
     ("outcome_q_weight_0", 85)])
 def test_tensor_constructions_per_pair(monkeypatch, search, want):
     # every Tensor one decoded pair builds, untaped ones included; the
     # models and heads are built before counting.  At weight 0 the
-    # outcome search builds what sbs builds
+    # outcome search builds what sbs builds.  The mmi_q search crosses a
+    # bucket edge at its second step, where the prefixes are encoded afresh
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
     reg = LengthRegressor(3, seed=0)
     ensemble = PartialBackwardEnsemble(
@@ -230,17 +231,28 @@ def test_tensor_constructions_per_pair(monkeypatch, search, want):
 
 
 def test_partial_backward_scorer_sequences(monkeypatch):
-    # one batched pass per step over every content candidate: the root's
-    # 6 one-token prefixes, then 3 rows x 6 two-token prefixes; tokens
-    # counts the prefix tokens the bucket models re-encode
+    # the scorer carries its bucket encoder in the beam's rows, so a search
+    # scores no SequencePair through batch_logprobs.  One encoder step per
+    # search step over every candidate: the root's 9, then 3 rows x 9.
+    # Length 2 opens bucket 1, so that step first encodes the 3 one-token
+    # prefixes afresh under its model: one encoder pass of 3 rows
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    buckets = {0: Seq2Seq(9, 6, hidden=3, seed=5),
+               1: Seq2Seq(9, 6, hidden=3, seed=6)}
     scorer = PartialBackwardScorer(PartialBackwardEnsemble(
-        ((1, 1), (2, None)), {0: Seq2Seq(9, 6, hidden=3, seed=5),
-                              1: Seq2Seq(9, 6, hidden=3, seed=6)}))
-    counts = _counted(
-        monkeypatch, value, "batch_logprobs",
-        seqs=lambda model, pairs: len(pairs),
-        tokens=lambda model, pairs: sum(len(p.src) for p in pairs))
+        ((1, 1), (2, None)), buckets))
+    enc_weights = [m.p["enc/w_ih"] for m in buckets.values()]
+    scored = [_counted(monkeypatch, owner, "batch_logprobs")
+              for owner in (value, seq2seq)]
+    encodes = _counted(monkeypatch, Seq2Seq, "_encode_graph",
+                       bucket=lambda self, ids, mask: self is not model)
+    steps = _counted(
+        monkeypatch, ad, "lstm_step",
+        rows=lambda params, x, *state: len(x.data) if any(
+            params.w_ih is w for w in enc_weights) else 0)
     guided_beam_search(model, scorer, [4, 5],
                        DecodeConfig(mode="mmi_q", beam=3, weight=1.0))
-    assert counts == {"calls": 2, "seqs": 24, "tokens": 42}
+    assert {"batch_logprobs": sum(s["calls"] for s in scored),
+            "bucket_encodes": encodes["bucket"],
+            "encoder_rows": steps["rows"]} == {
+        "batch_logprobs": 0, "bucket_encodes": 1, "encoder_rows": 3 + 9 + 27}

@@ -20,7 +20,8 @@ from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, train_mle,
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer)
 from reference import length_forced_select as reference_protocol
-from reference import replayed_root, step_logprobs
+from reference import (ReencodingBackwardScorer, replayed_root,
+                       step_logprobs)
 
 
 def tiny_model(seed=0, vs=6, vt=6, hidden=3):
@@ -390,7 +391,7 @@ class TestBatchedStep:
             assert len(live) > 1
             batch, rows = scorer.score_candidates(live, eng.ctx)
             assert batch.shape == (len(live), vt)
-            assert (rows is None) == (family != "outcome")
+            assert (rows is None) == (family in ("callable", "length"))
             for b in range(len(live)):
                 alone, own = scorer.score_candidates(beam_row(live, b),
                                                      eng.ctx)
@@ -440,6 +441,42 @@ class TestBatchedStep:
                     SequencePair(list(tokens), src + [EOS])])[0]
                 assert eos[b] == live.qterm[b]
                 assert eos[b] == pytest.approx(fresh, rel=0, abs=BATCH_ATOL)
+
+    @pytest.mark.parametrize("weight", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("buckets", [
+        ((1, 1), (2, None)),
+        # bucket 1 is empty: lengths 3-4 take bucket 0's model, so its rows
+        # carry on, and length 5 is the one edge after the root's bucket
+        ((1, 2), (3, 4), (5, None))])
+    def test_carried_backward_rows_match_reencoding(self, buckets, attention,
+                                                    weight):
+        # one carried scorer serves two engines built before either
+        # searches; each n-best list equals the one the scorer that
+        # re-encodes every prefix gives, tokens exactly and floats up to
+        # BATCH_ATOL
+        vt, hidden = 9, 8
+        m = Seq2Seq(6, vt, hidden=hidden, attention=attention, max_len=7,
+                    seed=3)
+        ensemble = PartialBackwardEnsemble(buckets, {
+            i: Seq2Seq(vt, 6, hidden=hidden, attention=attention, seed=5 + i)
+            for i in range(0, len(buckets), 2)})
+        config = DecodeConfig(mode="mmi_q", beam=3, weight=weight)
+        srcs = ([4, 5], [5, 3, 3, 4])
+        shared = PartialBackwardScorer(ensemble)
+        engines = [Engine(m, shared, src, config) for src in srcs]
+        longest = 0
+        for eng, src in zip(engines, srcs):
+            got = eng.search(eng.root, config).entries
+            want = guided_beam_search(m, ReencodingBackwardScorer(ensemble),
+                                      src, config).entries
+            assert [h.tokens for h in got] == [h.tokens for h in want]
+            for g, w in zip(got, want):
+                for field in ("logp", "q_term", "combined"):
+                    assert getattr(g, field) == pytest.approx(
+                        getattr(w, field), rel=0, abs=BATCH_ATOL)
+            longest = max(longest, *(len(h) for h in got))
+        assert longest >= buckets[-1][0]  # the last bucket scored something
 
     @pytest.mark.parametrize("seed, attention", [(0, True), (1, False),
                                                  (2, True)])

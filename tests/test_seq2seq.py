@@ -124,6 +124,15 @@ class TestSequenceLogprob:
         with pytest.raises(ContractError):
             batch_logprobs(tiny_model(vt=6), [SequencePair([4], [9, EOS])])
 
+    @pytest.mark.parametrize("src", [[-1], [6], [], [4, 6]])
+    def test_bad_source_rejected(self, src):
+        # -1 once read the last embedding row, 6 indexed past the table
+        # and an empty source scored from zero state
+        m = Seq2Seq(6, 9, hidden=3)
+        with pytest.raises(ContractError):
+            batch_logprobs(m, [SequencePair([4], [EOS]),
+                               SequencePair(src, [EOS])])
+
     def test_batch_context_invariance(self):
         m = tiny_model()
         c = gen_task(TaskSpec("copy", vocab=2, min_len=1, max_len=5, pairs=6, seed=3))

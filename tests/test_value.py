@@ -581,5 +581,9 @@ class TestScorers:
         eng = Engine(forward, scorer, dev.pairs[0].src,
                      DecodeConfig(mode="mmi_q"))
         vec, rows = scorer.score_candidates(eng.root, eng.ctx)
-        assert rows is None
+        # the root's rows: one encoder step from zero state per candidate
+        vt, hidden = forward.tgt_vocab, ensemble.nearest_model(1).hidden
+        assert [r.shape for r in rows] == [(vt, 1, hidden), (vt, hidden),
+                                           (vt, hidden)]
+        assert np.array_equal(rows[0][:, 0], rows[1])
         assert vec[0, EOS] == NEG_SENTINEL
