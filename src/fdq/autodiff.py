@@ -5,8 +5,10 @@ is expressed in the primitives below.  Arrays are float32 by default; the
 gradient checker temporarily switches the layer to float64 so that central
 differences are not drowned in single-precision rounding noise.
 
-Recording is opt-in: ops executed outside a ``with Tape()`` block run as
-plain numpy and cost almost nothing extra, which is what decoding uses.
+Recording is opt-in.  An op executed outside a ``with Tape()`` block, as
+every decoding op is, costs its numpy forward, one ``Tensor`` and one
+closure that nothing records; what only the backward reads, such as
+``concat``'s split offsets, is computed inside the vjp.
 """
 
 from __future__ import annotations
@@ -232,9 +234,12 @@ def affine(w, b, x):
 
 def concat(parts, axis=-1):
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-    _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
+
+    def vjp(g):
+        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+        return tuple(np.split(g, splits, axis=axis))
+
+    _record(out, tuple(parts), vjp)
     return out
 
 
@@ -283,7 +288,10 @@ def softmax(a):
 
 
 def masked_softmax(a, mask):
-    """Softmax along the last axis; positions with mask==0 get zero weight."""
+    """Softmax along the last axis; positions with mask==0 get zero weight,
+    and a mask of None is the plain softmax, bitwise an all-ones mask."""
+    if mask is None:
+        return softmax(a)
     mask = np.asarray(mask)
     neg = np.where(mask > 0, 0.0, -1e30).astype(a.data.dtype)
     shifted = a.data + neg

@@ -12,6 +12,7 @@ knob into a no-op.
 import hashlib
 import json
 import platform
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -63,12 +64,15 @@ NULLABLE = {"decode.length": int, "decode.nbest": int, "decode.cap": int,
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number that is a finite float; json also parses NaN, Infinity
+    and integers too large for a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # what every element of each list-valued key must be, and its check
-ITEMS = {"split": ("a number", _is_number),
-         "decode.weights": ("a number", _is_number),
+ITEMS = {"split": ("a finite number", _is_number),
+         "decode.weights": ("a finite number", _is_number),
          "decode.modes": ("a string", lambda v: isinstance(v, str)),
          "q.buckets": ("an [int, int or null] pair",
                        lambda v: isinstance(v, list) and len(v) == 2
@@ -89,9 +93,9 @@ def _check_type(path, value, default):
     else:
         ok = isinstance(value, type(default))
     if not ok:
-        raise ConfigError(
-            f"config key {path!r}: expected {type(default).__name__}, "
-            f"got {type(value).__name__}")
+        want = type(default).__name__.replace("float", "finite float")
+        got = value if isinstance(value, float) else type(value).__name__
+        raise ConfigError(f"config key {path!r}: expected {want}, got {got}")
     what, check = ITEMS.get(path, (None, None))
     for item in value if check else ():
         if not check(item):

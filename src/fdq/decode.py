@@ -27,6 +27,7 @@ PAD and BOS are never candidates; UNK is an ordinary decodable token.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 
@@ -67,8 +68,9 @@ class DecodeConfig:
             raise ConfigError(f"unknown decode mode {self.mode!r}")
         if self.beam < 1:
             raise ConfigError(f"beam size must be >= 1, got {self.beam}")
-        if self.weight < 0:
-            raise ConfigError(f"weight must be >= 0, got {self.weight}")
+        if not 0 <= self.weight <= sys.float_info.max:
+            raise ConfigError(
+                f"weight must be finite and >= 0, got {self.weight}")
         if self.length is not None and self.length < 1:
             raise ConfigError(f"target length must be >= 1, got {self.length}")
         if self.nbest is not None and self.nbest < 1:
@@ -186,6 +188,10 @@ class Engine:
 
     def __init__(self, model, scorer, src, config):
         self.model = model
+        ids = np.arange(model.tgt_vocab)
+        ids = ids[(ids != PAD) & (ids != BOS)]
+        self.ids = {(content, eos): ids[np.where(ids == EOS, eos, content)]
+                    for content in (False, True) for eos in (False, True)}
         self.weight = config.weight if scorer is not None else 0.0
         self.scorer = scorer
         self.ctx, state = model.encode(src)
@@ -208,25 +214,23 @@ class Engine:
             if not np.isfinite(qterm).all():
                 # a NaN would make every comparison in the sort false
                 raise ContractError("scorer returned a non-finite qterm")
-        else:
-            qterm, rows = np.zeros_like(base), None
-        combined = base + self.weight * qterm
-        ids = [y for y in range(self.model.tgt_vocab) if y not in (PAD, BOS)
-               and (allow_eos if y == EOS else allow_content)]
-        return base, qterm, combined, np.array(ids, dtype=np.int64), rows
+            combined = base + self.weight * qterm
+        else:  # base + 0 * qterm, bit for bit
+            qterm, rows, combined = np.zeros_like(base), None, base
+        return (base, qterm, combined, self.ids[allow_content, allow_eos],
+                rows)
 
     def ranked(self, scores, limit=None):
         """(parent rows, ys) of the best `limit` candidates (all if None) of
         an expansion, best first.
 
         Ranked by combined score, then the parent's row, then y: the tie
-        rule, because beam rows share a length and are in token order.
+        rule, because beam rows share a length and are in token order.  A
+        stable sort keeps ties in the row-major (row, y) order.
         """
         _, _, combined, ids, _ = scores
-        rows = np.repeat(np.arange(combined.shape[0]), len(ids))
-        ys = np.tile(ids, combined.shape[0])
-        pick = np.lexsort((ys, rows, -combined[:, ids].ravel()))[:limit]
-        return rows[pick], ys[pick]
+        pick = np.argsort(-combined[:, ids].ravel(), kind="stable")[:limit]
+        return pick // len(ids), ids[pick % len(ids)]
 
     def settle(self, beam, scores, chosen):
         """Split chosen (parent rows, ys) into (new beam, finished DecodedHyps).

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import LSTMParams, Tape, Tensor, backward
 from .checkpoint import Checkpointed
-from .data import EOS, batch_iter, make_batch, pad_ids
+from .data import EOS, batch_iter, make_batch
 from .errors import ContractError, TrainingDivergenceError
 from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
@@ -62,13 +62,12 @@ class DecoderState:
 
 
 class EncoderContext:
-    """Encoder outputs for the source ids src, shared by its hypotheses."""
+    """Encoder outputs [1,S,H] of the one, unpadded source src."""
 
-    __slots__ = ("enc", "mask", "owner", "src")
+    __slots__ = ("enc", "owner", "src")
 
-    def __init__(self, enc, mask, owner, src):
+    def __init__(self, enc, owner, src):
         self.enc = enc
-        self.mask = mask
         self.owner = owner
         self.src = src
 
@@ -96,7 +95,8 @@ def lstm_params(p, prefix):
 
 
 def masked_lstm(table, lstm, ids, mask):
-    """LSTM over [B,S] ids that holds its state wherever mask is 0.
+    """LSTM over [B,S] ids that holds its state wherever mask is 0 (mask
+    None holds nowhere).
 
     Returns (steps, h, c): steps[t] is the state after position t, held
     where mask is 0 for attention to weight by zero; h, c are the last.
@@ -107,7 +107,7 @@ def masked_lstm(table, lstm, ids, mask):
     c = Tensor(np.zeros((b, hidden)))
     steps = []
     for t in range(ids.shape[1]):
-        m = mask[:, t:t + 1]
+        m = None if mask is None else mask[:, t:t + 1]
         h, c = ad.lstm_step(lstm, ad.rows(table, ids[:, t]), h, c, m)
         steps.append(h)
     return steps, h, c
@@ -179,7 +179,8 @@ class Seq2Seq(Checkpointed):
         return ad.stack(steps, axis=1), h, c
 
     def _decode_graph_step(self, enc, src_mask, x, feed, h, c):
-        """One decoder step on [B,*] tensors; returns (logits, h, c, feed)."""
+        """One decoder step on [B,*] tensors, src_mask None where no source
+        position is padded; returns (logits, h, c, feed)."""
         dec_params = lstm_params(self.p, "dec")
         inp = ad.concat([x, feed], axis=-1) if self.attention else x
         h, c = ad.lstm_step(dec_params, inp, h, c)
@@ -239,9 +240,8 @@ class Seq2Seq(Checkpointed):
     def encode(self, src):
         """Encode one source; returns (EncoderContext, initial DecoderState)."""
         self.check_source(src)
-        ids, mask = pad_ids([src])
-        enc, h, c = self._encode_graph(ids, mask)
-        ctx = EncoderContext(enc.data, mask, self, tuple(src))
+        enc, h, c = self._encode_graph(np.array([src], np.int64), None)
+        ctx = EncoderContext(enc.data, self, tuple(src))
         state = DecoderState(h.data[0], c.data[0],
                              np.zeros(self.hidden, dtype=np.float32), self)
         return ctx, state
@@ -261,12 +261,13 @@ class Seq2Seq(Checkpointed):
         ids = np.asarray(token_ids, dtype=np.int64)
         k = ids.shape[0]
         x = ad.rows(self.p["tgt_embed"], ids)
-        h = Tensor(np.broadcast_to(state.h, (k, self.hidden)))
-        c = Tensor(np.broadcast_to(state.c, (k, self.hidden)))
-        feed = Tensor(np.broadcast_to(state.feed, (k, self.hidden)))
-        enc = Tensor(np.broadcast_to(ctx.enc, (k,) + ctx.enc.shape[1:]))
-        mask = np.broadcast_to(ctx.mask, (k, ctx.mask.shape[1]))
-        logits, h, c, feed = self._decode_graph_step(enc, mask, x, feed, h, c)
+        h, c, feed, enc = (
+            Tensor(a if a.shape == shape else np.broadcast_to(a, shape))
+            for a, shape in ((state.h, (k, self.hidden)),
+                             (state.c, (k, self.hidden)),
+                             (state.feed, (k, self.hidden)),
+                             (ctx.enc, (k,) + ctx.enc.shape[1:])))
+        logits, h, c, feed = self._decode_graph_step(enc, None, x, feed, h, c)
         return h.data, c.data, feed.data, logits.data
 
     def decode_step(self, state, prev_token, ctx):

@@ -601,8 +601,7 @@ class PartialBackwardScorer:
                     *np.zeros((2, b, model.hidden), np.float32))
         elif rows is None or model is not self.ensemble.nearest_model(t):
             ids = np.array(beam.tokens, dtype=np.int64)
-            rows = (r.data for r in model._encode_graph(
-                ids, np.ones(ids.shape, np.float32)))
+            rows = (r.data for r in model._encode_graph(ids, None))
         enc, h, c = (np.repeat(r, v, axis=0) for r in rows)
         x = ad.rows(model.p["src_embed"], np.tile(np.arange(v), b))
         h, c = ad.lstm_step(lstm_params(model.p, "enc"), x, Tensor(h),
@@ -611,8 +610,7 @@ class PartialBackwardScorer:
         tgt = np.array([BOS, *ctx.src, EOS])
         tgt_in, tgt_out, ones = (np.broadcast_to(a, (b * v, len(tgt) - 1))
                                  for a in (tgt[:-1], tgt[1:], np.float32(1)))
-        steps = model.decode_forced(
-            Tensor(enc), np.ones(enc.shape[:2], np.float32), h, c, tgt_in)
+        steps = model.decode_forced(Tensor(enc), None, h, c, tgt_in)
         out = forced_logprobs(steps, tgt_out, ones).reshape(b, v)
         out[:, EOS] = beam.qterm if t else NEG_SENTINEL
         return out, (enc, h.data, c.data)

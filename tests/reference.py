@@ -1,10 +1,11 @@
 """Slow or separate references the library's paths are checked against:
-the width-1 replay behind batched log p(Y|X) scores, a rollout action
+the width-1 replay behind batched log p(Y|X) scores, the search's
+ranking as a lexsort, a rollout action
 drawn after a from-scratch prefix replay, a forced prefix replayed as a
 search root, the length protocol as its own loop over positions, the
 partial-backward scorer that re-encodes every candidate prefix, and the
-unfused LSTM step and per-tensor optimizer behind the fused training
-kernels."""
+unfused LSTM step and per-tensor optimizer (with its global-norm clip)
+behind the fused training kernels."""
 
 import numpy as np
 
@@ -13,7 +14,6 @@ from fdq import decode
 from fdq.autodiff import Tensor, _record
 from fdq.data import BOS, EOS, PAD, SequencePair
 from fdq.errors import SearchSpaceError, TrainingDivergenceError
-from fdq.optim import clip_by_global_norm
 from fdq.seq2seq import DecoderState, batch_logprobs
 
 
@@ -57,6 +57,15 @@ def replayed_root(model, src, prefix):
     rows = DecoderState(state.h[None], state.c[None], state.feed[None], model)
     return decode._Beam([tuple(prefix)], np.array([cum]), np.zeros(1), rows,
                         logprobs[None], None)
+
+
+def lexsort_ranked(scores, limit=None):
+    """Engine.ranked as one lexsort on (-combined, parent row, y)."""
+    _, _, combined, ids, _ = scores
+    rows = np.repeat(np.arange(combined.shape[0]), len(ids))
+    ys = np.tile(ids, combined.shape[0])
+    pick = np.lexsort((ys, rows, -combined[:, ids].ravel()))[:limit]
+    return rows[pick], ys[pick]
 
 
 def length_forced_select(model, regressor, src, length, config):
@@ -157,6 +166,22 @@ def lstm_step(params, x, h, c, mask=None):
         return h_new, c_new
     return (ad.add(ad.mul_const(h_new, mask), ad.mul_const(h, 1.0 - mask)),
             ad.add(ad.mul_const(c_new, mask), ad.mul_const(c, 1.0 - mask)))
+
+
+def clip_by_global_norm(grad_arrays, max_norm):
+    """Scale gradients in place so their joint L2 norm is at most max_norm."""
+    if max_norm is None or max_norm <= 0:
+        return 1.0
+    total = 0.0
+    for g in grad_arrays:
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = total ** 0.5
+    if norm <= max_norm or norm == 0.0:
+        return 1.0
+    factor = max_norm / norm
+    for g in grad_arrays:
+        g *= factor
+    return factor
 
 
 class PerTensorOptim:

@@ -137,6 +137,17 @@ class TestParsing:
         assert f"config key '{key}': every element" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("setting", [
+        "decode.weight=NaN", "decode.weights=[0.5, Infinity]",
+        "train.lr=NaN", "train.clip_norm=-Infinity", "split=[NaN,0.5,0.5]"])
+    def test_non_finite_number_exits_two(self, rig_config, tmp_path, capsys,
+                                         setting):
+        assert run("train", rig_config, tmp_path / "run", setting) == 2
+        key = setting.split("=")[0]
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestTrain:
     def test_artifacts_exist(self, rig):
         _, out = rig
@@ -186,7 +197,8 @@ class TestTrain:
 
     def test_divergence_exits_three(self, rig, tmp_path, capsys):
         cfg, _ = rig
-        code = run("train", cfg, tmp_path / "r", "train.lr=1e400",
+        # a finite lr, which float32 parameters overflow to inf
+        code = run("train", cfg, tmp_path / "r", "train.lr=1e300",
                    "train.epochs=2", "task.pairs=40")
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err

@@ -148,6 +148,24 @@ class TestOverrides:
         with pytest.raises(ConfigError, match=f"'{key}': every element"):
             load_config(write_config(tmp_path, doc))
 
+    @pytest.mark.parametrize("setting", [
+        "decode.weight=NaN", "decode.weights=[0.5, Infinity]",
+        "train.lr=NaN", "train.clip_norm=-Infinity", "split=[NaN,0.5,0.5]",
+        pytest.param("decode.weight=1" + "0" * 400, id="decode.weight=1e400"),
+        pytest.param("split=[0.5,-1" + "0" * 400 + ",0.5]",
+                     id="split=[0.5,-1e400,0.5]")])
+    def test_non_finite_number_is_named(self, setting, tmp_path):
+        # json parses NaN, Infinity and integers no float holds; a NaN
+        # weight would decide no order
+        key, value = setting.split("=", 1)
+        with pytest.raises(ConfigError, match=f"'{key}': .*finite"):
+            apply_overrides(default_config(), [setting])
+        doc = json.loads(value)
+        for part in reversed(key.split(".")):
+            doc = {part: doc}
+        with pytest.raises(ConfigError, match=f"'{key}': .*finite"):
+            load_config(write_config(tmp_path, doc))
+
     def test_every_list_key_types_its_elements(self):
         lists = {path: value for path, value in leaves(DEFAULT_CONFIG)
                  if isinstance(value, list)}

@@ -179,6 +179,27 @@ def test_outcome_scorer_prefix_steps(monkeypatch, weight, want):
     assert {**counts, "sources": sources["x"]} == want
 
 
+def test_untaped_search_does_no_vjp_bookkeeping(monkeypatch):
+    # a search records nothing and computes nothing only a backward reads:
+    # concat's split offsets wait for the vjp, the one source pads nothing
+    # so attention takes no mask, and a state that already has the rows is
+    # used as it is.  Left: the root decode_step's [H] h, c, feed and the
+    # [1,S,H] source stretched to the rows of the 3 advances past the root
+    model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    cumsum = _counted(monkeypatch, np, "cumsum")
+    records = _counted(monkeypatch, ad, "_record",
+                       taped=lambda *args: ad._ACTIVE_TAPE is not None)
+    masks = _counted(monkeypatch, ad, "masked_softmax",
+                     masked=lambda a, mask: mask is not None)
+    stretched = _counted(monkeypatch, np, "broadcast_to")
+    beam_search(model, [4, 5], DecodeConfig(beam=3))
+    assert {"cumsum": cumsum["calls"], "taped_records": records["taped"],
+            "masked_softmax": masks["masked"],
+            "broadcast_to": stretched["calls"]} == {
+        "cumsum": 0, "taped_records": 0, "masked_softmax": 0,
+        "broadcast_to": 3 + 3}
+
+
 def test_outcome_fit_step_tape_nodes(monkeypatch):
     # one train_outcome_q step on three records: the source encoder 2S
     # (S=3), the prefix encoder 2S (S=4), the head (concat, two affines,

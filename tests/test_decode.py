@@ -20,8 +20,8 @@ from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, train_mle,
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer)
 from reference import length_forced_select as reference_protocol
-from reference import (ReencodingBackwardScorer, replayed_root,
-                       step_logprobs)
+from reference import (ReencodingBackwardScorer, lexsort_ranked,
+                       replayed_root, step_logprobs)
 
 
 def tiny_model(seed=0, vs=6, vt=6, hidden=3):
@@ -288,6 +288,23 @@ class TestBatchedStep:
                                  for h in _admitted_eos(live, scores, beam))
                     assert got == reference_admitted(want, beam)
                 live, _ = eng.settle(live, scores, chosen(want[:4]))
+
+    @pytest.mark.parametrize("allow_content, allow_eos",
+                             [(True, True), (True, False), (False, True)])
+    def test_ranking_matches_lexsort(self, allow_content, allow_eos):
+        # four values over 4 rows x 9 ids: exact ties within a row, across
+        # rows and, with 0.0 and -0.0, across signs
+        eng = Engine(tiny_model(vt=9), None, [4, 5], DecodeConfig(beam=3))
+        ids = eng.ids[allow_content, allow_eos]
+        r = np.random.default_rng(7)
+        for _ in range(20):
+            combined = r.choice([0.0, -0.0, -1.5, -1e30], size=(4, 9))
+            scores = (None, None, combined, ids, None)
+            for limit in (None, 1, 3, 40):
+                got, want = eng.ranked(scores, limit), lexsort_ranked(
+                    scores, limit)
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
 
     def test_advance_over_stacked_states_matches_decode_step(self):
         m = tiny_model(3, vt=9, hidden=8)
@@ -759,6 +776,19 @@ class TestDecodeCorpus:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             DecodeConfig(mode="dfs").validate()
+
+    @pytest.mark.parametrize("weight", [
+        float("nan"), float("inf"), -0.5,
+        pytest.param(10 ** 400, id="10**400")])
+    def test_weight_must_be_finite_and_nonnegative(self, weight):
+        # a NaN weight used to pass, and a search then returned an n-best
+        # whose every combined score was NaN
+        with pytest.raises(ConfigError, match="weight must be finite"):
+            DecodeConfig(mode="mmi_q", weight=weight).validate()
+        with pytest.raises(ConfigError, match="weight must be finite"):
+            guided_beam_search(tiny_model(7), bounded_random_scorer(6, 0),
+                               [4, 5], DecodeConfig(mode="mmi_q",
+                                                    weight=weight))
 
     @pytest.mark.parametrize("field,value", [("nbest", -2), ("nbest", 0),
                                              ("cap", -1)])

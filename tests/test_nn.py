@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fdq import autodiff as ad
 from fdq.autodiff import Tape, Tensor, backward, fd_check
 from fdq.errors import ConfigError, ContractError, DimensionError, TrainingDivergenceError
-from fdq.optim import OptimState, clip_by_global_norm, optimizer_step
+from fdq.optim import OptimState, optimizer_step
 
 import reference
 from reference import PerTensorOptim, sigmoid, slice_last
@@ -170,6 +170,20 @@ class TestFiniteDifferences:
         assert np.all(w.data[0, 2:] == 0.0)
         np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_masked_softmax_without_mask_is_all_ones(self, dtype):
+        # None pads nothing: the plain softmax, bit for bit; the scores span
+        # a wide range and tie
+        r = rng(11)
+        a = (r.normal(size=(5, 7)) * 10.0 ** r.integers(-3, 4, size=(5, 1)))
+        a[0, 3:] = a[0, 0]
+        with ad.precision(dtype):
+            scores = Tensor(a)
+            plain = ad.masked_softmax(scores, None)
+            ones = ad.masked_softmax(scores, np.ones(a.shape, dtype))
+        assert plain.data.dtype == ones.data.dtype == dtype
+        np.testing.assert_array_equal(plain.data, ones.data)
+
     def test_embedding_rows_scatter(self):
         table = Tensor(rng(7).normal(size=(6, 3)))
         ids = np.array([1, 4, 1])
@@ -279,17 +293,26 @@ class TestOptim:
         optimizer_step(opt, [p], backward(tape, loss))
         np.testing.assert_allclose(p.data, [0.9], atol=1e-7)
 
+    @staticmethod
+    def sgd_moves(grads, clip):
+        """How far one sgd step at lr 1 moves parameters with these
+        gradients, one tensor each."""
+        ps = [Tensor(np.zeros(len(g))) for g in grads]
+        with Tape() as tape:
+            loss = ad.sum_all(ad.concat(
+                [ad.mul_const(p, g) for p, g in zip(ps, grads)]))
+        optimizer_step(OptimState("sgd", lr=1.0, clip_norm=clip), ps,
+                       backward(tape, loss))
+        return [-p.data for p in ps]
+
     def test_clip_leaves_small_gradients_alone(self):
-        g = [np.array([3.0, 4.0])]
-        factor = clip_by_global_norm(g, 5.0)
-        assert factor == 1.0
-        np.testing.assert_allclose(g[0], [3.0, 4.0])
+        moved = self.sgd_moves([[3.0, 4.0]], 5.0)
+        np.testing.assert_array_equal(moved[0], [3.0, 4.0])
 
     def test_clip_rescales_to_max_norm(self):
-        g = [np.array([6.0]), np.array([8.0])]
-        clip_by_global_norm(g, 5.0)
-        np.testing.assert_allclose(g[0], [3.0], atol=1e-7)
-        np.testing.assert_allclose(g[1], [4.0], atol=1e-7)
+        moved = self.sgd_moves([[6.0], [8.0]], 5.0)
+        np.testing.assert_allclose(moved[0], [3.0], atol=1e-7)
+        np.testing.assert_allclose(moved[1], [4.0], atol=1e-7)
 
     def test_adam_drives_quadratic_to_zero(self):
         p = Tensor([1.0])
@@ -315,7 +338,7 @@ class TestOptim:
             OptimState(algorithm="rmsprop")
 
     @pytest.mark.parametrize("algorithm", ["adam", "sgd"])
-    @pytest.mark.parametrize("clip", [0.05, 1e3])
+    @pytest.mark.parametrize("clip", [0.05, 1e3, 0.0])
     def test_flat_update_matches_per_tensor_reference(self, algorithm, clip):
         # an LSTM cell and an affine head as the loss, so the tape leaves a
         # transposed w_hh gradient, and one parameter the loss never reads
@@ -344,7 +367,7 @@ class TestOptim:
             for a, b in zip(flat, per):
                 np.testing.assert_array_equal(a.data, b.data)
         active = [f < 1.0 for f in ref.factors]
-        assert all(active) if clip < 1.0 else not any(active)
+        assert all(active) if 0 < clip < 1.0 else not any(active)
         assert opt.step == 50
 
     def test_second_parameter_list_rejected(self):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdq import autodiff as ad
 from fdq.autodiff import Tape, Tensor, backward, fd_check
 from fdq.data import (BOS, EOS, SequencePair, TaskSpec, gen_task, make_batch,
                       split)
 from fdq.decode import BATCH_ATOL
 from fdq.errors import ContractError
-from fdq.seq2seq import (Seq2Seq, TrainSchedule, _param_shapes, batch_logprobs,
-                         dataset_ce, train_mle)
+from fdq.seq2seq import (DecoderState, Seq2Seq, TrainSchedule, _param_shapes,
+                         batch_logprobs, dataset_ce, train_mle)
 from reference import step_logprobs
 
 
@@ -47,6 +48,13 @@ class TestEncode:
         _, s2 = m.encode([5, 4])
         assert not np.allclose(s1.h, s2.h)
 
+    def test_unmasked_encoder_is_the_all_ones_mask(self):
+        m = tiny_model()
+        ids = np.array([[4, 5, 3, 5], [5, 5, 4, 3]])
+        for a, b in zip(m._encode_graph(ids, None), m._encode_graph(
+                ids, np.ones(ids.shape, np.float32))):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             tiny_model().encode([])
@@ -74,6 +82,33 @@ class TestDecodeStep:
         ctx, state = a.encode([4])
         with pytest.raises(ContractError):
             b.decode_step(state, BOS, ctx)
+
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_untaped_advance_is_the_taped_step(self, attention, pad):
+        # decoding runs the training step without a tape, attending to its
+        # one source with no mask; the taped step gets an explicit mask
+        # over `pad` more positions of junk.  Under 8 positions numpy sums
+        # in order, so a masked position adds an exact zero
+        m = tiny_model(3, attention=attention, vt=7)
+        ctx, _ = m.encode([4, 5, 3])
+        r = np.random.default_rng(pad)
+        k, s = 4, ctx.enc.shape[1]
+        h, c, feed = r.normal(size=(3, k, m.hidden)).astype(np.float32)
+        ids = np.array([3, 2, 6, 3])
+        untaped = m.advance(DecoderState(h, c, feed, m), ctx, ids)
+        enc = np.concatenate(
+            [np.repeat(ctx.enc, k, axis=0),
+             r.normal(size=(k, pad, m.hidden)).astype(np.float32)], axis=1)
+        mask = np.concatenate([np.ones((k, s)), np.zeros((k, pad))], axis=1)
+        with Tape() as tape:
+            logits, *state = m._decode_graph_step(
+                Tensor(enc), mask.astype(np.float32),
+                ad.rows(m.p["tgt_embed"], ids), Tensor(feed), Tensor(h),
+                Tensor(c))
+        assert tape.nodes
+        for got, want in zip(untaped, (*state, logits)):
+            np.testing.assert_array_equal(got, want.data)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
