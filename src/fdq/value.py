@@ -567,8 +567,8 @@ class OutcomeScorer:
         b, v = len(beam), ctx.owner.tgt_vocab
         rows = beam.scorer_rows
         if rows is None:
-            zero = np.zeros((1, self.q.hidden), dtype=np.float32)
-            rows = (zero, zero, self.q._encode("x", *pad_ids([ctx.src])).data)
+            rows = (*np.zeros((2, 1, self.q.hidden), np.float32),
+                    self.q._encode("x", np.array([ctx.src]), None).data)
         h, c, hx = (np.repeat(r, v, axis=0) for r in rows)
         h, c = self.q.step_prefix((h, c), np.tile(np.arange(v), b))
         out = self.q._head(Tensor(hx), Tensor(h))
