@@ -176,14 +176,6 @@ def mul(a, b):
     return out
 
 
-def mul_const(a, c):
-    """Multiply by a constant scalar or array (no gradient flows into c)."""
-    c = np.asarray(c, dtype=a.data.dtype)
-    out = Tensor(a.data * c)
-    _record(out, (a,), lambda g: (_unbroadcast(g * c, a.shape),))
-    return out
-
-
 def square(a):
     out = Tensor(a.data * a.data)
     _record(out, (a,), lambda g: (2.0 * a.data * g,))

@@ -17,7 +17,7 @@ expansion code with an unbounded keep limit, so score arithmetic agrees
 bitwise and ties resolve identically.
 
 The live beam is kept as rows of one length in token order, so a step is
-batched: one scorer call, one sort, and one gather or decoder call cover it.
+batched: a scorer call, a sort, a cell call or gather and a readout cover it.
 
 Ties everywhere: higher combined score first, then the lexicographically
 smaller token tuple (lower token id, then shorter prefix).
@@ -47,7 +47,7 @@ EXHAUSTIVE_GUARD = 10 ** 6
 
 # A row batched into a K-row matmul rounds differently in float32 than the
 # row alone: by 1e-6 to 8e-6 in log p for trained lab models, within this.
-# A kept row gathered from its step's B*V batch rounds as in that batch.
+# A kept row rounds as in its step's B*V cell call, then its K-row readout.
 BATCH_ATOL = 1e-5
 
 
@@ -129,14 +129,14 @@ class _Beam:
     state: DecoderState    # [B,H] decoder rows
     logprobs: np.ndarray   # [B,V] next-token log-probs
     scorer_rows: object    # the scorer's rows, or None
-    advanced: tuple = None  # children(), once made
+    advanced: tuple = None  # children() (h, c), once made
 
     def __len__(self):
         return len(self.tokens)
 
     def children(self, ctx):
-        """The decoder advance (h, c, feed, logits) of every candidate (b, y)
-        at row b*V + y; made at most once."""
+        """The decoder cell's (h, c) of every candidate (b, y) at row
+        b*V + y; made at most once.  Only the kept rows are read out."""
         if self.advanced is None:
             b, vocab = len(self), ctx.owner.tgt_vocab
             self.advanced = ctx.owner.advance(self.state.take(np.repeat(
@@ -237,8 +237,9 @@ class Engine:
 
         The content candidates form the new beam in token order, or None
         if there are none; the finished keep the chosen order.  Their rows
-        are gathered from the rows of every candidate, the scorer's and,
-        if made, the decoder's; else one decoder call advances them.
+        are gathered from the rows of every candidate, the scorer's and, if
+        made, the decoder cell's; else one advance makes the cell's.  One
+        readout of the kept rows gives their feed and next log-probs.
         """
         base, qterm, _, _, rows = scores
         parents, ys = chosen
@@ -249,9 +250,9 @@ class Engine:
             return None, finished
         parents, ys = parents[grow], ys[grow]
         kept = parents * self.model.tgt_vocab + ys
-        h, c, feed, logits = (
-            (r[kept] for r in beam.advanced) if beam.advanced is not None
-            else self.model.advance(beam.state.take(parents), self.ctx, ys))
+        h, c = (self.model.advance(beam.state.take(parents), self.ctx, ys)
+                if beam.advanced is None else (r[kept] for r in beam.advanced))
+        feed, logits = self.model.readout(h, self.ctx)
         live = _Beam([beam.tokens[i] + (y,) for i, y in
                       zip(parents.tolist(), ys.tolist())],
                      base[parents, ys], qterm[parents, ys],

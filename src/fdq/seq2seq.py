@@ -178,23 +178,30 @@ class Seq2Seq(Checkpointed):
                                   lstm_params(self.p, "enc"), src_ids, src_mask)
         return ad.stack(steps, axis=1), h, c
 
-    def _decode_graph_step(self, enc, src_mask, x, feed, h, c):
-        """One decoder step on [B,*] tensors, src_mask None where no source
-        position is padded; returns (logits, h, c, feed)."""
-        dec_params = lstm_params(self.p, "dec")
+    def _cell(self, x, feed, h, c):
+        """The decoder LSTM's (h, c) on [B,*] x and, with attention, feed."""
         inp = ad.concat([x, feed], axis=-1) if self.attention else x
-        h, c = ad.lstm_step(dec_params, inp, h, c)
-        if self.attention:
-            scores = ad.attn_scores(enc, h)
-            weights = ad.masked_softmax(scores, src_mask)
-            context = ad.attn_context(weights, enc)
-            cat = ad.concat([context, h], axis=-1)
-            soft = ad.tanh(ad.affine(self.p["att_soft/w"], self.p["att_soft/b"], cat))
-            feed = ad.tanh(ad.affine(self.p["att_feed/w"], self.p["att_feed/b"], cat))
-            logits = ad.affine(self.p["out/w"], self.p["out/b"], soft)
-        else:
-            logits = ad.affine(self.p["out/w"], self.p["out/b"], h)
-        return logits, h, c, feed
+        return ad.lstm_step(lstm_params(self.p, "dec"), inp, h, c)
+
+    def _readout(self, enc, src_mask, h):
+        """(logits, feed) of the cell's h: attention over enc (src_mask None:
+        nothing padded) and the output layer; feed None without attention."""
+        if not self.attention:
+            return ad.affine(self.p["out/w"], self.p["out/b"], h), None
+        scores = ad.attn_scores(enc, h)
+        weights = ad.masked_softmax(scores, src_mask)
+        context = ad.attn_context(weights, enc)
+        cat = ad.concat([context, h], axis=-1)
+        soft = ad.tanh(ad.affine(self.p["att_soft/w"], self.p["att_soft/b"], cat))
+        feed = ad.tanh(ad.affine(self.p["att_feed/w"], self.p["att_feed/b"], cat))
+        return ad.affine(self.p["out/w"], self.p["out/b"], soft), feed
+
+    def _decode_graph_step(self, enc, src_mask, x, feed, h, c):
+        """One decoder step on [B,*] tensors, _cell then _readout; returns
+        (logits, h, c, feed), a model without attention keeping its feed."""
+        h, c = self._cell(x, feed, h, c)
+        logits, fed = self._readout(enc, src_mask, h)
+        return logits, h, c, feed if fed is None else fed
 
     def forced(self, batch):
         """Teacher-forced pass over a batch: yields (t, logits, h) per slot.
@@ -224,10 +231,6 @@ class Seq2Seq(Checkpointed):
             total = step if total is None else ad.add(total, step)
         return total, float(batch.tgt_mask.sum())
 
-    def forced_states(self, batch):
-        """Teacher-forced decoder states [B, T, H], untaped; slots as in forced."""
-        return np.stack([h.data for _, _, h in self.forced(batch)], axis=1)
-
     # -- single-sequence inference -------------------------------------------
 
     def check_source(self, src):
@@ -251,33 +254,35 @@ class Seq2Seq(Checkpointed):
             raise ContractError("state/context belongs to a different model")
 
     def advance(self, state, ctx, token_ids):
-        """Advance an [H] or [K,H] state by each candidate id: [K,H] h, c, feed.
-
-        This is the speculative batch the guided scorers evaluate: row k is
-        the state the decoder would be in if token_ids[k] were consumed.
-        """
+        """The decoder cell from an [H] or [K,H] state on each candidate id:
+        [K,H] h, c, row k the h_t that consuming token_ids[k] gives, which the
+        guided scorers read.  readout gives the rows' feed and logits."""
         self._check_owner(state)
         self._check_owner(ctx)
         ids = np.asarray(token_ids, dtype=np.int64)
-        k = ids.shape[0]
-        x = ad.rows(self.p["tgt_embed"], ids)
-        h, c, feed, enc = (
-            Tensor(a if a.shape == shape else np.broadcast_to(a, shape))
-            for a, shape in ((state.h, (k, self.hidden)),
-                             (state.c, (k, self.hidden)),
-                             (state.feed, (k, self.hidden)),
-                             (ctx.enc, (k,) + ctx.enc.shape[1:])))
-        logits, h, c, feed = self._decode_graph_step(enc, None, x, feed, h, c)
-        return h.data, c.data, feed.data, logits.data
+        shape = (ids.shape[0], self.hidden)
+        h, c, feed = (Tensor(a if a.shape == shape else
+                             np.broadcast_to(a, shape))
+                      for a in (state.h, state.c, state.feed))
+        h, c = self._cell(ad.rows(self.p["tgt_embed"], ids), feed, h, c)
+        return h.data, c.data
+
+    def readout(self, h, ctx):
+        """The [K,H] feed (zero without attention) and [K,Vt] logits of the
+        [K,H] cell states h: attention over ctx and the output layer."""
+        self._check_owner(ctx)
+        enc, shape = ctx.enc, (h.shape[0],) + ctx.enc.shape[1:]
+        enc = enc if enc.shape == shape else np.broadcast_to(enc, shape)
+        logits, feed = self._readout(Tensor(enc), None, Tensor(h))
+        return (np.zeros_like(h) if feed is None else feed.data), logits.data
 
     def decode_step(self, state, prev_token, ctx):
         """Feed one token; returns (log-prob vector [Vt], new DecoderState)."""
-        self._check_owner(state)
-        self._check_owner(ctx)
         prev = int(prev_token)
         if not 0 <= prev < self.tgt_vocab:
             raise ContractError(f"previous token {prev} outside target vocab")
-        h, c, feed, logits = self.advance(state, ctx, np.array([prev]))
+        h, c = self.advance(state, ctx, np.array([prev]))
+        feed, logits = self.readout(h, ctx)
         logprobs = ad.log_softmax(Tensor(logits[0])).data
         return logprobs, DecoderState(h[0], c[0], feed[0], self)
 

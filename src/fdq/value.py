@@ -121,7 +121,8 @@ def _forced_examples(model, corpus, batch_size, label_fn):
     offset = 0
     for batch in batch_iter(corpus, batch_size):
         rows, t = np.nonzero(batch.tgt_mask[:, 1:])
-        feats.append(model.forced_states(batch)[rows, t + 1])
+        states = np.stack([h.data for _, _, h in model.forced(batch)], axis=1)
+        feats.append(states[rows, t + 1])
         index.append(np.stack([rows + offset, t + 1], axis=1))
         offset += batch.src.shape[0]
     index = np.concatenate(index)

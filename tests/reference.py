@@ -4,14 +4,16 @@ ranking as a lexsort, a rollout action
 drawn after a from-scratch prefix replay, a forced prefix replayed as a
 search root, the length protocol as its own loop over positions, the
 partial-backward scorer that re-encodes every candidate prefix, and the
-unfused LSTM step and per-tensor optimizer (with its global-norm clip)
-behind the fused training kernels."""
+unfused LSTM step (with the constant multiply of its hold-state blend)
+and per-tensor optimizer (with its global-norm clip) behind the fused
+training kernels, and the teacher-forced decoder states the Q heads'
+training examples are read from."""
 
 import numpy as np
 
 from fdq import autodiff as ad
 from fdq import decode
-from fdq.autodiff import Tensor, _record
+from fdq.autodiff import Tensor, _record, _unbroadcast
 from fdq.data import BOS, EOS, PAD, SequencePair
 from fdq.errors import SearchSpaceError, TrainingDivergenceError
 from fdq.seq2seq import DecoderState, batch_logprobs
@@ -28,6 +30,12 @@ def step_logprobs(model, src, tgt):
         out.append(float(logprobs[tok]))
         prev = tok
     return out
+
+
+def forced_states(model, batch):
+    """Teacher-forced decoder states [B, T, H], untaped; slots as in
+    Seq2Seq.forced."""
+    return np.stack([h.data for _, _, h in model.forced(batch)], axis=1)
 
 
 def sampled_action(model, src, prefix, seed):
@@ -131,6 +139,14 @@ def sigmoid(a):
     return out
 
 
+def mul_const(a, c):
+    """Multiply by a constant scalar or array (no gradient flows into c)."""
+    c = np.asarray(c, dtype=a.data.dtype)
+    out = Tensor(a.data * c)
+    _record(out, (a,), lambda g: (_unbroadcast(g * c, a.shape),))
+    return out
+
+
 def transpose(a):
     out = Tensor(a.data.T)
     _record(out, (a,), lambda g: (g.T,))
@@ -164,8 +180,8 @@ def lstm_step(params, x, h, c, mask=None):
     h_new = ad.mul(o, ad.tanh(c_new))
     if mask is None:
         return h_new, c_new
-    return (ad.add(ad.mul_const(h_new, mask), ad.mul_const(h, 1.0 - mask)),
-            ad.add(ad.mul_const(c_new, mask), ad.mul_const(c, 1.0 - mask)))
+    return (ad.add(mul_const(h_new, mask), mul_const(h, 1.0 - mask)),
+            ad.add(mul_const(c_new, mask), mul_const(c, 1.0 - mask)))
 
 
 def clip_by_global_norm(grad_arrays, max_norm):

@@ -123,6 +123,23 @@ def test_search_decoder_calls(monkeypatch, search, want):
     assert _search_counts(monkeypatch, runs[search]) == want
 
 
+def test_guided_search_reads_out_only_kept_rows(monkeypatch):
+    # beam 2, L=2 as in "admitted": the length scorer reads the decoder
+    # cell of every candidate, so advance makes 1 + 9 + 18 + 18 rows, but
+    # attention reads only the root's row and the 2 kept rows of each of
+    # the two settled steps (EOS is admitted at the third)
+    model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    advanced = _counted(monkeypatch, Seq2Seq, "advance",
+                        rows=lambda self, state, ctx, ids: len(ids))
+    attended = _counted(monkeypatch, ad, "attn_scores",
+                        rows=lambda enc, h: len(h.data))
+    length_forced_select(model, LengthRegressor(3, seed=0), [4, 5], 2,
+                         DecodeConfig(mode="length_q", beam=2))
+    assert {"advance_rows": advanced["rows"],
+            "attended_rows": attended["rows"]} == {
+        "advance_rows": 1 + 9 + 18 + 18, "attended_rows": 1 + 2 + 2}
+
+
 def test_rollout_decoder_calls(monkeypatch):
     # 5 pairs, 4 positions x 2 samples each: one engine per pair encodes
     # the source and steps BOS (decode_step), forces its root along the
@@ -218,13 +235,15 @@ def test_outcome_fit_step_tape_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize("search, want", [
-    ("sbs", 85), ("length_q", 101), ("mmi_q", 151), ("outcome_q", 126),
-    ("outcome_q_weight_0", 85)])
+    ("sbs", 89), ("length_q", 94), ("mmi_q", 153), ("outcome_q", 130),
+    ("outcome_q_weight_0", 89)])
 def test_tensor_constructions_per_pair(monkeypatch, search, want):
     # every Tensor one decoded pair builds, untaped ones included; the
     # models and heads are built before counting.  At weight 0 the
     # outcome search builds what sbs builds.  The mmi_q search crosses a
-    # bucket edge at its second step, where the prefixes are encoded afresh
+    # bucket edge at its second step, where the prefixes are encoded afresh.
+    # The length_q search reads out only kept rows, and none at the step
+    # where EOS is admitted
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
     reg = LengthRegressor(3, seed=0)
     ensemble = PartialBackwardEnsemble(

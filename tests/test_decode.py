@@ -310,13 +310,34 @@ class TestBatchedStep:
         m = tiny_model(3, vt=9, hidden=8)
         eng, live = live_beam(m, None, [4, 5, 3], 2)
         ys = [3 + k for k in range(len(live))]
-        h, _, _, logits = m.advance(live.state, eng.ctx, ys)
-        logprobs = log_softmax(Tensor(logits)).data
+        h, _ = m.advance(live.state, eng.ctx, ys)
+        logprobs = log_softmax(Tensor(m.readout(h, eng.ctx)[1])).data
         for k in range(len(live)):
             want, state = m.decode_step(live.state.take(k), ys[k], eng.ctx)
             np.testing.assert_allclose(logprobs[k], want, rtol=0,
                                        atol=BATCH_ATOL)
             np.testing.assert_allclose(h[k], state.h, rtol=0, atol=BATCH_ATOL)
+
+    def test_kept_readout_matches_candidate_readout(self):
+        # settle gathers the kept rows' cell states from the B*V candidates
+        # the scorer read, and reads out only those rows as one K-row
+        # batch; each agrees with its row of a readout over all B*V
+        m = tiny_model(3, vt=9, hidden=8)
+        scorer = LengthScorer(LengthRegressor(8, seed=2), 4)
+        eng, live = live_beam(m, scorer, [4, 5, 3], 2)
+        scores = eng.expand(live, allow_eos=False)
+        h, c = live.children(eng.ctx)
+        feed, logits = m.readout(h, eng.ctx)
+        parents, ys = eng.ranked(scores, 4)
+        nxt, _ = eng.settle(live, scores, (parents, ys))
+        order = np.lexsort((ys, parents))
+        kept = parents[order] * m.tgt_vocab + ys[order]
+        np.testing.assert_array_equal(nxt.state.h, h[kept])
+        np.testing.assert_array_equal(nxt.state.c, c[kept])
+        logprobs = log_softmax(Tensor(logits[kept])).data
+        for got, want in ((nxt.state.feed, feed[kept]),
+                          (nxt.logprobs, logprobs)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=BATCH_ATOL)
 
     def test_beam_rows_follow_their_parents(self):
         # after every step, each beam row's decoder rows, next log-probs

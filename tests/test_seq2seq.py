@@ -86,17 +86,21 @@ class TestDecodeStep:
     @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("pad", [0, 2])
     def test_untaped_advance_is_the_taped_step(self, attention, pad):
-        # decoding runs the training step without a tape, attending to its
-        # one source with no mask; the taped step gets an explicit mask
-        # over `pad` more positions of junk.  Under 8 positions numpy sums
-        # in order, so a masked position adds an exact zero
+        # decoding runs the training step without a tape, as advance (the
+        # cell) then readout (attention and the output layer) on the same
+        # rows, attending to its one source with no mask; the taped step
+        # gets an explicit mask over `pad` more positions of junk.  Under 8
+        # positions numpy sums in order, so a masked position adds an exact
+        # zero.  Without attention the feed is never read; readout leaves
+        # it zero
         m = tiny_model(3, attention=attention, vt=7)
         ctx, _ = m.encode([4, 5, 3])
         r = np.random.default_rng(pad)
         k, s = 4, ctx.enc.shape[1]
         h, c, feed = r.normal(size=(3, k, m.hidden)).astype(np.float32)
         ids = np.array([3, 2, 6, 3])
-        untaped = m.advance(DecoderState(h, c, feed, m), ctx, ids)
+        cell = m.advance(DecoderState(h, c, feed, m), ctx, ids)
+        untaped = (*cell, *m.readout(cell[0], ctx))
         enc = np.concatenate(
             [np.repeat(ctx.enc, k, axis=0),
              r.normal(size=(k, pad, m.hidden)).astype(np.float32)], axis=1)
@@ -107,8 +111,10 @@ class TestDecodeStep:
                 ad.rows(m.p["tgt_embed"], ids), Tensor(feed), Tensor(h),
                 Tensor(c))
         assert tape.nodes
-        for got, want in zip(untaped, (*state, logits)):
-            np.testing.assert_array_equal(got, want.data)
+        want_feed = state[2].data if attention else np.zeros_like(feed)
+        for got, want in zip(untaped, (state[0].data, state[1].data,
+                                       want_feed, logits.data)):
+            np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))

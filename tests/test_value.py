@@ -20,7 +20,7 @@ from fdq.value import (DEFAULT_BUCKETS, BackwardRegressor, LengthRegressor,
                        save_rollouts, swap_corpus, train_backward_model,
                        train_backward_q_option1, train_backward_q_option2,
                        train_length_q, train_outcome_q)
-from reference import sampled_action, step_logprobs
+from reference import forced_states, sampled_action, step_logprobs
 
 
 def bucket_scores(ensemble, src, prefixes):
@@ -142,7 +142,7 @@ class TestLengthExamples:
                         hidden=4, max_len=8, seed=0)
         feats, _, index = length_examples(model, corpus)
         for (i, t), f in zip(index, feats):
-            states = model.forced_states(make_batch([corpus.pairs[i]]))
+            states = forced_states(model, make_batch([corpus.pairs[i]]))
             assert np.allclose(f, states[0, t], atol=1e-6)
 
     def test_untrained_model_rejected(self):
@@ -167,7 +167,7 @@ class TestLengthRegressor:
         sched = TrainSchedule(epochs=60, batch_size=32, lr=3e-3, seed=17)
         reg = train_length_q(model, train, sched)
         pair = next(p for p in dev.pairs if p.n == 6)
-        states = model.forced_states(make_batch([pair]))
+        states = forced_states(model, make_batch([pair]))
         assert abs(reg.predict(states[0, 1][None])[0] - 5.0) <= 1.5
 
     def test_predict_contract(self):
