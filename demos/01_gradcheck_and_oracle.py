@@ -55,7 +55,7 @@ print("whole space, so the beam top-1 must equal the true argmax")
 matches = 0
 for seed in range(10):
     m = Seq2Seq(7, 7, hidden=3, max_len=8, seed=seed)
-    top = beam_search(m, [3, 4], DecodeConfig(beam=400, cap=4)).top()
+    top = beam_search(m, [3, 4], DecodeConfig(beam=400, cap=4))[0]
     oracle = exhaustive_decode(m, None, [3, 4], DecodeConfig(cap=4))
     matches += top.tokens == oracle.tokens
     if seed < 3:
@@ -65,7 +65,7 @@ print(f"agreement: {matches}/10 random models")
 print()
 print("== a value term can steer the whole search ==")
 m = Seq2Seq(7, 7, hidden=3, max_len=8, seed=1)
-plain = beam_search(m, [3, 4], DecodeConfig(beam=4, cap=4)).top()
+plain = beam_search(m, [3, 4], DecodeConfig(beam=4, cap=4))[0]
 lure = 6
 
 
@@ -74,7 +74,7 @@ def fn(prefix, y):
 
 
 cfg = DecodeConfig(mode="mmi_q", beam=4, weight=1.0, cap=4)
-steered = guided_beam_search(m, CallableScorer(fn, 7), [3, 4], cfg).top()
+steered = guided_beam_search(m, CallableScorer(fn, 7), [3, 4], cfg)[0]
 print(f"plain top-1   {plain.tokens}")
 print(f"steered top-1 {steered.tokens} (value term pays 5.0 for starting "
       f"with token {lure})")

@@ -10,8 +10,8 @@ Layout, all integers little-endian:
     payload count times, manifest order: raw f32, C order
 
 A manifest entry with name ``__type__/<tag>`` and dims [0] carries a
-checkpoint type tag instead of data; loaders use it to pick the right
-reconstructor.
+checkpoint type tag instead of data; `Checkpointed.load` requires a file's
+tags to be exactly its class's one, which `Checkpointed.save` writes first.
 """
 
 from __future__ import annotations
@@ -89,35 +89,14 @@ def load_tensors(path):
     return out
 
 
-def with_type_tag(named, tag):
-    """Prepend a type-tag entry to a tensor mapping."""
-    out = {TYPE_PREFIX + tag: np.zeros(0, dtype=np.float32)}
-    out.update(named)
-    return out
-
-
-def split_type_tag(named):
-    """Pull the type tag (or None) out of a loaded mapping."""
-    tag = None
-    rest = {}
-    for name, arr in named.items():
-        if name.startswith(TYPE_PREFIX):
-            if tag is not None:
-                raise CheckpointError("multiple type tags in one checkpoint")
-            tag = name[len(TYPE_PREFIX):]
-        else:
-            rest[name] = arr
-    return tag, rest
-
-
 class Checkpointed:
     """Parameter format and save/load of a model whose Tensor dict is self.p.
 
     A subclass sets TYPE_TAG and defines meta(), the hyperparameter list
     stored as the "meta" entry, and the classmethod from_meta(meta, params);
-    load refuses a file written under another tag, and from_named a
-    stored meta or a set of tensor names that the model it builds does not
-    reproduce.
+    load refuses a file whose type tags are not exactly its own, and
+    from_named a stored meta or a set of tensor names that the model it
+    builds does not reproduce.
     """
 
     TYPE_TAG = None
@@ -147,14 +126,20 @@ class Checkpointed:
         return model
 
     def save(self, path):
-        save_tensors(path, with_type_tag(self.to_named(), self.TYPE_TAG))
+        save_tensors(path, {TYPE_PREFIX + self.TYPE_TAG: np.zeros(0),
+                            **self.to_named()})
 
     @classmethod
     def load(cls, path):
-        """The model at path; a file whose tensors make none is a CheckpointError."""
-        tag, named = split_type_tag(load_tensors(path))
-        if tag != cls.TYPE_TAG:
-            raise CheckpointError(f"{path}: type tag {tag!r}, want {cls.TYPE_TAG!r}")
+        """The model at path; a file whose tensors make none, or whose type
+        tags are not exactly [TYPE_TAG], is a CheckpointError."""
+        named = load_tensors(path)
+        tags = [k.removeprefix(TYPE_PREFIX) for k in named
+                if k.startswith(TYPE_PREFIX)]
+        if tags != [cls.TYPE_TAG]:
+            raise CheckpointError(
+                f"{path}: type tags {tags}, want {[cls.TYPE_TAG]}")
+        del named[TYPE_PREFIX + cls.TYPE_TAG]
         try:
             return cls.from_named(named)
         except (LookupError, ValueError) as exc:

@@ -34,6 +34,8 @@ from .value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
 
 FORWARD = "forward.fdq"
 BACKWARD = "backward.fdq"
+BACKWARD_HINT = ("train with q.family=backward_opt1 or decode.mode=mmi_rerank "
+                 "to produce a backward model")
 ROLLOUTS = "rollouts.ndjson"
 Q_FILE = "q_{}.fdq"
 VOCABS = ["dev.json.src.vocab", "dev.json.tgt.vocab"]
@@ -107,8 +109,8 @@ def _check_key(config, out, name, hint):
     """Raise ConfigError unless the key file of out/name holds its key:
     name was made from what _made_from names, as it is now."""
     kpath = out / f"{name}.key"
-    if (kpath.exists()
-            and kpath.read_text(encoding="utf-8") == _key(config, out, name)):
+    if (kpath.exists() and kpath.read_bytes()
+            == _key(config, out, name).encode("utf-8")):
         return
     fields, files = _made_from(config, name)
     *rest, last = [*fields, *files]
@@ -117,20 +119,11 @@ def _check_key(config, out, name, hint):
                       f"({kpath} differs or is missing); {hint}")
 
 
-def _load_forward(config, out):
-    """forward.fdq, if `fdq train` made it for this task, split and seed."""
-    path = _require(out / FORWARD, "run `fdq train` first")
-    _check_key(config, out, FORWARD, "rerun `fdq train`")
-    return Seq2Seq.load(path)
-
-
-def _load_backward(config, out):
-    """backward.fdq, if `fdq train` made it for this task, split and seed."""
-    hint = ("train with q.family=backward_opt1 or decode.mode=mmi_rerank "
-            "to produce a backward model")
-    path = _require(out / BACKWARD, hint)
-    _check_key(config, out, BACKWARD, hint)
-    return Seq2Seq.load(path)
+def _load(config, out, name, cls, hint):
+    """cls.load(out/name) once _require and _check_key pass, with hint."""
+    path = _require(out / name, hint)
+    _check_key(config, out, name, hint)
+    return cls.load(path)
 
 
 def _print_epoch(record):
@@ -143,13 +136,6 @@ def _from_section(cls, section, **given):
     """A cls dataclass from the section keys that name its fields, plus given."""
     names = {f.name for f in dataclasses.fields(cls)}
     return cls(**{**{k: v for k, v in section.items() if k in names}, **given})
-
-
-def _needs_backward(config):
-    # any backward-family experiment gets the exact backward model, so
-    # the mmi_rerank baseline in `compare` works without extra steps
-    return (config["q"]["family"] in ("backward_opt1", "backward_opt2")
-            or config["decode"]["mode"] == "mmi_rerank")
 
 
 # -- commands -------------------------------------------------------------------
@@ -174,7 +160,10 @@ def cmd_train(config, out, manifest):
     # the keys cover the vocabulary sidecars save_corpus wrote
     _write_key(config, out, FORWARD)
     manifest.artifacts["dev_corpus"] = str(out / "dev.json")
-    if _needs_backward(config):
+    # any backward-family experiment gets the exact backward model, so
+    # the mmi_rerank baseline in `compare` works without extra steps
+    if (config["q"]["family"] in ("backward_opt1", "backward_opt2")
+            or config["decode"]["mode"] == "mmi_rerank"):
         b = config["q"]["backward"]
         bsched = _from_section(TrainSchedule, b,
                                seed=_seed(config, "train", "backward"))
@@ -215,7 +204,7 @@ def _rollouts(config, out, model, train, manifest):
 
 
 def cmd_train_q(config, out, manifest):
-    model = _load_forward(config, out)
+    model = _load(config, out, FORWARD, Seq2Seq, "rerun `fdq train`")
     train, dev, _ = load_task(config)
     _check_vocab(model, train, out)
     q = config["q"]
@@ -225,8 +214,9 @@ def cmd_train_q(config, out, manifest):
     if family == "length":
         fit = partial(train_length_q, model, train, sched, dev=dev)
     elif family == "backward_opt1":
-        fit = partial(train_backward_q_option1, model,
-                      _load_backward(config, out), train, sched, dev=dev)
+        backward = _load(config, out, BACKWARD, Seq2Seq, BACKWARD_HINT)
+        fit = partial(train_backward_q_option1, model, backward, train, sched,
+                      dev=dev)
     elif family == "backward_opt2":
         fit = partial(train_backward_q_option2, train, sched,
                       buckets=q["buckets"], hidden=q["hidden"],
@@ -257,35 +247,28 @@ def cmd_train_q(config, out, manifest):
     return 0
 
 
-def _load_q(config, out, family, cls):
-    path = _require(out / Q_FILE.format(family),
-                    f"run `fdq train-q` with q.family={family}")
-    _check_key(config, out, path.name,
-               f"rerun `fdq train-q` with q.family={family}")
-    return cls.load(path)
+# the checkpoint class of each Q family and its per-pair scorer
+Q_SCORERS = {"length": (LengthRegressor, lambda reg: reg),
+             "backward_opt1": (BackwardRegressor, RegressorScorer),
+             "backward_opt2": (PartialBackwardEnsemble, PartialBackwardScorer),
+             "outcome": (OutcomePredictor, OutcomeScorer)}
 
 
 def _build_scorer(config, out, mode):
     """Per-mode (scorer_factory, backward) from on-disk checkpoints."""
-    family = config["q"]["family"]
-    if mode == "length_q":
-        reg = _load_q(config, out, "length", LengthRegressor)
-        return (lambda pair: reg), None
-    if mode == "mmi_q" and family == "backward_opt1":
-        reg = _load_q(config, out, family, BackwardRegressor)
-        return (lambda pair: RegressorScorer(reg)), None
-    if mode == "mmi_q" and family == "backward_opt2":
-        ens = _load_q(config, out, family, PartialBackwardEnsemble)
-        return (lambda pair: PartialBackwardScorer(ens)), None
-    if mode == "mmi_q":
+    if mode == "mmi_rerank":
+        return None, _load(config, out, BACKWARD, Seq2Seq, BACKWARD_HINT)
+    family = {"length_q": "length", "outcome_q": "outcome",
+              "mmi_q": config["q"]["family"]}.get(mode)
+    if family is None:
+        return None, None
+    if mode == "mmi_q" and not family.startswith("backward"):
         raise ConfigError(f"config key 'q.family': mmi_q decodes with a "
                           f"backward family, got {family!r}")
-    if mode == "outcome_q":
-        pred = _load_q(config, out, "outcome", OutcomePredictor)
-        return (lambda pair: OutcomeScorer(pred)), None
-    if mode == "mmi_rerank":
-        return None, _load_backward(config, out)
-    return None, None
+    cls, scorer = Q_SCORERS[family]
+    q = _load(config, out, Q_FILE.format(family), cls,
+              f"run `fdq train-q` with q.family={family}")
+    return (lambda pair: scorer(q)), None
 
 
 def _reference_records(corpus):
@@ -299,7 +282,7 @@ def _reference_records(corpus):
 
 
 def cmd_decode(config, out, manifest):
-    model = _load_forward(config, out)
+    model = _load(config, out, FORWARD, Seq2Seq, "rerun `fdq train`")
     d = config["decode"]
     if d["input"] is not None:
         corpus = load_corpus(_require(d["input"], "decode.input must exist"))
@@ -407,7 +390,7 @@ def cmd_compare(config, out, manifest):
     if not d["weights"]:
         raise ConfigError("config key 'decode.weights': compare needs a "
                           "non-empty weight grid")
-    model = _load_forward(config, out)
+    model = _load(config, out, FORWARD, Seq2Seq, "rerun `fdq train`")
     _, corpus, _ = load_task(config)
     _check_vocab(model, corpus, out)
     for family in Q_FAMILIES:
@@ -415,7 +398,7 @@ def cmd_compare(config, out, manifest):
         name = Q_FILE.format(family)
         if (out / name).exists():
             _check_key(config, out, name,
-                       f"rerun `fdq train-q` with q.family={family}")
+                       f"run `fdq train-q` with q.family={family}")
     ref_records = _reference_records(corpus)
     cells = [("sbs", None), ("mmi_rerank", d["weight"])]
     cells += [(mode, w) for mode in d["modes"] for w in d["weights"]]
@@ -503,7 +486,7 @@ def main(argv=None):
     except TrainingDivergenceError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (FdqError, FileNotFoundError) as exc:
+    except (FdqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

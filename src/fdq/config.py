@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .data import read_text
 from .errors import ConfigError, ContractError
 
 DEFAULT_CONFIG = {
@@ -130,7 +131,7 @@ def load_config(path):
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: malformed JSON ({exc})") from exc
     if not isinstance(doc, dict):

@@ -46,12 +46,6 @@ class Vocab:
     def __contains__(self, token):
         return token in self._ids
 
-    def id(self, token):
-        return self._ids.get(token, UNK)
-
-    def token(self, idx):
-        return self._tokens[idx]
-
     def encode(self, tokens):
         return [self._ids.get(t, UNK) for t in tokens]
 
@@ -63,7 +57,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         if tuple(lines[:4]) != RESERVED:
             raise LoadError(f"{path}: reserved tokens missing or reordered")
         if len(set(lines)) != len(lines):
@@ -296,11 +290,29 @@ def batch_iter(corpus, batch_size, seed=None):
         yield make_batch(chunk)
 
 
+def read_text(path):
+    """The text of the UTF-8 file at path; a LoadError if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text") from exc
+
+
 def write_ndjson(path, records, separators=(",", ":")):
     """One JSON object per line; rollout files keep json's spaced separators."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, separators=separators) + "\n")
+
+
+def check_ids(seq, vocab, role):
+    """ContractError unless seq is a non-empty list of ids below vocab."""
+    if len(seq) == 0:
+        raise ContractError(f"{role} sequence is empty")
+    bad = [tok for tok in seq if not 0 <= tok < vocab]
+    if bad:
+        raise ContractError(f"{role} id {bad[0]} outside vocabulary "
+                            f"of {vocab}")
 
 
 def is_ids(value):
@@ -316,27 +328,25 @@ def read_ndjson(path, required=(), kinds=(), exact=False):
     kinds, raises LoadError at path:line.
     """
     records = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LoadError(
-                    f"{path}:{n}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise LoadError(f"{path}:{n}: not a JSON object")
-            missing = [k for k in required if k not in rec]
-            if missing:
-                raise LoadError(f"{path}:{n}: record lacks {missing}")
-            if exact and len(rec) != len(required):
-                raise LoadError(f"{path}:{n}: fields {sorted(rec)}, "
-                                f"want {sorted(required)}")
-            bad = [k for k, ok in kinds if k in rec and not ok(rec[k])]
-            if bad:
-                raise LoadError(f"{path}:{n}: wrong type for {bad}")
-            records.append(rec)
+    for n, line in enumerate(read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LoadError(f"{path}:{n}: malformed JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise LoadError(f"{path}:{n}: not a JSON object")
+        missing = [k for k in required if k not in rec]
+        if missing:
+            raise LoadError(f"{path}:{n}: record lacks {missing}")
+        if exact and len(rec) != len(required):
+            raise LoadError(f"{path}:{n}: fields {sorted(rec)}, "
+                            f"want {sorted(required)}")
+        bad = [k for k, ok in kinds if k in rec and not ok(rec[k])]
+        if bad:
+            raise LoadError(f"{path}:{n}: wrong type for {bad}")
+        records.append(rec)
     return records
 
 

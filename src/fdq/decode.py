@@ -20,7 +20,8 @@ The live beam is kept as rows of one length in token order, so a step is
 batched: a scorer call, a sort, a cell call or gather and a readout cover it.
 
 Ties everywhere: higher combined score first, then the lexicographically
-smaller token tuple (lower token id, then shorter prefix).
+smaller token tuple (lower token id, then shorter prefix); a search
+returns its n-best as a list of DecodedHyps in that order.
 
 PAD and BOS are never candidates; UNK is an ordinary decodable token.
 """
@@ -162,14 +163,6 @@ class DecodedHyp:
         return len(self.content)
 
 
-@dataclass
-class NBestList:
-    entries: list      # DecodedHyp, sorted by (-combined, tokens)
-
-    def top(self):
-        return self.entries[0]
-
-
 class Engine:
     """Shared expansion machinery for beam, protocol, and exhaustive modes.
 
@@ -271,8 +264,8 @@ class Engine:
                                           np.array([tok], np.int64)))[0]
 
     def search(self, live, config, keep_all=False, length=None):
-        """The NBestList of a search from the live beam, its best
-        `nbest or beam` finished hypotheses; the only loop over positions.
+        """The best `nbest or beam` finished DecodedHyps of a search from
+        the live beam, by (-combined, tokens); the only loop over positions.
 
         Positions start after the live beam's length.  It ends once `beam`
         hypotheses have finished (never, with keep_all).  A demanded length
@@ -305,7 +298,7 @@ class Engine:
             if not keep_all and len(pool) >= stop:
                 break
         pool.sort(key=lambda h: (-h.combined, h.tokens))
-        return NBestList(pool[:config.nbest or config.beam])
+        return pool[:config.nbest or config.beam]
 
 
 def _finished(beam, scores, rows):
@@ -352,7 +345,7 @@ def exhaustive_decode(model, scorer, src, config=None):
     if model.tgt_vocab ** cap > EXHAUSTIVE_GUARD:
         raise SearchSpaceError(
             f"search space {model.tgt_vocab}^{cap} exceeds {EXHAUSTIVE_GUARD}")
-    return _run(model, scorer, src, config, keep_all=True).top()
+    return _run(model, scorer, src, config, keep_all=True)[0]
 
 
 def length_forced_select(model, regressor, src, length, config=None):
@@ -364,7 +357,7 @@ def length_forced_select(model, regressor, src, length, config=None):
         raise ConfigError(f"target length must be >= 1, got {length}")
     scorer = LengthScorer(regressor, length) if regressor is not None else None
     return _run(model, scorer, src, config,
-                length=length if config.mask_eos else None).top()
+                length=length if config.mask_eos else None)[0]
 
 
 NEG_SENTINEL = -1e30  # stands in for -inf; keeps scores finite and JSON-safe
@@ -391,10 +384,9 @@ def rescore_nbest(entries, backward, src, weight):
 
 def mmi_rerank(forward, backward, src, config):
     """N-best from forward beam search, reranked by log p + w*log p(X|Y)."""
-    base = beam_search(forward, src, config)
-    rescored = rescore_nbest(base.entries, backward, src, config.weight)
-    nbest = NBestList(rescored)
-    return nbest.top(), nbest
+    rescored = rescore_nbest(beam_search(forward, src, config), backward, src,
+                             config.weight)
+    return rescored[0], rescored
 
 
 def decode_corpus(model, corpus, config, scorer_factory=None, backward=None):
@@ -452,5 +444,5 @@ def _decode_pair(model, pair, config, scorer_factory, backward):
     if mode == "exhaustive":
         return exhaustive_decode(model, scorer, pair.src, config)
     if mode == "sbs":
-        return beam_search(model, pair.src, config).top()
-    return guided_beam_search(model, scorer, pair.src, config).top()
+        return beam_search(model, pair.src, config)[0]
+    return guided_beam_search(model, scorer, pair.src, config)[0]

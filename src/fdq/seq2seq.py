@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import LSTMParams, Tape, Tensor, backward
 from .checkpoint import Checkpointed
-from .data import EOS, batch_iter, make_batch
+from .data import EOS, batch_iter, check_ids, make_batch
 from .errors import ContractError, TrainingDivergenceError
 from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
@@ -196,13 +196,6 @@ class Seq2Seq(Checkpointed):
         feed = ad.tanh(ad.affine(self.p["att_feed/w"], self.p["att_feed/b"], cat))
         return ad.affine(self.p["out/w"], self.p["out/b"], soft), feed
 
-    def _decode_graph_step(self, enc, src_mask, x, feed, h, c):
-        """One decoder step on [B,*] tensors, _cell then _readout; returns
-        (logits, h, c, feed), a model without attention keeping its feed."""
-        h, c = self._cell(x, feed, h, c)
-        logits, fed = self._readout(enc, src_mask, h)
-        return logits, h, c, feed if fed is None else fed
-
     def forced(self, batch):
         """Teacher-forced pass over a batch: yields (t, logits, h) per slot.
 
@@ -217,9 +210,9 @@ class Seq2Seq(Checkpointed):
         enc and last state (h, c): yields (t, logits, h) per slot."""
         feed = Tensor(np.zeros((tgt_in.shape[0], self.hidden)))
         for t in range(tgt_in.shape[1]):
-            x = ad.rows(self.p["tgt_embed"], tgt_in[:, t])
-            logits, h, c, feed = self._decode_graph_step(
-                enc, src_mask, x, feed, h, c)
+            h, c = self._cell(ad.rows(self.p["tgt_embed"], tgt_in[:, t]),
+                              feed, h, c)
+            logits, feed = self._readout(enc, src_mask, h)
             yield t, logits, h
 
     def mle_loss(self, batch):
@@ -233,16 +226,9 @@ class Seq2Seq(Checkpointed):
 
     # -- single-sequence inference -------------------------------------------
 
-    def check_source(self, src):
-        """Raise ContractError unless src is a non-empty list of source ids."""
-        if len(src) == 0:
-            raise ContractError("cannot encode an empty source sequence")
-        if any(not 0 <= t < self.src_vocab for t in src):
-            raise ContractError("source token id out of vocabulary range")
-
     def encode(self, src):
         """Encode one source; returns (EncoderContext, initial DecoderState)."""
-        self.check_source(src)
+        check_ids(src, self.src_vocab, "source")
         enc, h, c = self._encode_graph(np.array([src], np.int64), None)
         ctx = EncoderContext(enc.data, self, tuple(src))
         state = DecoderState(h.data[0], c.data[0],
@@ -308,7 +294,7 @@ def batch_logprobs(model, pairs):
     if any(not p.tgt or p.tgt[-1] != EOS for p in pairs):
         raise ContractError("every target must end with EOS")
     for p in pairs:
-        model.check_source(p.src)
+        check_ids(p.src, model.src_vocab, "source")
     batch = make_batch(pairs)
     if batch.tgt_out.min() < 0 or batch.tgt_out.max() >= model.tgt_vocab:
         raise ContractError("target token id out of vocabulary range")

@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpointed
-from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter, is_ids,
-                   pad_ids, read_ndjson, write_ndjson)
+from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter,
+                   check_ids, is_ids, pad_ids, read_ndjson, write_ndjson)
 from .decode import NEG_SENTINEL, DecodeConfig, Engine
 from .errors import ConfigError, ContractError, DimensionError
 from .metrics import rouge2, sentence_bleu
@@ -322,7 +322,9 @@ class PartialBackwardEnsemble(Checkpointed):
 
 def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
                              hidden=64, attention=True, max_len=21):
-    """Train per-bucket backward models on (partial target -> source) pairs.
+    """Train per-bucket backward models on (partial target -> source) pairs,
+    each by train_backward_model on the (source, prefix + EOS) pairs of
+    its bucket.
 
     Bucket i trains with seed schedule.seed + i; empty buckets are left
     without a model, and nearest_model routes their lengths to the
@@ -332,21 +334,14 @@ def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
     _check_buckets(buckets)
     per_bucket = {i: [] for i in range(len(buckets))}
     for pair in corpus.pairs:
-        content = list(pair.tgt[:-1])
-        for t in range(1, len(content) + 1):
+        for t in range(1, pair.n + 1):
             per_bucket[_bucket_index(buckets, t)].append(
-                SequencePair(content[:t], list(pair.src) + [EOS]))
-    models = {}
-    for i, pairs in per_bucket.items():
-        if not pairs:
-            continue
-        sub = Corpus(pairs, corpus.tgt_vocab, corpus.src_vocab,
-                     {"bucket": list(buckets[i])})
-        model = Seq2Seq(len(corpus.tgt_vocab), len(corpus.src_vocab),
-                        hidden=hidden, attention=attention, max_len=max_len,
-                        seed=schedule.seed + i)
-        train_mle(model, sub, replace(schedule, seed=schedule.seed + i))
-        models[i] = model
+                SequencePair(list(pair.src), list(pair.tgt[:t]) + [EOS]))
+    models = {i: train_backward_model(
+        replace(corpus, pairs=pairs),
+        replace(schedule, seed=schedule.seed + i),
+        hidden=hidden, attention=attention, max_len=max_len)
+        for i, pairs in per_bucket.items() if pairs}
     ensemble = PartialBackwardEnsemble(buckets, models)
     ensemble.example_counts = {i: len(pairs) for i, pairs in per_bucket.items()
                                if pairs}
@@ -400,7 +395,7 @@ def generate_rollouts(model, corpus, config=None):
         if config.prefix_source == "gold":
             base = gold
         else:
-            base = list(eng.search(eng.root, complete_cfg).top().content)
+            base = list(eng.search(eng.root, complete_cfg)[0].content)
         n = len(base)
         if n == 0:
             continue
@@ -425,7 +420,7 @@ def generate_rollouts(model, corpus, config=None):
                     completed = list(prefix)
                 else:
                     completed = list(eng.search(eng.force(root, y_t),
-                                                complete_cfg).top().tokens)
+                                                complete_cfg)[0].tokens)
                 content = completed[:-1] if completed[-1] == EOS else completed
                 q = float(score(content, gold))
                 records.append({
@@ -497,31 +492,11 @@ class OutcomePredictor(Checkpointed):
         hy = self._encode("y", *pad_ids(prefixes))
         return self._head(hx, hy)
 
-    def _check_ids(self, seq, vocab, role):
-        if len(seq) == 0:
-            raise ContractError(f"{role} sequence is empty")
-        for tok in seq:
-            if not 0 <= tok < vocab:
-                raise ContractError(
-                    f"{role} id {tok} outside vocabulary of {vocab}")
-
-    def step_prefix(self, state, tokens):
-        """Advance the prefix encoder's (h, c), [1,H] or [K,H], by each token.
-
-        Returns the [K,H] arrays (h, c): row k is the state after tokens[k].
-        """
-        k = len(tokens)
-        h, c = (Tensor(np.broadcast_to(s, (k, self.hidden)).copy())
-                for s in state)
-        x = ad.rows(self.p["emb_y"], np.asarray(tokens))
-        h2, c2 = ad.lstm_step(lstm_params(self.p, "enc_y"), x, h, c)
-        return h2.data, c2.data
-
     def predict(self, srcs, prefixes):
         """Predicted outcomes [B] of the pairs (X, y_{1:t}); untaped."""
         for src, prefix in zip(srcs, prefixes, strict=True):
-            self._check_ids(src, self.src_vocab, "source")
-            self._check_ids(prefix, self.tgt_vocab, "prefix")
+            check_ids(src, self.src_vocab, "source")
+            check_ids(prefix, self.tgt_vocab, "prefix")
         return self._graph(srcs, prefixes).data[:, 0].astype(np.float64)
 
     def meta(self):
@@ -553,6 +528,15 @@ def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
 # -- scorers wiring the estimators into guided search ---------------------------
 
 
+def candidate_step(table, lstm, h, c, vocab):
+    """One LSTM step from each [B,H] row of (h, c) on every id below vocab:
+    the [B*V,H] (h, c) Tensors, candidate (b, y) at row b*V + y."""
+    b = h.shape[0]
+    h, c = (Tensor(np.repeat(s, vocab, axis=0)) for s in (h, c))
+    x = ad.rows(table, np.tile(np.arange(vocab), b))
+    return ad.lstm_step(lstm, x, h, c)
+
+
 class OutcomeScorer:
     """qterm = predicted outcome of (ctx.src, hypothesis + candidate).
 
@@ -570,10 +554,12 @@ class OutcomeScorer:
         if rows is None:
             rows = (*np.zeros((2, 1, self.q.hidden), np.float32),
                     self.q._encode("x", np.array([ctx.src]), None).data)
-        h, c, hx = (np.repeat(r, v, axis=0) for r in rows)
-        h, c = self.q.step_prefix((h, c), np.tile(np.arange(v), b))
-        out = self.q._head(Tensor(hx), Tensor(h))
-        return out.data[:, 0].astype(np.float64).reshape(b, v), (h, c, hx)
+        h, c = candidate_step(self.q.p["emb_y"],
+                              lstm_params(self.q.p, "enc_y"), *rows[:2], v)
+        hx = np.repeat(rows[2], v, axis=0)
+        out = self.q._head(Tensor(hx), h)
+        return (out.data[:, 0].astype(np.float64).reshape(b, v),
+                (h.data, c.data, hx))
 
 
 class PartialBackwardScorer:
@@ -603,11 +589,11 @@ class PartialBackwardScorer:
         elif rows is None or model is not self.ensemble.nearest_model(t):
             ids = np.array(beam.tokens, dtype=np.int64)
             rows = (r.data for r in model._encode_graph(ids, None))
-        enc, h, c = (np.repeat(r, v, axis=0) for r in rows)
-        x = ad.rows(model.p["src_embed"], np.tile(np.arange(v), b))
-        h, c = ad.lstm_step(lstm_params(model.p, "enc"), x, Tensor(h),
-                            Tensor(c))
-        enc = np.concatenate([enc, h.data[:, None]], axis=1)
+        enc, h, c = rows
+        h, c = candidate_step(model.p["src_embed"],
+                              lstm_params(model.p, "enc"), h, c, v)
+        enc = np.concatenate([np.repeat(enc, v, axis=0), h.data[:, None]],
+                             axis=1)
         tgt = np.array([BOS, *ctx.src, EOS])
         tgt_in, tgt_out, ones = (np.broadcast_to(a, (b * v, len(tgt) - 1))
                                  for a in (tgt[:-1], tgt[1:], np.float32(1)))

@@ -86,7 +86,7 @@ def length_forced_select(model, regressor, src, length, config):
               if regressor is not None else None)
     if not config.mask_eos:
         return decode.guided_beam_search(model, scorer, src,
-                                         config).top(), None
+                                         config)[0], None
     cap = config.cap if config.cap is not None else model.max_len
     cap = max(cap, length + 1)
     eng = decode.Engine(model, scorer, src, config)

@@ -133,7 +133,7 @@ def test_criterion_2_oracle_equivalence():
     for i in range(50):
         m = Seq2Seq(7, 7, hidden=3, max_len=8, seed=i)
         src = [3 + (i % 4), 3 + ((i // 4) % 4)]
-        top = beam_search(m, src, DecodeConfig(beam=400, cap=4)).top()
+        top = beam_search(m, src, DecodeConfig(beam=400, cap=4))[0]
         oracle = exhaustive_decode(m, None, src, DecodeConfig(cap=4))
         assert top.tokens == oracle.tokens, f"model {i}: sbs diverged"
         assert top.combined == pytest.approx(oracle.combined, abs=1e-9)
@@ -142,7 +142,7 @@ def test_criterion_2_oracle_equivalence():
             return (stream_key("q", i, *prefix, y) % 997) / 997.0 - 0.5
 
         cfg = DecodeConfig(mode="mmi_q", beam=400, weight=0.7, cap=4)
-        gtop = guided_beam_search(m, CallableScorer(fn, 7), src, cfg).top()
+        gtop = guided_beam_search(m, CallableScorer(fn, 7), src, cfg)[0]
         goracle = exhaustive_decode(m, CallableScorer(fn, 7), src,
                                     DecodeConfig(mode="mmi_q", weight=0.7, cap=4))
         assert gtop.tokens == goracle.tokens, f"model {i}: guided diverged"

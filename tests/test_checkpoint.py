@@ -1,5 +1,6 @@
 """FDQ1 container: bit-exact round trips and corruption handling."""
 
+import re
 import struct
 
 import numpy as np
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdq.checkpoint import (MAGIC, load_tensors, save_tensors, split_type_tag,
-                            with_type_tag)
+from fdq.checkpoint import MAGIC, load_tensors, save_tensors
 from fdq.errors import CheckpointError
 from fdq.seq2seq import Seq2Seq
 from fdq.value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
@@ -76,19 +76,29 @@ class TestRoundTrip:
 class TestTypeTags:
     def test_tag_round_trip(self, tmp_path):
         path = tmp_path / "q.fdq"
-        save_tensors(path, with_type_tag({"w": np.ones((2, 2), dtype=np.float32)},
-                                         "length"))
-        tag, rest = split_type_tag(load_tensors(path))
-        assert tag == "length"
-        assert list(rest) == ["w"]
+        reg = LengthRegressor(2, seed=1)
+        reg.save(path)
+        named = load_tensors(path)
+        assert list(named)[0] == "__type__/length_q"
+        assert named["__type__/length_q"].shape == (0,)
+        assert list(named)[1:] == list(reg.to_named())
+        assert LengthRegressor.load(path).hidden == 2
 
-    def test_untagged_is_none(self):
-        assert split_type_tag({"w": np.ones(1)})[0] is None
+    def test_untagged_rejected(self, tmp_path):
+        path = tmp_path / "q.fdq"
+        save_tensors(path, LengthRegressor(2, seed=1).to_named())
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: type tags []")):
+            LengthRegressor.load(path)
 
-    def test_double_tag_rejected(self):
-        named = {"__type__/a": np.zeros(0), "__type__/b": np.zeros(0)}
-        with pytest.raises(CheckpointError):
-            split_type_tag(named)
+    def test_double_tag_rejected(self, tmp_path):
+        path = tmp_path / "q.fdq"
+        save_tensors(path, {"__type__/length_q": np.zeros(0),
+                            "__type__/b": np.zeros(0),
+                            **LengthRegressor(2, seed=1).to_named()})
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: type tags ['length_q', 'b']")):
+            LengthRegressor.load(path)
 
 
 class TestCorruption:

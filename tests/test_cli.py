@@ -189,6 +189,25 @@ class TestTrain:
         assert main(["train", "--config", str(bad)]) == 2
         assert "malformed JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        "config_not_utf8", "config_is_a_directory", "eval_hyp_not_utf8"])
+    def test_unreadable_input_exits_two_and_names_it(self, rig_config,
+                                                     tmp_path, capsys, bad):
+        path = tmp_path / "bad"
+        if bad == "config_is_a_directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"id": 0, "hyp": "caf\xe9"}\n')
+        if bad == "eval_hyp_not_utf8":
+            ref = tmp_path / "ref.ndjson"
+            ref.write_text('{"id": 0, "hyp": "a"}\n', encoding="utf-8")
+            code = run("eval", rig_config, tmp_path / "run",
+                       f"eval.hyp={path}", f"eval.ref={ref}")
+        else:
+            code = main(["train", "--config", str(path)])
+        assert code == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"decode": {"beem": 3}}', encoding="utf-8")

@@ -187,8 +187,8 @@ def _counted(monkeypatch, owner, name, **fields):
 def test_outcome_scorer_prefix_steps(monkeypatch, weight, want):
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
     scorer = OutcomeScorer(OutcomePredictor(6, 9, hidden=3, seed=2))
-    counts = _counted(monkeypatch, OutcomePredictor, "step_prefix",
-                      rows=lambda self, state, tokens: len(tokens))
+    counts = _counted(monkeypatch, value, "candidate_step",
+                      rows=lambda table, lstm, h, c, vocab: len(h) * vocab)
     sources = _counted(monkeypatch, OutcomePredictor, "_encode",
                        x=lambda self, side, ids, mask: side == "x")
     guided_beam_search(model, scorer, [4, 5],
@@ -235,13 +235,15 @@ def test_outcome_fit_step_tape_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize("search, want", [
-    ("sbs", 89), ("length_q", 94), ("mmi_q", 153), ("outcome_q", 130),
+    ("sbs", 89), ("length_q", 94), ("mmi_q", 153), ("outcome_q", 127),
     ("outcome_q_weight_0", 89)])
 def test_tensor_constructions_per_pair(monkeypatch, search, want):
     # every Tensor one decoded pair builds, untaped ones included; the
     # models and heads are built before counting.  At weight 0 the
-    # outcome search builds what sbs builds.  The mmi_q search crosses a
-    # bucket edge at its second step, where the prefixes are encoded afresh.
+    # outcome search builds what sbs builds; at weight 1 its scorer reads
+    # the stepped prefix h as candidate_step's Tensor.  The mmi_q search
+    # crosses a bucket edge at its second step, where the prefixes are
+    # encoded afresh.
     # The length_q search reads out only kept rows, and none at the step
     # where EOS is admitted
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)

@@ -21,15 +21,15 @@ def corpus_fingerprint(c):
 class TestVocab:
     def test_reserved_ids(self):
         v = Vocab(["hello"])
-        assert v.id("<pad>") == PAD and v.id("<bos>") == BOS
-        assert v.id("<eos>") == EOS and v.id("<unk>") == UNK
-        assert v.id("hello") == 4
+        assert v.encode(["<pad>"])[0] == PAD and v.encode(["<bos>"])[0] == BOS
+        assert v.encode(["<eos>"])[0] == EOS and v.encode(["<unk>"])[0] == UNK
+        assert v.encode(["hello"])[0] == 4
 
     def test_tie_breaks_lexicographically(self):
         v = Vocab.from_counts(Counter({"zebra": 2, "apple": 2, "mango": 3}))
-        assert v.id("mango") == 4
-        assert v.id("apple") == 5
-        assert v.id("zebra") == 6
+        assert v.encode(["mango"])[0] == 4
+        assert v.encode(["apple"])[0] == 5
+        assert v.encode(["zebra"])[0] == 6
 
     def test_round_trip_identity(self):
         v = Vocab.from_counts(Counter({"a": 1, "b": 1}))
@@ -42,7 +42,7 @@ class TestVocab:
         v.save(p)
         w = Vocab.load(p)
         assert len(w) == len(v)
-        assert w.id("été") == v.id("été")
+        assert w.encode(["été"])[0] == v.encode(["été"])[0]
 
     def test_load_rejects_missing_reserved(self, tmp_path):
         p = tmp_path / "bad.vocab"
@@ -135,7 +135,7 @@ class TestDialogueCalibration:
         for tgt, sources in by_tgt.items():
             if tgt == generic:
                 continue
-            templates = {c.src_vocab.token(src[0]) for src in sources}
+            templates = {c.src_vocab.decode([src[0]])[0] for src in sources}
             assert len(templates) == 1
 
 

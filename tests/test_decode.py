@@ -15,10 +15,11 @@ from fdq.decode import (BATCH_ATOL, CallableScorer, DecodeConfig, Engine,
                         length_forced_select, mmi_rerank, rescore_nbest)
 from fdq.errors import ConfigError, ContractError, SearchSpaceError
 from fdq.seeding import stream_key
-from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, train_mle,
-                         _param_shapes)
+from fdq.seq2seq import (Seq2Seq, TrainSchedule, batch_logprobs, lstm_params,
+                         train_mle, _param_shapes)
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
-                       PartialBackwardEnsemble, PartialBackwardScorer)
+                       PartialBackwardEnsemble, PartialBackwardScorer,
+                       candidate_step)
 from reference import length_forced_select as reference_protocol
 from reference import (ReencodingBackwardScorer, lexsort_ranked,
                        replayed_root, step_logprobs)
@@ -75,7 +76,7 @@ class TestBeamSearch:
     def test_b1_is_greedy(self):
         m = tiny_model(1)
         src = [4, 5]
-        top = beam_search(m, src, DecodeConfig(beam=1)).top()
+        top = beam_search(m, src, DecodeConfig(beam=1))[0]
         ctx, state = m.encode(src)
         prev, toks = BOS, []
         for pos in range(1, m.max_len + 2):
@@ -96,14 +97,14 @@ class TestBeamSearch:
         m = tiny_model(2)
         a = beam_search(m, [4, 5], DecodeConfig(beam=3))
         b = beam_search(m, [4, 5], DecodeConfig(beam=3))
-        assert [h.tokens for h in a.entries] == [h.tokens for h in b.entries]
-        assert [h.combined for h in a.entries] == [h.combined for h in b.entries]
+        assert [h.tokens for h in a] == [h.tokens for h in b]
+        assert [h.combined for h in a] == [h.combined for h in b]
 
     def test_matches_exhaustive_when_beam_covers_space(self):
         for seed in range(6):
             m = tiny_model(seed)
             cfg = DecodeConfig(beam=400, cap=4)
-            top = beam_search(m, [4, 5], cfg).top()
+            top = beam_search(m, [4, 5], cfg)[0]
             oracle = exhaustive_decode(m, None, [4, 5], DecodeConfig(cap=4))
             assert top.tokens == oracle.tokens
             assert top.combined == oracle.combined
@@ -111,19 +112,19 @@ class TestBeamSearch:
     def test_nbest_sorted_and_ends_with_eos(self):
         m = tiny_model(3)
         out = beam_search(m, [4], DecodeConfig(beam=5))
-        scores = [h.combined for h in out.entries]
+        scores = [h.combined for h in out]
         assert scores == sorted(scores, reverse=True)
-        assert all(h.tokens[-1] == EOS for h in out.entries)
+        assert all(h.tokens[-1] == EOS for h in out)
 
     def test_cum_logp_matches_sequence_logprob(self):
         m = tiny_model(4)
-        for h in beam_search(m, [4, 5], DecodeConfig(beam=4)).entries:
+        for h in beam_search(m, [4, 5], DecodeConfig(beam=4)):
             want = sum(step_logprobs(m, [4, 5], list(h.tokens)))
             assert h.logp == pytest.approx(want, abs=BATCH_ATOL)
 
     def test_step_scores_nonpositive(self):
         m = tiny_model(5)
-        top = beam_search(m, [4, 5], DecodeConfig(beam=3)).top()
+        top = beam_search(m, [4, 5], DecodeConfig(beam=3))[0]
         steps = step_logprobs(m, [4, 5], list(top.tokens))
         assert all(lp <= 0 for lp in steps)
 
@@ -132,14 +133,14 @@ class TestBeamSearch:
         out = beam_search(m, [4], DecodeConfig(beam=4, cap=3))
         # all single-step scores equal, so the shortest sequence wins and
         # ties resolve toward smaller token tuples
-        assert out.top().tokens == (EOS,)
-        assert [h.tokens for h in out.entries] == [
+        assert out[0].tokens == (EOS,)
+        assert [h.tokens for h in out] == [
             (EOS,), (3, EOS), (3, 3, EOS), (3, 3, 3, EOS)]
         # ids 2..4 only: step 2 ties all six extensions of (3,) and (4,),
         # and the beam of 4 cuts after (4, EOS), inside that tied run
         m = uniform_model(vt=5)
         out = beam_search(m, [4], DecodeConfig(beam=4, nbest=5))
-        assert [h.tokens for h in out.entries] == [
+        assert [h.tokens for h in out] == [
             (EOS,), (3, EOS), (4, EOS), (3, 3, EOS), (3, 4, EOS)]
         # the same cut when the live beam is not in token order: a step-1
         # bonus puts (4,) ahead of (3,), then every step-2 score ties again,
@@ -148,7 +149,7 @@ class TestBeamSearch:
                                5)
         cfg = DecodeConfig(mode="mmi_q", beam=4, nbest=5, weight=1.0)
         out = guided_beam_search(m, bonus, [4], cfg)
-        assert [h.tokens for h in out.entries] == [
+        assert [h.tokens for h in out] == [
             (EOS,), (3, EOS), (4, EOS), (3, 3, EOS), (3, 4, EOS)]
 
 
@@ -160,8 +161,8 @@ class TestGuidedBeam:
             cfg = DecodeConfig(mode="mmi_q", beam=3, weight=0.0)
             guided = guided_beam_search(m, scorer, [4, 5], cfg)
             plain = beam_search(m, [4, 5], DecodeConfig(beam=3))
-            assert [h.tokens for h in guided.entries] == \
-                   [h.tokens for h in plain.entries]
+            assert [h.tokens for h in guided] == \
+                   [h.tokens for h in plain]
 
     def test_oracle_q_steers_first_token(self):
         m = uniform_model(vt=9)
@@ -172,7 +173,7 @@ class TestGuidedBeam:
             return 10.0 if seq and seq[0] == lure else 0.0
 
         cfg = DecodeConfig(mode="mmi_q", beam=3, weight=1.0, cap=4)
-        top = guided_beam_search(m, CallableScorer(fn, 9), [4], cfg).top()
+        top = guided_beam_search(m, CallableScorer(fn, 9), [4], cfg)[0]
         assert top.tokens[0] == lure
 
     def test_matches_exhaustive_with_scorer(self):
@@ -180,7 +181,7 @@ class TestGuidedBeam:
             m = tiny_model(seed, vt=6)
             scorer = bounded_random_scorer(m.tgt_vocab, seed)
             cfg = DecodeConfig(mode="mmi_q", beam=400, weight=0.7, cap=4)
-            top = guided_beam_search(m, scorer, [4, 5], cfg).top()
+            top = guided_beam_search(m, scorer, [4, 5], cfg)[0]
             oracle = exhaustive_decode(
                 m, bounded_random_scorer(m.tgt_vocab, seed), [4, 5],
                 DecodeConfig(mode="mmi_q", weight=0.7, cap=4))
@@ -191,7 +192,7 @@ class TestGuidedBeam:
         m = tiny_model(7)
         scorer = bounded_random_scorer(m.tgt_vocab, 7)
         cfg = DecodeConfig(mode="mmi_q", beam=4, weight=0.9)
-        for h in guided_beam_search(m, scorer, [4, 5], cfg).entries:
+        for h in guided_beam_search(m, scorer, [4, 5], cfg):
             assert h.combined == pytest.approx(h.logp + 0.9 * h.q_term, abs=1e-5)
 
     def test_q_term_is_latest_not_accumulated(self):
@@ -201,7 +202,8 @@ class TestGuidedBeam:
             return float(len(prefix) + 1)  # grows with position
 
         cfg = DecodeConfig(mode="mmi_q", beam=2, weight=0.5)
-        top = guided_beam_search(m, CallableScorer(fn, m.tgt_vocab), [4], cfg).top()
+        top = guided_beam_search(m, CallableScorer(fn, m.tgt_vocab), [4],
+                                 cfg)[0]
         # the reported q_term is the estimate made when EOS was chosen,
         # i.e. fn at the final position, not a sum over positions
         assert top.q_term == float(len(top.tokens))
@@ -356,6 +358,13 @@ class TestBatchedStep:
                     return np.floor(2 * qterm), rows
             return Coarse
 
+        def prefix_step(q, prefix, tok):
+            # the prefix encoder's (h, c) after tok: its row of the step
+            # on every id
+            step = candidate_step(q.p["emb_y"], lstm_params(q.p, "enc_y"),
+                                  *prefix, vt)
+            return [s.data[tok:tok + 1] for s in step]
+
         predictor = OutcomePredictor(9, vt, hidden=hidden, seed=3)
         regressor = LengthRegressor(hidden, seed=3)
         for q in (predictor, regressor):
@@ -393,7 +402,7 @@ class TestBatchedStep:
                         for tok in tokens:
                             logprobs, state = m.decode_step(state, tok, ctx)
                             if outcome:
-                                prefix = scorer.q.step_prefix(prefix, [tok])
+                                prefix = prefix_step(scorer.q, prefix, tok)
                         row = live.state.take(b)
                         pairs = [(row.h, state.h), (row.c, state.c),
                                  (row.feed, state.feed),
@@ -457,8 +466,8 @@ class TestBatchedStep:
         srcs = ([4, 5], [5, 3, 3, 4])
         shared = make()
         engines = [Engine(m, shared, src, config) for src in srcs]
-        got = [eng.search(eng.root, config).entries for eng in engines]
-        want = [guided_beam_search(m, make(), src, config).entries
+        got = [eng.search(eng.root, config) for eng in engines]
+        want = [guided_beam_search(m, make(), src, config)
                 for src in srcs]
         assert got == want
         assert got[0] != got[1]
@@ -505,9 +514,9 @@ class TestBatchedStep:
         engines = [Engine(m, shared, src, config) for src in srcs]
         longest = 0
         for eng, src in zip(engines, srcs):
-            got = eng.search(eng.root, config).entries
+            got = eng.search(eng.root, config)
             want = guided_beam_search(m, ReencodingBackwardScorer(ensemble),
-                                      src, config).entries
+                                      src, config)
             assert [h.tokens for h in got] == [h.tokens for h in want]
             for g, w in zip(got, want):
                 for field in ("logp", "q_term", "combined"):
@@ -540,8 +549,7 @@ class TestBatchedStep:
                              (live.state.feed, want.state.feed)):
                 assert got.dtype == ref.dtype
                 assert np.array_equal(got, ref)
-            got, ref = (eng.search(root, config).entries
-                        for root in (live, want))
+            got, ref = (eng.search(root, config) for root in (live, want))
             assert [(h.tokens, h.logp, h.combined) for h in got] == \
                 [(h.tokens, h.logp, h.combined) for h in ref]
             assert all(h.tokens[:n] == prefix for h in got)
@@ -624,7 +632,7 @@ class TestLengthForced:
             m.p["out/b"].data[EOS] = -50.0
             cfg = DecodeConfig(beam=3, cap=length + 2)
             got = length_forced_select(m, None, [4, 5], length, cfg)
-            want = beam_search(m, [4, 5], cfg).top()
+            want = beam_search(m, [4, 5], cfg)[0]
             assert len(got.content) == length + 2
             assert got.tokens == want.tokens
             assert got.logp == want.logp
@@ -687,15 +695,16 @@ class TestMmiRerank:
         c, fwd, bwd = self.train_pair()
         src = c.pairs[0].src
         best, _ = mmi_rerank(fwd, bwd, src, DecodeConfig(beam=4, weight=0.0))
-        assert best.tokens == beam_search(fwd, src, DecodeConfig(beam=4)).top().tokens
+        want = beam_search(fwd, src, DecodeConfig(beam=4))[0]
+        assert best.tokens == want.tokens
 
     def test_large_weight_selects_max_backward(self):
         c, fwd, bwd = self.train_pair()
         src = c.pairs[1].src
         base = beam_search(fwd, src, DecodeConfig(beam=4))
         _, reranked = mmi_rerank(fwd, bwd, src, DecodeConfig(beam=4, weight=1e6))
-        backs = {h.tokens: h.q_term for h in reranked.entries}
-        assert reranked.top().q_term == max(backs.values())
+        backs = {h.tokens: h.q_term for h in reranked}
+        assert reranked[0].q_term == max(backs.values())
 
     def test_matches_independent_rescoring(self):
         c, fwd, bwd = self.train_pair()
@@ -704,7 +713,7 @@ class TestMmiRerank:
         _, reranked = mmi_rerank(fwd, bwd, src, cfg)
         base = beam_search(fwd, src, DecodeConfig(beam=4))
         scored = []
-        for h in base.entries:
+        for h in base:
             if h.content:
                 back = sum(step_logprobs(bwd, list(h.content),
                                          list(src) + [EOS]))
@@ -712,15 +721,15 @@ class TestMmiRerank:
                 back = -1e30  # backward model cannot encode an empty source
             scored.append((h.logp + 0.8 * back, h.tokens, back))
         scored.sort(key=lambda s: (-s[0], s[1]))
-        assert [s[1] for s in scored] == [h.tokens for h in reranked.entries]
-        for (_, _, back), h in zip(scored, reranked.entries):
+        assert [s[1] for s in scored] == [h.tokens for h in reranked]
+        for (_, _, back), h in zip(scored, reranked):
             assert h.q_term == pytest.approx(back, rel=0, abs=BATCH_ATOL)
 
     def test_decomposition(self):
         c, fwd, bwd = self.train_pair()
         _, reranked = mmi_rerank(fwd, bwd, c.pairs[3].src,
                                  DecodeConfig(beam=3, weight=0.5))
-        for h in reranked.entries:
+        for h in reranked:
             assert h.combined == pytest.approx(h.logp + 0.5 * h.q_term, rel=1e-9)
 
 

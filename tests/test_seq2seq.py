@@ -106,12 +106,12 @@ class TestDecodeStep:
              r.normal(size=(k, pad, m.hidden)).astype(np.float32)], axis=1)
         mask = np.concatenate([np.ones((k, s)), np.zeros((k, pad))], axis=1)
         with Tape() as tape:
-            logits, *state = m._decode_graph_step(
-                Tensor(enc), mask.astype(np.float32),
-                ad.rows(m.p["tgt_embed"], ids), Tensor(feed), Tensor(h),
-                Tensor(c))
+            state = m._cell(ad.rows(m.p["tgt_embed"], ids), Tensor(feed),
+                            Tensor(h), Tensor(c))
+            logits, fed = m._readout(Tensor(enc), mask.astype(np.float32),
+                                     state[0])
         assert tape.nodes
-        want_feed = state[2].data if attention else np.zeros_like(feed)
+        want_feed = fed.data if attention else np.zeros_like(feed)
         for got, want in zip(untaped, (state[0].data, state[1].data,
                                        want_feed, logits.data)):
             np.testing.assert_array_equal(got, want)

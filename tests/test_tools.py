@@ -1,11 +1,15 @@
 """The artifact digest harness runs clean and reruns byte-identically;
-the quick demo runs clean."""
+the quick demo runs clean, and every demo imports only names fdq has."""
 
+import ast
+import importlib
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from fdq.config import Q_FAMILIES
 
@@ -40,3 +44,18 @@ def test_gradcheck_demo_runs():
         [sys.executable, str(ROOT / "demos" / "01_gradcheck_and_oracle.py")],
         capture_output=True, text=True, check=False, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", sorted(
+    p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_exist(demo):
+    # the slow demos are run by hand, so a name a refactor removes from
+    # fdq would break them unseen; this parses them and runs nothing
+    tree = ast.parse((ROOT / "demos" / demo).read_text(encoding="utf-8"))
+    names = [(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and node.module.split(".")[0] == "fdq" for alias in node.names]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -558,7 +558,7 @@ class TestScorers:
         scorer = OutcomeScorer(predictor)
         cfg = DecodeConfig(mode="outcome_q", beam=3, weight=0.5)
         out = guided_beam_search(model, scorer, src, cfg)
-        top = out.top()
+        top = out[0]
         want = predictor.predict([src], [list(top.tokens)])[0]
         assert top.q_term == pytest.approx(want, rel=0, abs=BATCH_ATOL)
         assert top.combined == pytest.approx(top.logp + 0.5 * top.q_term,
@@ -569,7 +569,7 @@ class TestScorers:
         src = dev.pairs[0].src
         scorer = PartialBackwardScorer(ensemble)
         cfg = DecodeConfig(mode="mmi_q", beam=3, weight=1.0)
-        top = guided_beam_search(forward, scorer, src, cfg).top()
+        top = guided_beam_search(forward, scorer, src, cfg)[0]
         content = list(top.content)
         model = ensemble.models[ensemble.bucket_index(len(content))]
         want = sum(step_logprobs(model, content, list(src) + [EOS]))
