@@ -78,10 +78,6 @@ class Tape:
     def __exit__(self, *exc):
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
-        return False
-
-    def clear(self):
-        self.nodes.clear()
 
 
 def _record(out, inputs, vjp):
@@ -136,7 +132,7 @@ def backward(tape, loss):
         for inp, ig in zip(inputs, vjp(g)):
             if ig is not None:
                 grads.accumulate(inp, ig)
-    tape.clear()
+    tape.nodes.clear()
     return grads
 
 
@@ -185,23 +181,6 @@ def square(a):
 def tanh(a):
     out = Tensor(np.tanh(a.data))
     _record(out, (a,), lambda g: ((1.0 - out.data * out.data) * g,))
-    return out
-
-
-def matmul(a, b):
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def vjp(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:  # dot product, g scalar
-            return g * bd, g * ad
-        if ad.ndim == 1:  # (k,) @ (k,n) -> (n,)
-            return np.matmul(bd, g), np.outer(ad, g)
-        if bd.ndim == 1:  # (m,k) @ (k,) -> (m,)
-            return np.outer(g, bd), np.matmul(ad.T, g)
-        return np.matmul(g, bd.T), np.matmul(ad.T, g)
-
-    _record(out, (a, b), vjp)
     return out
 
 
@@ -265,31 +244,20 @@ def rows(table, ids):
     return out
 
 
-def softmax(a):
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = Tensor(e / e.sum(axis=-1, keepdims=True))
-
-    def vjp(g):
-        y = out.data
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    _record(out, (a,), vjp)
-    return out
-
-
-def masked_softmax(a, mask):
+def softmax(a, mask=None):
     """Softmax along the last axis; positions with mask==0 get zero weight,
-    and a mask of None is the plain softmax, bitwise an all-ones mask."""
+    and a mask of None, which pads nothing, is bitwise an all-ones mask."""
     if mask is None:
-        return softmax(a)
-    mask = np.asarray(mask)
-    neg = np.where(mask > 0, 0.0, -1e30).astype(a.data.dtype)
-    shifted = a.data + neg
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted) * (mask > 0)
-    out = Tensor(e / np.maximum(e.sum(axis=-1, keepdims=True), 1e-30))
+        shifted = a.data - a.data.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        out = Tensor(e / e.sum(axis=-1, keepdims=True))
+    else:
+        mask = np.asarray(mask)
+        neg = np.where(mask > 0, 0.0, -1e30).astype(a.data.dtype)
+        shifted = a.data + neg
+        shifted = shifted - shifted.max(axis=-1, keepdims=True)
+        e = np.exp(shifted) * (mask > 0)
+        out = Tensor(e / np.maximum(e.sum(axis=-1, keepdims=True), 1e-30))
 
     def vjp(g):
         y = out.data
@@ -301,16 +269,13 @@ def masked_softmax(a, mask):
 
 
 def log_softmax(a):
+    """Log-softmax along the last axis, never taped: decoding and scoring
+    read log-probs, and training takes its loss from masked_xent_sum."""
+    if _ACTIVE_TAPE is not None:
+        raise ContractError("log_softmax has no vjp; use masked_xent_sum")
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = Tensor(shifted - lse)
-
-    def vjp(g):
-        p = np.exp(out.data)
-        return (g - p * g.sum(axis=-1, keepdims=True),)
-
-    _record(out, (a,), vjp)
-    return out
+    return Tensor(shifted - lse)
 
 
 def masked_xent_sum(logits, targets, mask):

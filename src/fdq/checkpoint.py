@@ -99,8 +99,6 @@ class Checkpointed:
     builds does not reproduce.
     """
 
-    TYPE_TAG = None
-
     def params(self):
         return list(self.p.values())
 

@@ -151,7 +151,10 @@ def cmd_train(config, out, manifest):
                           seed=_seed(config, "train"))
     with timed(manifest, "train"):
         train_mle(model, train, sched, dev=dev, log=_print_epoch)
-    ppl = math.exp(dataset_ce(model, dev))
+    ce = dataset_ce(model, dev)
+    if not ce < math.log(sys.float_info.max):
+        raise TrainingDivergenceError(f"dev_ce={ce:.4f} overflows dev_ppl")
+    ppl = math.exp(ce)
     print(f"dev_ppl={ppl:.4f}")
     manifest.metrics["dev_ppl"] = ppl
     model.save(out / FORWARD)

@@ -43,9 +43,6 @@ class Vocab:
     def __len__(self):
         return len(self._tokens)
 
-    def __contains__(self, token):
-        return token in self._ids
-
     def encode(self, tokens):
         return [self._ids.get(t, UNK) for t in tokens]
 
@@ -121,14 +118,6 @@ GENERIC_PROB = 0.4
 GENERIC_REPLY = ("i", "am", "not", "sure")
 
 
-def dialogue_source(template, filler):
-    return (f"q{template}", "about", f"f{filler}")
-
-
-def dialogue_specific(template, choice):
-    return (f"topic{template}", f"detail{choice}", "here")
-
-
 _ONES = ("zero", "one", "two", "three", "four", "five", "six", "seven",
          "eight", "nine")
 _TEENS = ("ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen",
@@ -188,12 +177,12 @@ def _raw_pairs(spec):
         for _ in range(spec.pairs):
             template = int(rng.integers(0, DIALOGUE_TEMPLATES))
             filler = int(rng.integers(0, DIALOGUE_FILLERS))
-            xs = list(dialogue_source(template, filler))
+            xs = [f"q{template}", "about", f"f{filler}"]
             if rng.random() < GENERIC_PROB:
                 ys = list(GENERIC_REPLY)
             else:
                 choice = int(rng.integers(0, DIALOGUE_SPECIFICS))
-                ys = list(dialogue_specific(template, choice))
+                ys = [f"topic{template}", f"detail{choice}", "here"]
             out.append((xs, ys))
     return out
 
@@ -231,12 +220,16 @@ def split(corpus, fractions, seed):
     order = substream(seed, "split").permutation(len(corpus.pairs))
     n_train = int(len(order) * fractions[0])
     n_dev = int(len(order) * fractions[1])
-    parts = (order[:n_train], order[n_train:n_train + n_dev],
-             order[n_train + n_dev:])
+    parts = np.split(order, [n_train, n_train + n_dev])
+    names = ("train", "dev", "test")
+    empty = [name for idx, name in zip(parts, names) if not len(idx)]
+    if empty:
+        raise ConfigError(f"split fractions {fractions} of {len(order)} pairs "
+                          f"leave {' and '.join(empty)} empty")
     return tuple(
         Corpus([corpus.pairs[i] for i in idx], corpus.src_vocab,
                corpus.tgt_vocab, dict(corpus.provenance, split=name))
-        for idx, name in zip(parts, ("train", "dev", "test")))
+        for idx, name in zip(parts, names))
 
 
 @dataclass
@@ -366,5 +359,4 @@ def load_corpus(path):
     pairs = [SequencePair(rec["src"], rec["tgt"])
              for rec in read_ndjson(path, ("src", "tgt"),
                                     (("src", is_ids), ("tgt", is_ids)))]
-    corpus = Corpus(pairs, src_vocab, tgt_vocab, {"cache": str(path)})
-    return corpus.validate()
+    return Corpus(pairs, src_vocab, tgt_vocab, {"cache": str(path)}).validate()

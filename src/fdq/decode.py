@@ -189,9 +189,7 @@ class Engine:
         self.scorer = scorer
         self.ctx, state = model.encode(src)
         logprobs, state = model.decode_step(state, BOS, self.ctx)
-        root = DecoderState(state.h[None], state.c[None], state.feed[None],
-                            model)
-        self.root = _Beam([()], np.zeros(1), np.zeros(1), root,
+        self.root = _Beam([()], np.zeros(1), np.zeros(1), state,
                           logprobs[None], None)
 
     def expand(self, beam, allow_content=True, allow_eos=True):
@@ -204,10 +202,12 @@ class Engine:
             if qterm.shape != base.shape:
                 raise ContractError(f"scorer returned shape {qterm.shape}, "
                                     f"want {base.shape}")
-            if not np.isfinite(qterm).all():
-                # a NaN would make every comparison in the sort false
-                raise ContractError("scorer returned a non-finite qterm")
             combined = base + self.weight * qterm
+            if not np.isfinite(combined).all():
+                # NaN or -inf scores would be ranked by position, not score
+                what = ("a non-finite qterm" if not np.isfinite(qterm).all()
+                        else f"a qterm that overflows at weight {self.weight}")
+                raise ContractError(f"scorer returned {what}")
         else:  # base + 0 * qterm, bit for bit
             qterm, rows, combined = np.zeros_like(base), None, base
         return (base, qterm, combined, self.ids[allow_content, allow_eos],
@@ -394,10 +394,10 @@ def decode_corpus(model, corpus, config, scorer_factory=None, backward=None):
 
     scorer_factory(pair) builds the per-pair scorer for guided modes; for
     length_q it returns the remaining-length regressor.  A failing pair,
-    including one whose scorer returns a non-finite qterm, becomes an
-    error record and decoding continues.  The
-    "ms" field stays 0.0 unless config.emit_timings is set, so reruns are
-    byte-for-byte reproducible by default.
+    including one whose weighted qterm is not finite, becomes an error
+    record and decoding continues.  The "ms" field stays 0.0 unless
+    config.emit_timings is set, so reruns are byte-for-byte reproducible
+    by default.
     """
     config.validate()
     if config.mode in GUIDED_MODES and scorer_factory is None:

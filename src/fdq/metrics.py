@@ -62,13 +62,13 @@ def bleu(hypotheses, references, max_order=4, smooth=False):
     return bp * geo
 
 
-def sentence_bleu(hypothesis, reference, max_order=4):
+def sentence_bleu(hypothesis, reference):
     """Smoothed single-pair BLEU, used for rollout outcome labels."""
-    return bleu([hypothesis], [reference], max_order=max_order, smooth=True)
+    return bleu([hypothesis], [reference], smooth=True)
 
 
-def rouge2(hypothesis, reference, alpha=0.5):
-    """Bigram-overlap F-measure; alpha is the recall weight (0.5 = F1)."""
+def rouge2(hypothesis, reference):
+    """Bigram-overlap F1."""
     hyp = ngram_counts(list(hypothesis), 2)
     ref = ngram_counts(list(reference), 2)
     hyp_total = sum(hyp.values())
@@ -80,7 +80,7 @@ def rouge2(hypothesis, reference, alpha=0.5):
         return 0.0
     p = overlap / hyp_total
     r = overlap / ref_total
-    return p * r / (alpha * p + (1.0 - alpha) * r)
+    return p * r / (0.5 * p + 0.5 * r)
 
 
 def distinct_n(responses, n):

@@ -16,15 +16,12 @@ class OptimState:
     of the same layout, so a step allocates no array.
     """
 
-    def __init__(self, algorithm="adam", lr=1e-3, clip_norm=5.0,
-                 betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, algorithm="adam", lr=1e-3, clip_norm=5.0):
         if algorithm not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer algorithm: {algorithm!r}")
         self.algorithm = algorithm
         self.lr = lr
         self.clip_norm = clip_norm
-        self.betas = betas
-        self.eps = eps
         self.step = 0
         self._params = None
 
@@ -68,15 +65,15 @@ def optimizer_step(opt, params, grads, norm=1.0):
     if opt.algorithm == "sgd":
         opt._flat -= np.multiply(g, opt.lr, out=t1)
         return
-    b1, b2 = opt.betas
+    b1, b2 = 0.9, 0.999  # Adam's moment decays
     bias1, bias2 = 1.0 - b1 ** opt.step, 1.0 - b2 ** opt.step
     m, v = opt._m, opt._v
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=t1)
     v *= b2
     v += np.multiply(np.multiply(g, 1.0 - b2, out=t1), g, out=t1)
-    # lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    # lr * (m / bias1) / (sqrt(v / bias2) + 1e-8)
     np.multiply(np.divide(m, bias1, out=t1), opt.lr, out=t1)
     np.sqrt(np.divide(v, bias2, out=t2), out=t2)
-    t2 += opt.eps
+    t2 += 1e-8
     opt._flat -= np.divide(t1, t2, out=t1)

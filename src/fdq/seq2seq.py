@@ -42,7 +42,7 @@ class TrainSchedule:
 
 
 class DecoderState:
-    """Decoder recurrent state h, c, feed: one [H] row or [B,H] rows.
+    """Decoder recurrent state h, c, feed as [K,H] rows.
 
     h is the raw LSTM state the value estimators consume.
     """
@@ -189,7 +189,7 @@ class Seq2Seq(Checkpointed):
         if not self.attention:
             return ad.affine(self.p["out/w"], self.p["out/b"], h), None
         scores = ad.attn_scores(enc, h)
-        weights = ad.masked_softmax(scores, src_mask)
+        weights = ad.softmax(scores, src_mask)
         context = ad.attn_context(weights, enc)
         cat = ad.concat([context, h], axis=-1)
         soft = ad.tanh(ad.affine(self.p["att_soft/w"], self.p["att_soft/b"], cat))
@@ -227,20 +227,18 @@ class Seq2Seq(Checkpointed):
     # -- single-sequence inference -------------------------------------------
 
     def encode(self, src):
-        """Encode one source; returns (EncoderContext, initial DecoderState)."""
+        """Encode one source; returns (EncoderContext, [1,H] DecoderState)."""
         check_ids(src, self.src_vocab, "source")
         enc, h, c = self._encode_graph(np.array([src], np.int64), None)
-        ctx = EncoderContext(enc.data, self, tuple(src))
-        state = DecoderState(h.data[0], c.data[0],
-                             np.zeros(self.hidden, dtype=np.float32), self)
-        return ctx, state
+        return (EncoderContext(enc.data, self, tuple(src)),
+                DecoderState(h.data, c.data, np.zeros_like(h.data), self))
 
     def _check_owner(self, obj):
         if obj.owner is not self:
             raise ContractError("state/context belongs to a different model")
 
     def advance(self, state, ctx, token_ids):
-        """The decoder cell from an [H] or [K,H] state on each candidate id:
+        """The decoder cell from a [1,H] or [K,H] state on each candidate id:
         [K,H] h, c, row k the h_t that consuming token_ids[k] gives, which the
         guided scorers read.  readout gives the rows' feed and logits."""
         self._check_owner(state)
@@ -263,14 +261,14 @@ class Seq2Seq(Checkpointed):
         return (np.zeros_like(h) if feed is None else feed.data), logits.data
 
     def decode_step(self, state, prev_token, ctx):
-        """Feed one token; returns (log-prob vector [Vt], new DecoderState)."""
+        """Feed one token to a [1,H] state; returns (log-probs [Vt], state)."""
         prev = int(prev_token)
         if not 0 <= prev < self.tgt_vocab:
             raise ContractError(f"previous token {prev} outside target vocab")
         h, c = self.advance(state, ctx, np.array([prev]))
         feed, logits = self.readout(h, ctx)
         logprobs = ad.log_softmax(Tensor(logits[0])).data
-        return logprobs, DecoderState(h[0], c[0], feed[0], self)
+        return logprobs, DecoderState(h, c, feed, self)
 
 
 def dataset_ce(model, corpus, batch_size=32):

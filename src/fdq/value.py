@@ -1,6 +1,6 @@
 """Future-outcome estimators Q and their training procedures.
 
-Three families, one interface: given a partial hypothesis, estimate a
+Four estimators, one interface: given a partial hypothesis, estimate a
 scalar property of the full sequence it will become.
 
 * LengthRegressor       h_t -> remaining token count N - t
@@ -212,9 +212,8 @@ def swap_corpus(corpus):
     """Sources become targets and vice versa; EOS moves accordingly."""
     pairs = [SequencePair(list(p.tgt[:-1]), list(p.src) + [EOS])
              for p in corpus.pairs]
-    provenance = dict(corpus.provenance)
-    provenance["swapped"] = True
-    return Corpus(pairs, corpus.tgt_vocab, corpus.src_vocab, provenance)
+    return Corpus(pairs, corpus.tgt_vocab, corpus.src_vocab,
+                  dict(corpus.provenance, swapped=True))
 
 
 def train_backward_model(corpus, schedule, hidden=64, attention=True,
@@ -246,23 +245,21 @@ def _check_buckets(buckets):
     for i, (lo, hi) in enumerate(buckets):
         if lo != expect:
             raise ConfigError(f"bucket {i} starts at {lo}, want {expect}")
-        last = i == len(buckets) - 1
-        if last:
+        if i == len(buckets) - 1:
             if hi is not None:
                 raise ConfigError("final bucket must be open-ended")
+        elif hi is None or hi < lo:
+            raise ConfigError(f"bucket {i} bound {hi} invalid")
         else:
-            if hi is None or hi < lo:
-                raise ConfigError(f"bucket {i} bound {hi} invalid")
             expect = hi + 1
 
 
-def _bucket_index(buckets, t):
+def bucket_index(buckets, t):
+    """The index of the bucket of t; checked buckets hold every t >= 1."""
     if t < 1:
         raise ConfigError(f"prefix length must be >= 1, got {t}")
-    for i, (lo, hi) in enumerate(buckets):
-        if t >= lo and (hi is None or t <= hi):
-            return i
-    raise ConfigError(f"no bucket covers length {t}")
+    return next(i for i, (_, hi) in enumerate(buckets)
+                if hi is None or t <= hi)
 
 
 class PartialBackwardEnsemble(Checkpointed):
@@ -282,13 +279,10 @@ class PartialBackwardEnsemble(Checkpointed):
         self.buckets = tuple(tuple(b) for b in buckets)
         self.models = dict(models)
 
-    def bucket_index(self, t):
-        return _bucket_index(self.buckets, t)
-
     def nearest_model(self, t):
         """The model of the bucket owning length t, else of the closest
         populated bucket (the lower one on a tie)."""
-        i = self.bucket_index(t)
+        i = bucket_index(self.buckets, t)
         if i in self.models:
             return self.models[i]
         spread = sorted(self.models, key=lambda j: (abs(j - i), j))
@@ -335,7 +329,7 @@ def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
     per_bucket = {i: [] for i in range(len(buckets))}
     for pair in corpus.pairs:
         for t in range(1, pair.n + 1):
-            per_bucket[_bucket_index(buckets, t)].append(
+            per_bucket[bucket_index(buckets, t)].append(
                 SequencePair(list(pair.src), list(pair.tgt[:t]) + [EOS]))
     models = {i: train_backward_model(
         replace(corpus, pairs=pairs),

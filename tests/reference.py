@@ -4,10 +4,10 @@ ranking as a lexsort, a rollout action
 drawn after a from-scratch prefix replay, a forced prefix replayed as a
 search root, the length protocol as its own loop over positions, the
 partial-backward scorer that re-encodes every candidate prefix, and the
-unfused LSTM step (with the constant multiply of its hold-state blend)
-and per-tensor optimizer (with its global-norm clip) behind the fused
-training kernels, and the teacher-forced decoder states the Q heads'
-training examples are read from."""
+unfused LSTM step (with its matmul and the constant multiply of its
+hold-state blend) and per-tensor optimizer (with its global-norm clip)
+behind the fused training kernels, and the teacher-forced decoder states
+the Q heads' training examples are read from."""
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from fdq import decode
 from fdq.autodiff import Tensor, _record, _unbroadcast
 from fdq.data import BOS, EOS, PAD, SequencePair
 from fdq.errors import SearchSpaceError, TrainingDivergenceError
-from fdq.seq2seq import DecoderState, batch_logprobs
+from fdq.seq2seq import batch_logprobs
 
 
 def step_logprobs(model, src, tgt):
@@ -62,8 +62,7 @@ def replayed_root(model, src, prefix):
     for tok in prefix:
         cum += float(logprobs[tok])
         logprobs, state = model.decode_step(state, tok, ctx)
-    rows = DecoderState(state.h[None], state.c[None], state.feed[None], model)
-    return decode._Beam([tuple(prefix)], np.array([cum]), np.zeros(1), rows,
+    return decode._Beam([tuple(prefix)], np.array([cum]), np.zeros(1), state,
                         logprobs[None], None)
 
 
@@ -147,6 +146,23 @@ def mul_const(a, c):
     return out
 
 
+def matmul(a, b):
+    out = Tensor(np.matmul(a.data, b.data))
+
+    def vjp(g):
+        av, bv = a.data, b.data
+        if av.ndim == 1 and bv.ndim == 1:  # dot product, g scalar
+            return g * bv, g * av
+        if av.ndim == 1:  # (k,) @ (k,n) -> (n,)
+            return np.matmul(bv, g), np.outer(av, g)
+        if bv.ndim == 1:  # (m,k) @ (k,) -> (m,)
+            return np.outer(g, bv), np.matmul(av.T, g)
+        return np.matmul(g, bv.T), np.matmul(av.T, g)
+
+    _record(out, (a, b), vjp)
+    return out
+
+
 def transpose(a):
     out = Tensor(a.data.T)
     _record(out, (a,), lambda g: (g.T,))
@@ -171,7 +187,7 @@ def lstm_step(params, x, h, c, mask=None):
     the hold-state blend new*m + old*(1-m) when a mask is given."""
     w_ih, w_hh, b = params.w_ih, params.w_hh, params.b
     hidden = w_hh.data.shape[1]
-    gates = ad.add(ad.affine(w_ih, b, x), ad.matmul(h, transpose(w_hh)))
+    gates = ad.add(ad.affine(w_ih, b, x), matmul(h, transpose(w_hh)))
     i = sigmoid(slice_last(gates, 0, hidden))
     f = sigmoid(slice_last(gates, hidden, 2 * hidden))
     g = ad.tanh(slice_last(gates, 2 * hidden, 3 * hidden))

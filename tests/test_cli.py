@@ -222,6 +222,26 @@ class TestTrain:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_overflowing_dev_perplexity_exits_three(self, rig, tmp_path,
+                                                    capsys, monkeypatch):
+        # a finite dev cross-entropy whose exp overflows a float
+        cfg, _ = rig
+        monkeypatch.setattr("fdq.cli.dataset_ce", lambda model, corpus: 800.0)
+        code = run("train", cfg, tmp_path / "r", "train.epochs=1",
+                   "task.pairs=40")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "dev_ce=800.0000" in err
+
+    def test_empty_split_part_exits_two(self, rig, tmp_path, capsys):
+        # 50 pairs at 1% leave no dev pair, whose perplexity would read 1
+        cfg, _ = rig
+        code = run("train", cfg, tmp_path / "r", "split=[0.98,0.01,0.01]",
+                   "task.pairs=50", "train.epochs=1")
+        assert code == 2
+        assert "leave dev empty" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "dev.json").exists()
+
 
 class TestTrainQ:
     def test_length_metrics_beat_baseline(self, rig):

@@ -167,6 +167,10 @@ class TestSplit:
             split(self.make(10), (0.5, 0.5, 0.5), seed=0)
         with pytest.raises(ConfigError):
             split(self.make(10), (1.0, -0.5, 0.5), seed=0)
+        # 3 pairs at 25% leave no dev pair
+        with pytest.raises(ConfigError, match=r"\(0.5, 0.25, 0.25\) of 3 "
+                           "pairs leave dev empty"):
+            split(self.make(3), (0.5, 0.25, 0.25), seed=0)
 
 
 class TestBatches:

@@ -315,10 +315,11 @@ class TestBatchedStep:
         h, _ = m.advance(live.state, eng.ctx, ys)
         logprobs = log_softmax(Tensor(m.readout(h, eng.ctx)[1])).data
         for k in range(len(live)):
-            want, state = m.decode_step(live.state.take(k), ys[k], eng.ctx)
+            want, state = m.decode_step(live.state.take([k]), ys[k], eng.ctx)
             np.testing.assert_allclose(logprobs[k], want, rtol=0,
                                        atol=BATCH_ATOL)
-            np.testing.assert_allclose(h[k], state.h, rtol=0, atol=BATCH_ATOL)
+            np.testing.assert_allclose(h[k:k + 1], state.h, rtol=0,
+                                       atol=BATCH_ATOL)
 
     def test_kept_readout_matches_candidate_readout(self):
         # settle gathers the kept rows' cell states from the B*V candidates
@@ -403,7 +404,7 @@ class TestBatchedStep:
                             logprobs, state = m.decode_step(state, tok, ctx)
                             if outcome:
                                 prefix = prefix_step(scorer.q, prefix, tok)
-                        row = live.state.take(b)
+                        row = live.state.take([b])
                         pairs = [(row.h, state.h), (row.c, state.c),
                                  (row.feed, state.feed),
                                  (live.logprobs[b], logprobs)]
@@ -788,6 +789,23 @@ class TestDecodeCorpus:
         assert records[2] == {"id": 2, "error": "ContractError: scorer "
                               "returned a non-finite qterm"}
         assert [records[i] for i in (0, 1, 3)] == [want[i] for i in (0, 1, 3)]
+
+    def test_overflowing_weighted_qterm_is_a_pair_error(self):
+        # a finite qterm whose weighted term overflows puts candidates at
+        # -inf, where they would tie and rank by token id, not by score
+        c = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=3,
+                              pairs=2, seed=17))
+        m = Seq2Seq(len(c.src_vocab), len(c.tgt_vocab), hidden=8, max_len=8,
+                    seed=10)
+        cfg = DecodeConfig(mode="outcome_q", beam=3, weight=1e308)
+        scorer = CallableScorer(lambda prefix, y: -10.0, len(c.tgt_vocab))
+        with pytest.raises(ContractError, match="at weight 1e\\+308"):
+            guided_beam_search(m, scorer, c.pairs[0].src, cfg)
+        records, stats = decode_corpus(m, c, cfg, lambda pair: scorer)
+        assert stats["errors"] == 2
+        assert records[0] == {"id": 0, "error": "ContractError: scorer "
+                              "returned a qterm that overflows at weight "
+                              "1e+308"}
 
     def test_rerun_identical(self):
         c = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=3,

@@ -81,10 +81,10 @@ class TestRouge2:
     def test_hand_count(self):
         assert rouge2(toks("a b c"), toks("a b d")) == pytest.approx(0.5)
 
-    def test_alpha_one_is_recall(self):
-        # hyp bigrams {ab}, ref bigrams {ab, bc}: P=1, R=1/2
-        got = rouge2(toks("a b"), toks("a b c"), alpha=1.0)
-        assert got == pytest.approx(0.5)
+    def test_unequal_precision_and_recall_is_f1(self):
+        # hyp bigrams {ab}, ref bigrams {ab, bc}: P=1, R=1/2, F1=2/3
+        got = rouge2(toks("a b"), toks("a b c"))
+        assert got == pytest.approx(2.0 / 3.0)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 5), min_size=0, max_size=8),

@@ -34,7 +34,7 @@ class TestEncode:
         m = tiny_model()
         ctx, state = m.encode([4, 5, 4, 5, 4])
         assert ctx.enc.shape == (1, 5, m.hidden)
-        assert state.h.shape == (m.hidden,)
+        assert state.h.shape == (1, m.hidden)
 
     def test_deterministic(self):
         m = tiny_model()

@@ -1,5 +1,6 @@
 """The artifact digest harness runs clean and reruns byte-identically;
-the quick demo runs clean, and every demo imports only names fdq has."""
+the quick demo runs clean, every demo imports only names fdq has, and
+src keeps no helper that only code outside it uses."""
 
 import ast
 import importlib
@@ -59,3 +60,31 @@ def test_demo_imports_exist(demo):
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+# the module-level functions and classes src/fdq keeps though no src module
+# uses them, each with the callers outside src it is kept for
+UNUSED_IN_SRC = {
+    "mul": "criterion 1 and demo 01 compose losses with it",
+    "CallableScorer": "the tests and demo 01 adapt plain functions with it",
+    "exact_length_rate": "fdqbench's exact_len_rate quality metric",
+}
+
+
+def test_src_keeps_no_helper_src_does_not_use():
+    # a name counts as used when a src module reads it as a name, imports
+    # it, or reads it as an attribute of anything but numpy
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "fdq").rglob("*.py"))]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Attribute) and not (
+                isinstance(node.value, ast.Name) and node.value.id == "np"):
+            used.add(node.attr)
+    assert defined - used == set(UNUSED_IN_SRC)

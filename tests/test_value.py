@@ -15,19 +15,20 @@ from fdq.seq2seq import Seq2Seq, TrainSchedule, batch_logprobs, train_mle
 from fdq.value import (DEFAULT_BUCKETS, BackwardRegressor, LengthRegressor,
                        OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer,
-                       RolloutConfig, backward_examples, dev_report,
-                       generate_rollouts, length_examples, load_rollouts, mse,
-                       save_rollouts, swap_corpus, train_backward_model,
-                       train_backward_q_option1, train_backward_q_option2,
-                       train_length_q, train_outcome_q)
+                       RolloutConfig, backward_examples, bucket_index,
+                       dev_report, generate_rollouts, length_examples,
+                       load_rollouts, mse, save_rollouts, swap_corpus,
+                       train_backward_model, train_backward_q_option1,
+                       train_backward_q_option2, train_length_q,
+                       train_outcome_q)
 from reference import forced_states, sampled_action, step_logprobs
 
 
 def bucket_scores(ensemble, src, prefixes):
     """Batched log p(X | prefix) under the bucket model owning each prefix."""
-    return [batch_logprobs(ensemble.models[ensemble.bucket_index(len(p))],
-                           [SequencePair(list(p), list(src) + [EOS])])[0]
-            for p in prefixes]
+    return [batch_logprobs(
+        ensemble.models[bucket_index(ensemble.buckets, len(p))],
+        [SequencePair(list(p), list(src) + [EOS])])[0] for p in prefixes]
 
 
 def outcome_mse(predictor, records):
@@ -259,11 +260,11 @@ class TestBucketRouting:
     def test_default_buckets_route(self):
         ens = PartialBackwardEnsemble(
             DEFAULT_BUCKETS, {0: object()})
-        assert ens.bucket_index(1) == 0
-        assert ens.bucket_index(3) == 1
-        assert ens.bucket_index(7) == 2
-        assert ens.bucket_index(12) == 3
-        assert ens.bucket_index(40) == 4
+        assert bucket_index(ens.buckets, 1) == 0
+        assert bucket_index(ens.buckets, 3) == 1
+        assert bucket_index(ens.buckets, 7) == 2
+        assert bucket_index(ens.buckets, 12) == 3
+        assert bucket_index(ens.buckets, 40) == 4
 
     def test_bad_bucket_specs(self):
         for bad in (((2, 4), (5, None)),        # gap at 1
@@ -276,13 +277,13 @@ class TestBucketRouting:
     def test_missing_bucket_raises_and_nearest_falls_back(self, dialogue_rig):
         *_, ensemble = dialogue_rig
         assert sorted(ensemble.models) == [0, 1]   # dialogue lengths 1..4
-        assert ensemble.bucket_index(6) == 2
+        assert bucket_index(ensemble.buckets, 6) == 2
         assert ensemble.nearest_model(6) is ensemble.models[1]
 
     def test_zero_length_prefix_rejected(self, dialogue_rig):
         *_, ensemble = dialogue_rig
         with pytest.raises(ConfigError):
-            ensemble.bucket_index(0)
+            bucket_index(ensemble.buckets, 0)
         with pytest.raises(ConfigError):
             ensemble.nearest_model(0)
 
@@ -571,7 +572,7 @@ class TestScorers:
         cfg = DecodeConfig(mode="mmi_q", beam=3, weight=1.0)
         top = guided_beam_search(forward, scorer, src, cfg)[0]
         content = list(top.content)
-        model = ensemble.models[ensemble.bucket_index(len(content))]
+        model = ensemble.models[bucket_index(ensemble.buckets, len(content))]
         want = sum(step_logprobs(model, content, list(src) + [EOS]))
         assert top.q_term == pytest.approx(want, rel=0, abs=BATCH_ATOL)
 
