@@ -145,8 +145,8 @@ def cmd_train(config, out, manifest):
     train, dev, _ = load_task(config)
     m = config["model"]
     model = Seq2Seq(len(train.src_vocab), len(train.tgt_vocab),
-                    hidden=m["hidden"], attention=m["attention"],
-                    max_len=m["max_len"], seed=_seed(config, "train"))
+                    hidden=m["hidden"], max_len=m["max_len"],
+                    seed=_seed(config, "train"))
     sched = _from_section(TrainSchedule, config["train"],
                           seed=_seed(config, "train"))
     with timed(manifest, "train"):
@@ -172,7 +172,6 @@ def cmd_train(config, out, manifest):
                                seed=_seed(config, "train", "backward"))
         with timed(manifest, "train_backward"):
             backward = train_backward_model(train, bsched, hidden=b["hidden"],
-                                            attention=m["attention"],
                                             max_len=m["max_len"])
         ce = dataset_ce(backward, swap_corpus(dev))
         print(f"backward_dev_ce={ce:.4f}")
@@ -223,7 +222,6 @@ def cmd_train_q(config, out, manifest):
     elif family == "backward_opt2":
         fit = partial(train_backward_q_option2, train, sched,
                       buckets=q["buckets"], hidden=q["hidden"],
-                      attention=config["model"]["attention"],
                       max_len=config["model"]["max_len"])
     else:
         records = _rollouts(config, out, model, train, manifest)
@@ -324,13 +322,13 @@ def _aligned_tokens(hyp_records, ref_records):
 METRICS = ("bleu", "rouge2", "distinct1", "distinct2", "len_ratio")
 
 
-def _metric_table(hyps, refs, smooth):
+def _metric_table(hyps, refs):
     """The metrics `eval` and `compare` report for aligned token lists."""
     if not hyps:
         raise ConfigError("no aligned records to evaluate")
     ref_len = sum(len(r) for r in refs)
     return {
-        "bleu": bleu(hyps, refs, smooth=smooth),
+        "bleu": bleu(hyps, refs, smooth=True),
         "rouge2": sum(map(rouge2, hyps, refs)) / len(hyps),
         "distinct1": distinct_n(hyps, 1),
         "distinct2": distinct_n(hyps, 2),
@@ -359,11 +357,10 @@ def cmd_eval(config, out, manifest):
     _require(ref_path, "run `fdq decode` first or set eval.ref")
     hyps, refs, errors = _aligned_tokens(_eval_records(hyp_path, ("id",)),
                                          _eval_records(ref_path, ("id", "hyp")))
-    metrics = _metric_table(hyps, refs, e["smooth"])
-    bleu_echo = {"max_order": 4, "smooth": e["smooth"],
-                 "effective_order": True}
+    metrics = _metric_table(hyps, refs)
+    bleu_echo = {"max_order": 4, "smooth": True, "effective_order": True}
     report = {"pairs": len(hyps), "errors": errors, "metrics": metrics,
-              "config": {"smooth": e["smooth"], "bleu": bleu_echo,
+              "config": {"smooth": True, "bleu": bleu_echo,
                          "hyp": str(hyp_path), "ref": str(ref_path)}}
     write_json(out / "eval.json", report)
     lines = ["metric,value"]
@@ -416,7 +413,7 @@ def cmd_compare(config, out, manifest):
                 records, stats = decode_corpus(model, corpus, dcfg,
                                                scorer_factory, backward)
                 hyps, refs, _ = _aligned_tokens(records, ref_records)
-                metrics = _metric_table(hyps, refs, smooth=True)
+                metrics = _metric_table(hyps, refs)
                 row.update(status="ok", errors=stats["errors"], **metrics)
             except FdqError as exc:  # a failed cell must not kill the table
                 row.update(status="failed", error=f"{type(exc).__name__}: {exc}")

@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,8 @@ DEFAULT_CONFIG = {
     "task": {"name": "copy", "vocab": 12, "min_len": 1, "max_len": 8,
              "pairs": 500},
     "split": [0.8, 0.1, 0.1],
-    "model": {"hidden": 32, "attention": True, "max_len": 12},
-    "train": {"epochs": 10, "batch_size": 32, "optimizer": "adam",
-              "lr": 5e-3, "clip_norm": 5.0, "patience": 0},
+    "model": {"hidden": 32, "max_len": 12},
+    "train": {"epochs": 10, "batch_size": 32, "lr": 5e-3, "clip_norm": 5.0},
     "q": {
         "family": "length",
         "hidden": 32,
@@ -47,10 +47,10 @@ DEFAULT_CONFIG = {
                     "pairs": None},
     },
     "decode": {"mode": "sbs", "beam": 7, "weight": 1.0, "length": None,
-               "nbest": None, "cap": None, "mask_eos": True,
-               "use_length_protocol": False, "input": None,
-               "modes": ["length_q"], "weights": [0.0, 0.5, 1.0]},
-    "eval": {"hyp": None, "ref": None, "smooth": True},
+               "cap": None, "mask_eos": True, "use_length_protocol": False,
+               "input": None, "modes": ["length_q"],
+               "weights": [0.0, 0.5, 1.0]},
+    "eval": {"hyp": None, "ref": None},
     "out": "run",
     "seed": 0,
 }
@@ -59,9 +59,8 @@ Q_FAMILIES = ("length", "backward_opt1", "backward_opt2", "outcome")
 
 
 # the type of each key whose default is None; only these may be null
-NULLABLE = {"decode.length": int, "decode.nbest": int, "decode.cap": int,
-            "q.rollout.pairs": int, "decode.input": str, "eval.hyp": str,
-            "eval.ref": str}
+NULLABLE = {"decode.length": int, "decode.cap": int, "q.rollout.pairs": int,
+            "decode.input": str, "eval.hyp": str, "eval.ref": str}
 
 
 def _is_number(value):
@@ -169,12 +168,14 @@ def validate_config(config):
                     ("model.max_len", 1), ("train.epochs", 0),
                     ("train.batch_size", 1), ("q.epochs", 0),
                     ("q.batch_size", 1), ("q.hidden", 1),
+                    ("q.backward.hidden", 1), ("q.backward.epochs", 0),
+                    ("q.backward.batch_size", 1), ("q.rollout.beam", 1),
+                    ("q.rollout.positions", 1), ("q.rollout.samples", 1),
                     ("decode.beam", 1)):
-        section, name = key.split(".")
-        if config[section][name] < lo:
+        value = reduce(dict.get, key.split("."), config)
+        if value < lo:
             raise ConfigError(
-                f"config key {key!r}: must be >= {lo}, "
-                f"got {config[section][name]}")
+                f"config key {key!r}: must be >= {lo}, got {value}")
     pairs = config["q"]["rollout"]["pairs"]
     if pairs is not None and pairs < 1:
         raise ConfigError(f"config key 'q.rollout.pairs': must be >= 1 "

@@ -58,7 +58,6 @@ class DecodeConfig:
     beam: int = 7
     weight: float = 1.0
     length: int = None          # target length L for the length protocol
-    nbest: int = None           # defaults to beam
     cap: int = None             # max content tokens; defaults to model.max_len
     mask_eos: bool = True       # length protocol: forbid EOS before L+1
     use_length_protocol: bool = False  # apply the L+1 protocol in sbs mode
@@ -74,8 +73,6 @@ class DecodeConfig:
                 f"weight must be finite and >= 0, got {self.weight}")
         if self.length is not None and self.length < 1:
             raise ConfigError(f"target length must be >= 1, got {self.length}")
-        if self.nbest is not None and self.nbest < 1:
-            raise ConfigError(f"nbest must be >= 1, got {self.nbest}")
         if self.cap is not None and self.cap < 0:
             raise ConfigError(f"cap must be >= 0, got {self.cap}")
         return self
@@ -264,7 +261,7 @@ class Engine:
                                           np.array([tok], np.int64)))[0]
 
     def search(self, live, config, keep_all=False, length=None):
-        """The best `nbest or beam` finished DecodedHyps of a search from
+        """The best `beam` finished DecodedHyps of a search from
         the live beam, by (-combined, tokens); the only loop over positions.
 
         Positions start after the live beam's length.  It ends once `beam`
@@ -298,7 +295,7 @@ class Engine:
             if not keep_all and len(pool) >= stop:
                 break
         pool.sort(key=lambda h: (-h.combined, h.tokens))
-        return pool[:config.nbest or config.beam]
+        return pool[:config.beam]
 
 
 def _finished(beam, scores, rows):
@@ -376,8 +373,11 @@ def rescore_nbest(entries, backward, src, weight):
     rescored = []
     for h in entries:
         back = next(backs) if h.content else NEG_SENTINEL
-        rescored.append(DecodedHyp(h.tokens, h.logp, back,
-                                   h.logp + weight * back))
+        combined = h.logp + weight * back
+        if not np.isfinite(combined):
+            # -inf scores would tie and be ranked by tokens, not score
+            raise ContractError(f"rerank score overflows at weight {weight}")
+        rescored.append(DecodedHyp(h.tokens, h.logp, back, combined))
     rescored.sort(key=lambda h: (-h.combined, h.tokens))
     return rescored
 
@@ -394,7 +394,7 @@ def decode_corpus(model, corpus, config, scorer_factory=None, backward=None):
 
     scorer_factory(pair) builds the per-pair scorer for guided modes; for
     length_q it returns the remaining-length regressor.  A failing pair,
-    including one whose weighted qterm is not finite, becomes an error
+    including one whose combined score is not finite, becomes an error
     record and decoding continues.  The "ms" field stays 0.0 unless
     config.emit_timings is set, so reruns are byte-for-byte reproducible
     by default.

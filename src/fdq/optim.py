@@ -1,10 +1,10 @@
-"""SGD and Adam with global-norm gradient clipping."""
+"""Adam with global-norm gradient clipping."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, TrainingDivergenceError
+from .errors import ContractError, TrainingDivergenceError
 
 
 class OptimState:
@@ -16,10 +16,7 @@ class OptimState:
     of the same layout, so a step allocates no array.
     """
 
-    def __init__(self, algorithm="adam", lr=1e-3, clip_norm=5.0):
-        if algorithm not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer algorithm: {algorithm!r}")
-        self.algorithm = algorithm
+    def __init__(self, lr=1e-3, clip_norm=5.0):
         self.lr = lr
         self.clip_norm = clip_norm
         self.step = 0
@@ -62,9 +59,6 @@ def optimizer_step(opt, params, grads, norm=1.0):
     if opt.clip_norm is not None and 0 < opt.clip_norm < norm:
         g *= opt.clip_norm / norm  # the global-norm clip
     opt.step += 1
-    if opt.algorithm == "sgd":
-        opt._flat -= np.multiply(g, opt.lr, out=t1)
-        return
     b1, b2 = 0.9, 0.999  # Adam's moment decays
     bias1, bias2 = 1.0 - b1 ** opt.step, 1.0 - b2 ** opt.step
     m, v = opt._m, opt._v

@@ -1,4 +1,4 @@
-"""LSTM encoder-decoder with optional global attention and input feeding.
+"""LSTM encoder-decoder with global attention and input feeding.
 
 The attention path computes two separate attention vectors from the same
 context/hidden concatenation: one feeds the output softmax, the other is
@@ -7,7 +7,7 @@ sets; tying them is the baseline this design deliberately departs from.
 
 Q estimators downstream consume the raw decoder LSTM state h_t (the state
 after the decoder has consumed target token t), never the attention
-vectors, so the same interface works with attention on or off.
+vectors.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ INIT_RANGE = 0.08
 class TrainSchedule:
     epochs: int = 10
     batch_size: int = 32
-    optimizer: str = "adam"
     lr: float = 1e-3
     clip_norm: float = 5.0
     seed: int = 0
-    patience: int = 0  # 0 disables early stopping
 
 
 class DecoderState:
@@ -113,28 +111,24 @@ def masked_lstm(table, lstm, ids, mask):
     return steps, h, c
 
 
-def _param_shapes(vs, vt, hidden, attention):
-    dec_in = 2 * hidden if attention else hidden
-    shapes = [
+def _param_shapes(vs, vt, hidden):
+    # the att_* shapes come last: init draws in this order
+    return [
         ("src_embed", (vs, hidden)),
         ("tgt_embed", (vt, hidden)),
         ("enc/w_ih", (4 * hidden, hidden)),
         ("enc/w_hh", (4 * hidden, hidden)),
         ("enc/b", (4 * hidden,)),
-        ("dec/w_ih", (4 * hidden, dec_in)),
+        ("dec/w_ih", (4 * hidden, 2 * hidden)),
         ("dec/w_hh", (4 * hidden, hidden)),
         ("dec/b", (4 * hidden,)),
         ("out/w", (vt, hidden)),
         ("out/b", (vt,)),
+        ("att_soft/w", (hidden, 2 * hidden)),
+        ("att_soft/b", (hidden,)),
+        ("att_feed/w", (hidden, 2 * hidden)),
+        ("att_feed/b", (hidden,)),
     ]
-    if attention:
-        shapes += [
-            ("att_soft/w", (hidden, 2 * hidden)),
-            ("att_soft/b", (hidden,)),
-            ("att_feed/w", (hidden, 2 * hidden)),
-            ("att_feed/b", (hidden,)),
-        ]
-    return shapes
 
 
 class Seq2Seq(Checkpointed):
@@ -142,31 +136,30 @@ class Seq2Seq(Checkpointed):
 
     TYPE_TAG = "seq2seq"
 
-    def __init__(self, src_vocab, tgt_vocab, hidden=64, attention=True,
-                 max_len=21, seed=0, params=None):
+    def __init__(self, src_vocab, tgt_vocab, hidden=64, max_len=21, seed=0,
+                 params=None):
         self.src_vocab = int(src_vocab)
         self.tgt_vocab = int(tgt_vocab)
         self.hidden = int(hidden)
-        self.attention = bool(attention)
         self.max_len = int(max_len)
-        shapes = _param_shapes(self.src_vocab, self.tgt_vocab, self.hidden,
-                               self.attention)
+        shapes = _param_shapes(self.src_vocab, self.tgt_vocab, self.hidden)
         params = init_params(shapes, params, substream(seed, "seq2seq-init"))
-        if self.attention and params["att_soft/w"] is params["att_feed/w"]:
+        if params["att_soft/w"] is params["att_feed/w"]:
             raise ContractError("attention parameter sets must not be aliased")
         self.p = params
         self.trained = False
 
     def meta(self):
-        return [self.src_vocab, self.tgt_vocab, self.hidden,
-                1.0 if self.attention else 0.0, self.max_len,
-                1.0 if self.trained else 0.0]
+        # slot 3 stays 1, so FDQ1 files keep six slots; from_named refuses
+        # a file with 0 there (a decoder without attention)
+        return [self.src_vocab, self.tgt_vocab, self.hidden, 1.0,
+                self.max_len, 1.0 if self.trained else 0.0]
 
     @classmethod
     def from_meta(cls, meta, params):
-        vs, vt, hidden, attention, max_len, trained = meta
-        model = cls(int(vs), int(vt), int(hidden), attention > 0.5,
-                    int(max_len), params=params)
+        vs, vt, hidden, _, max_len, trained = meta
+        model = cls(int(vs), int(vt), int(hidden), int(max_len),
+                    params=params)
         model.trained = trained > 0.5
         return model
 
@@ -179,15 +172,13 @@ class Seq2Seq(Checkpointed):
         return ad.stack(steps, axis=1), h, c
 
     def _cell(self, x, feed, h, c):
-        """The decoder LSTM's (h, c) on [B,*] x and, with attention, feed."""
-        inp = ad.concat([x, feed], axis=-1) if self.attention else x
-        return ad.lstm_step(lstm_params(self.p, "dec"), inp, h, c)
+        """The decoder LSTM's (h, c) on [B,*] x and feed."""
+        return ad.lstm_step(lstm_params(self.p, "dec"),
+                            ad.concat([x, feed], axis=-1), h, c)
 
     def _readout(self, enc, src_mask, h):
         """(logits, feed) of the cell's h: attention over enc (src_mask None:
-        nothing padded) and the output layer; feed None without attention."""
-        if not self.attention:
-            return ad.affine(self.p["out/w"], self.p["out/b"], h), None
+        nothing padded) and the output layer."""
         scores = ad.attn_scores(enc, h)
         weights = ad.softmax(scores, src_mask)
         context = ad.attn_context(weights, enc)
@@ -252,13 +243,13 @@ class Seq2Seq(Checkpointed):
         return h.data, c.data
 
     def readout(self, h, ctx):
-        """The [K,H] feed (zero without attention) and [K,Vt] logits of the
-        [K,H] cell states h: attention over ctx and the output layer."""
+        """The [K,H] feed and [K,Vt] logits of the [K,H] cell states h:
+        attention over ctx and the output layer."""
         self._check_owner(ctx)
         enc, shape = ctx.enc, (h.shape[0],) + ctx.enc.shape[1:]
         enc = enc if enc.shape == shape else np.broadcast_to(enc, shape)
         logits, feed = self._readout(Tensor(enc), None, Tensor(h))
-        return (np.zeros_like(h) if feed is None else feed.data), logits.data
+        return feed.data, logits.data
 
     def decode_step(self, state, prev_token, ctx):
         """Feed one token to a [1,H] state; returns (log-probs [Vt], state)."""
@@ -319,13 +310,10 @@ def fit(params, schedule, epoch_batches, loss_fn, metric, dev_metric=None,
     a summed loss Tensor and the count it sums over; the optimizer step
     divides the gradients by that count.  Each record holds
     train_<metric>, the summed loss over the summed count, and dev_<metric>
-    from dev_metric() when given, which stops training early after
-    schedule.patience epochs without improvement (0 never stops).
+    from dev_metric() when given.
     """
-    opt = OptimState(schedule.optimizer, schedule.lr, schedule.clip_norm)
+    opt = OptimState(schedule.lr, schedule.clip_norm)
     history = []
-    best = float("inf")
-    stale = 0
     for epoch in range(schedule.epochs):
         epoch_seed = stream_key(schedule.seed, "epoch", epoch) % (2 ** 63)
         total, count = 0.0, 0.0
@@ -345,14 +333,6 @@ def fit(params, schedule, epoch_batches, loss_fn, metric, dev_metric=None,
         history.append(record)
         if log is not None:
             log(record)
-        if dev_metric is not None and schedule.patience > 0:
-            if record[f"dev_{metric}"] < best - 1e-6:
-                best = record[f"dev_{metric}"]
-                stale = 0
-            else:
-                stale += 1
-                if stale >= schedule.patience:
-                    break
     return history
 
 

@@ -216,13 +216,11 @@ def swap_corpus(corpus):
                   dict(corpus.provenance, swapped=True))
 
 
-def train_backward_model(corpus, schedule, hidden=64, attention=True,
-                         max_len=21, log=None):
+def train_backward_model(corpus, schedule, hidden=64, max_len=21, log=None):
     """A standard seq2seq fit on the swapped corpus, modelling p(X|Y)."""
     swapped = swap_corpus(corpus)
     model = Seq2Seq(len(corpus.tgt_vocab), len(corpus.src_vocab),
-                    hidden=hidden, attention=attention, max_len=max_len,
-                    seed=schedule.seed)
+                    hidden=hidden, max_len=max_len, seed=schedule.seed)
     train_mle(model, swapped, schedule, log=log)
     return model
 
@@ -315,7 +313,7 @@ class PartialBackwardEnsemble(Checkpointed):
 
 
 def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
-                             hidden=64, attention=True, max_len=21):
+                             hidden=64, max_len=21):
     """Train per-bucket backward models on (partial target -> source) pairs,
     each by train_backward_model on the (source, prefix + EOS) pairs of
     its bucket.
@@ -334,7 +332,7 @@ def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
     models = {i: train_backward_model(
         replace(corpus, pairs=pairs),
         replace(schedule, seed=schedule.seed + i),
-        hidden=hidden, attention=attention, max_len=max_len)
+        hidden=hidden, max_len=max_len)
         for i, pairs in per_bucket.items() if pairs}
     ensemble = PartialBackwardEnsemble(buckets, models)
     ensemble.example_counts = {i: len(pairs) for i, pairs in per_bucket.items()
@@ -362,7 +360,7 @@ class RolloutConfig:
         if self.prefix_source not in ("gold", "decoded"):
             raise ConfigError(
                 f"unknown prefix source {self.prefix_source!r}")
-        if self.positions < 1 or self.samples < 1:
+        if self.positions < 1 or self.samples < 1 or self.beam < 1:
             raise ConfigError("rollout budget must be positive")
         return self
 

@@ -217,13 +217,12 @@ def clip_by_global_norm(grad_arrays, max_norm):
 
 
 class PerTensorOptim:
-    """The optimizer as one update per tensor, with Adam moments keyed by
+    """Adam as one update per tensor, with its moments keyed by
     tensor identity; step() divides each gradient by norm first, as the
     training loop did before the flat update."""
 
-    def __init__(self, algorithm="adam", lr=1e-3, clip_norm=5.0,
-                 betas=(0.9, 0.999), eps=1e-8):
-        self.algorithm, self.lr, self.clip_norm = algorithm, lr, clip_norm
+    def __init__(self, lr=1e-3, clip_norm=5.0, betas=(0.9, 0.999), eps=1e-8):
+        self.lr, self.clip_norm = lr, clip_norm
         self.betas, self.eps = betas, eps
         self.t = 0
         self.m, self.v = {}, {}
@@ -239,10 +238,6 @@ class PerTensorOptim:
             garrs.append(np.asarray(g, dtype=p.data.dtype))
         self.factors.append(clip_by_global_norm(garrs, self.clip_norm))
         self.t += 1
-        if self.algorithm == "sgd":
-            for p, g in zip(params, garrs):
-                p.data -= self.lr * g
-            return
         b1, b2 = self.betas
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t

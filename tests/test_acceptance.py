@@ -97,14 +97,14 @@ def test_criterion_1_gradient_suite():
     assert worst_simple < 1e-4, f"simple-op gradient error {worst_simple:.2e}"
 
     worst_composite = 0.0
-    shapes = _param_shapes(5, 5, 3, True)
+    shapes = _param_shapes(5, 5, 3)
     params = [Tensor(r.uniform(-0.3, 0.3, size=s)) for _, s in shapes]
     c = gen_task(TaskSpec("copy", vocab=1, min_len=1, max_len=3, pairs=2, seed=1))
     batch = make_batch(c.pairs)
 
     def seq2seq_build(ps):
         named = {name: p for (name, _), p in zip(shapes, ps)}
-        model = Seq2Seq(5, 5, hidden=3, attention=True, params=named)
+        model = Seq2Seq(5, 5, hidden=3, params=named)
         loss, _ = model.mle_loss(batch)
         return loss
 

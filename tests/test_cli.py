@@ -147,6 +147,25 @@ class TestParsing:
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "q.backward.hidden=0"), ("train", "q.backward.epochs=-1"),
+        ("train", "q.backward.batch_size=0"), ("train-q", "q.rollout.beam=0"),
+        ("train-q", "q.rollout.positions=0"),
+        ("train-q", "q.rollout.samples=0")])
+    def test_out_of_range_count_exits_two_and_names_it(
+            self, rig, tmp_path, capsys, command, setting):
+        # checked before anything runs: a bad backward schedule used to
+        # fail (or, at epochs=-1, pass untrained) after forward.fdq was
+        # saved, and a rollout beam of 0 to raise an IndexError
+        cfg, out = rig
+        if command == "train":
+            out = tmp_path / "run"  # where nothing may be saved
+        family = "backward_opt1" if command == "train" else "outcome"
+        assert run(command, cfg, out, f"q.family={family}", setting) == 2
+        key = setting.split("=")[0]
+        assert f"config key '{key}': must be >= " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestTrain:
     def test_artifacts_exist(self, rig):
@@ -209,10 +228,14 @@ class TestTrain:
         assert str(path) in capsys.readouterr().err
 
     def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys):
+        # a typo, and the retired keys of options no workload set
         bad = tmp_path / "bad.json"
-        bad.write_text('{"decode": {"beem": 3}}', encoding="utf-8")
-        assert main(["train", "--config", str(bad)]) == 2
-        assert "decode.beem" in capsys.readouterr().err
+        for key in ("decode.beem", "model.attention", "train.optimizer",
+                    "train.patience", "decode.nbest", "eval.smooth"):
+            section, name = key.split(".")
+            bad.write_text(json.dumps({section: {name: 3}}), encoding="utf-8")
+            assert main(["train", "--config", str(bad)]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     def test_divergence_exits_three(self, rig, tmp_path, capsys):
         cfg, _ = rig
@@ -511,11 +534,6 @@ class TestDecode:
         assert run("decode", cfg, out2, "decode.mode=mmi_q") == 2
         assert "q.family" in capsys.readouterr().err
 
-    def test_bad_nbest_exits_two(self, rig, capsys):
-        cfg, out = rig
-        assert run("decode", cfg, out, "decode.nbest=-2") == 2
-        assert "nbest must be >= 1, got -2" in capsys.readouterr().err
-
     def test_missing_q_checkpoint_exits_two(self, opt2_rig, capsys):
         cfg, out2 = opt2_rig
         assert run("decode", cfg, out2, "decode.mode=outcome_q") == 2
@@ -544,7 +562,7 @@ class TestDecode:
         assert "backward.fdq was not made" in rerank[0]["error"]
 
     @pytest.mark.parametrize("command, setting", [
-        ("decode", "decode.cap=abc"), ("decode", "decode.nbest=2.5"),
+        ("decode", "decode.cap=abc"), ("decode", "decode.length=2.5"),
         ("decode", "decode.length=true"),
         ("train-q", "q.rollout.pairs=-40")])
     def test_bad_nullable_key_exits_two(self, rig, capsys, command, setting):

@@ -68,7 +68,7 @@ class TestStrictParsing:
         assert load_config(path)["decode"]["length"] == 3
 
     @pytest.mark.parametrize("key, value", [
-        ("decode.length", True), ("decode.nbest", 2.5), ("decode.cap", "abc"),
+        ("decode.length", True), ("decode.length", 2.5), ("decode.cap", "abc"),
         ("q.rollout.pairs", 1.0), ("decode.input", 3), ("eval.hyp", False),
         ("eval.ref", [])])
     def test_nullable_keys_keep_their_type(self, key, value):
@@ -103,10 +103,10 @@ class TestStrictParsing:
 class TestOverrides:
     def test_scalar_types_round_trip(self):
         cfg = apply_overrides(default_config(),
-                              ["decode.weight=0.25", "model.attention=false",
+                              ["decode.weight=0.25", "decode.mask_eos=false",
                                "task.name=reverse", "decode.length=null"])
         assert cfg["decode"]["weight"] == 0.25
-        assert cfg["model"]["attention"] is False
+        assert cfg["decode"]["mask_eos"] is False
         assert cfg["task"]["name"] == "reverse"
         assert cfg["decode"]["length"] is None
 

@@ -51,23 +51,21 @@ def test_masked_lstm_records_two_nodes_per_position(positions):
     assert len(tape.nodes) == 2 * positions
 
 
-@pytest.mark.parametrize("attention, nodes", [(True, 78), (False, 33)])
-def test_mle_loss_node_count(attention, nodes):
+def test_mle_loss_node_count():
     # three copy pairs: S=4 source positions, T=5 target slots.  Encoder
     # 2S + 1 (stack).  Per slot: rows, fused step, the attention block
     # (concat in, scores, masked softmax, context, concat, two tanh
-    # affines) when on, the output affine, the cross-entropy; T-1 adds.
-    # 9 + 5*13 + 4 = 78 with attention, 9 + 5*4 + 4 = 33 without.
-    # The unfused cell recorded 250 and 205.
+    # affines), the output affine, the cross-entropy; T-1 adds.
+    # 9 + 5*13 + 4 = 78.  The unfused cell recorded 250.
     corpus = gen_task(TaskSpec("copy", vocab=3, min_len=2, max_len=4,
                                pairs=3, seed=1))
     batch = make_batch(corpus.pairs)
     assert batch.src.shape == (3, 4) and batch.tgt_in.shape == (3, 5)
     model = Seq2Seq(len(corpus.src_vocab), len(corpus.tgt_vocab), hidden=4,
-                    attention=attention, seed=0)
+                    seed=0)
     with Tape() as tape:
         model.mle_loss(batch)
-    assert len(tape.nodes) == nodes
+    assert len(tape.nodes) == 78
 
 
 def _search_counts(monkeypatch, search):

@@ -26,32 +26,35 @@ from reference import (ReencodingBackwardScorer, lexsort_ranked,
 
 
 def tiny_model(seed=0, vs=6, vt=6, hidden=3):
-    return Seq2Seq(vs, vt, hidden=hidden, attention=True, max_len=8, seed=seed)
+    return Seq2Seq(vs, vt, hidden=hidden, max_len=8, seed=seed)
 
 
 def uniform_model(vs=9, vt=9, hidden=3):
-    shapes = _param_shapes(vs, vt, hidden, False)
+    shapes = _param_shapes(vs, vt, hidden)
     params = {name: Tensor(np.zeros(shape)) for name, shape in shapes}
-    return Seq2Seq(vs, vt, hidden=hidden, attention=False, params=params)
+    return Seq2Seq(vs, vt, hidden=hidden, params=params)
 
 
 def bigram_model(table, vs=6):
     """A model whose next-token log-probs are log_softmax(table[last token]).
 
     The decoder forgets all but the token it just consumed: the g gate
-    writes its one-hot into c, the f gate clears c, w_hh is zero, and
-    h = tanh(onehot) feeds an output layer holding the table.
+    writes its one-hot into c from the embedding half of its input (the
+    feed half is zero), the f gate clears c, w_hh is zero, and
+    h = tanh(onehot).  Attention passes h alone on, soft = tanh(h), to an
+    output layer holding the table; the feed is tanh(0) = 0.
     """
     vt = table.shape[0]
     p = {name: np.zeros(shape)
-         for name, shape in _param_shapes(vs, vt, vt, False)}
+         for name, shape in _param_shapes(vs, vt, vt)}
     p["tgt_embed"] = 10.0 * np.eye(vt)
-    p["dec/w_ih"][2 * vt:3 * vt] = np.eye(vt)
+    p["dec/w_ih"][2 * vt:3 * vt, :vt] = np.eye(vt)
     p["dec/b"][:vt] = 20.0
     p["dec/b"][vt:2 * vt] = -20.0
     p["dec/b"][3 * vt:] = 20.0
-    p["out/w"] = table.T / np.tanh(1.0)
-    return Seq2Seq(vs, vt, hidden=vt, attention=False, max_len=8,
+    p["att_soft/w"][:, vt:] = np.eye(vt)
+    p["out/w"] = table.T / np.tanh(np.tanh(1.0))
+    return Seq2Seq(vs, vt, hidden=vt, max_len=8,
                    params={name: Tensor(v) for name, v in p.items()})
 
 
@@ -137,20 +140,34 @@ class TestBeamSearch:
         assert [h.tokens for h in out] == [
             (EOS,), (3, EOS), (3, 3, EOS), (3, 3, 3, EOS)]
         # ids 2..4 only: step 2 ties all six extensions of (3,) and (4,),
-        # and the beam of 4 cuts after (4, EOS), inside that tied run
+        # and the beam of 4 cuts after (4, EOS), inside that tied run, so
+        # (3, 3) and (3, 4) live on
         m = uniform_model(vt=5)
-        out = beam_search(m, [4], DecodeConfig(beam=4, nbest=5))
+
+        def live_after_two_steps(scorer, cfg):
+            eng = Engine(m, scorer, [4], cfg)
+            live = eng.root
+            for _ in range(2):
+                scores = eng.expand(live)
+                live, _ = eng.settle(live, scores,
+                                     eng.ranked(scores, cfg.beam))
+            return live.tokens
+
+        cfg = DecodeConfig(beam=4)
+        assert live_after_two_steps(None, cfg) == [(3, 3), (3, 4)]
+        out = beam_search(m, [4], cfg)
         assert [h.tokens for h in out] == [
-            (EOS,), (3, EOS), (4, EOS), (3, 3, EOS), (3, 4, EOS)]
+            (EOS,), (3, EOS), (4, EOS), (3, 3, EOS)]
         # the same cut when the live beam is not in token order: a step-1
         # bonus puts (4,) ahead of (3,), then every step-2 score ties again,
         # so the smaller parent tuple (3,) must still fill the beam first
         bonus = CallableScorer(lambda prefix, y: float(prefix == () and y == 4),
                                5)
-        cfg = DecodeConfig(mode="mmi_q", beam=4, nbest=5, weight=1.0)
+        cfg = DecodeConfig(mode="mmi_q", beam=4, weight=1.0)
+        assert live_after_two_steps(bonus, cfg) == [(3, 3), (3, 4)]
         out = guided_beam_search(m, bonus, [4], cfg)
         assert [h.tokens for h in out] == [
-            (EOS,), (3, EOS), (4, EOS), (3, 3, EOS), (3, 4, EOS)]
+            (EOS,), (3, EOS), (4, EOS), (3, 3, EOS)]
 
 
 class TestGuidedBeam:
@@ -491,23 +508,20 @@ class TestBatchedStep:
                 assert eos[b] == pytest.approx(fresh, rel=0, abs=BATCH_ATOL)
 
     @pytest.mark.parametrize("weight", [0.5, 1.0, 3.0])
-    @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("buckets", [
         ((1, 1), (2, None)),
         # bucket 1 is empty: lengths 3-4 take bucket 0's model, so its rows
         # carry on, and length 5 is the one edge after the root's bucket
         ((1, 2), (3, 4), (5, None))])
-    def test_carried_backward_rows_match_reencoding(self, buckets, attention,
-                                                    weight):
+    def test_carried_backward_rows_match_reencoding(self, buckets, weight):
         # one carried scorer serves two engines built before either
         # searches; each n-best list equals the one the scorer that
         # re-encodes every prefix gives, tokens exactly and floats up to
         # BATCH_ATOL
         vt, hidden = 9, 8
-        m = Seq2Seq(6, vt, hidden=hidden, attention=attention, max_len=7,
-                    seed=3)
+        m = Seq2Seq(6, vt, hidden=hidden, max_len=7, seed=3)
         ensemble = PartialBackwardEnsemble(buckets, {
-            i: Seq2Seq(vt, 6, hidden=hidden, attention=attention, seed=5 + i)
+            i: Seq2Seq(vt, 6, hidden=hidden, seed=5 + i)
             for i in range(0, len(buckets), 2)})
         config = DecodeConfig(mode="mmi_q", beam=3, weight=weight)
         srcs = ([4, 5], [5, 3, 3, 4])
@@ -526,12 +540,11 @@ class TestBatchedStep:
             longest = max(longest, *(len(h) for h in got))
         assert longest >= buckets[-1][0]  # the last bucket scored something
 
-    @pytest.mark.parametrize("seed, attention", [(0, True), (1, False),
-                                                 (2, True)])
-    def test_forced_search_matches_a_prefix_replay(self, seed, attention):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_forced_search_matches_a_prefix_replay(self, seed):
         # forcing a prefix token by token gives the root a width-1 replay
         # of BOS + prefix builds, bitwise, and so the same completions
-        m = Seq2Seq(6, 9, hidden=5, attention=attention, max_len=6, seed=seed)
+        m = Seq2Seq(6, 9, hidden=5, max_len=6, seed=seed)
         src = [4, 5, 3][:seed + 1]
         config = DecodeConfig(beam=3)
         eng = Engine(m, None, src, config)
@@ -807,6 +820,22 @@ class TestDecodeCorpus:
                               "returned a qterm that overflows at weight "
                               "1e+308"}
 
+    def test_overflowing_rerank_score_is_a_pair_error(self):
+        # log p + weight * back overflowed to -inf for every entry, so the
+        # empty hypothesis won on token order and the record carried a
+        # -Infinity that is not JSON
+        c = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=3,
+                              pairs=2, seed=17))
+        fwd = Seq2Seq(len(c.src_vocab), len(c.tgt_vocab), hidden=4, seed=1)
+        bwd = Seq2Seq(len(c.tgt_vocab), len(c.src_vocab), hidden=4, seed=2)
+        cfg = DecodeConfig(mode="mmi_rerank", beam=3, weight=1e308)
+        with pytest.raises(ContractError, match="at weight 1e\\+308"):
+            mmi_rerank(fwd, bwd, c.pairs[0].src, cfg)
+        records, stats = decode_corpus(fwd, c, cfg, backward=bwd)
+        assert stats["errors"] == 2
+        assert records[0] == {"id": 0, "error": "ContractError: rerank "
+                              "score overflows at weight 1e+308"}
+
     def test_rerun_identical(self):
         c = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=3,
                               pairs=6, seed=15))
@@ -838,11 +867,8 @@ class TestDecodeCorpus:
                                [4, 5], DecodeConfig(mode="mmi_q",
                                                     weight=weight))
 
-    @pytest.mark.parametrize("field,value", [("nbest", -2), ("nbest", 0),
-                                             ("cap", -1)])
+    @pytest.mark.parametrize("field,value", [("cap", -1)])
     def test_out_of_range_count_rejected(self, field, value):
-        # nbest=-2 used to cut two entries off the finished pool, and
-        # nbest=0 to mean the beam width
         with pytest.raises(ConfigError, match=f"{field} must be >= "
                            f"[01], got {value}"):
             beam_search(tiny_model(7), [4, 5],

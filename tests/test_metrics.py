@@ -149,23 +149,22 @@ class TestReports:
 
     def test_rouge_report_means_sentences(self):
         table = _metric_table([toks("a b c"), toks("a b c")],
-                              [toks("a b d"), toks("a b c")], smooth=True)
+                              [toks("a b d"), toks("a b c")])
         assert table["rouge2"] == pytest.approx((0.5 + 1.0) / 2)
 
     def test_table_is_the_metric_functions(self):
         hyps = [toks("a b c a"), toks("b"), []]
         refs = [toks("a b c d"), toks("b c"), toks("d")]
-        for smooth in (False, True):
-            assert _metric_table(hyps, refs, smooth) == {
-                "bleu": bleu(hyps, refs, smooth=smooth),
-                "rouge2": sum(rouge2(h, r) for h, r in zip(hyps, refs)) / 3,
-                "distinct1": distinct_n(hyps, 1),
-                "distinct2": distinct_n(hyps, 2),
-                "len_ratio": 5 / 7}
+        assert _metric_table(hyps, refs) == {
+            "bleu": bleu(hyps, refs, smooth=True),
+            "rouge2": sum(rouge2(h, r) for h, r in zip(hyps, refs)) / 3,
+            "distinct1": distinct_n(hyps, 1),
+            "distinct2": distinct_n(hyps, 2),
+            "len_ratio": 5 / 7}
 
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigError):
-            _metric_table([], [], smooth=True)
+            _metric_table([], [])
 
     def test_ngram_counts_window(self):
         got = ngram_counts(["a", "b", "a", "b"], 2)

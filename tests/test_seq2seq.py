@@ -12,21 +12,21 @@ from fdq.autodiff import Tape, Tensor, backward, fd_check
 from fdq.data import (BOS, EOS, SequencePair, TaskSpec, gen_task, make_batch,
                       split)
 from fdq.decode import BATCH_ATOL
-from fdq.errors import ContractError
+from fdq.checkpoint import load_tensors, save_tensors
+from fdq.errors import CheckpointError, ContractError
 from fdq.seq2seq import (DecoderState, Seq2Seq, TrainSchedule, _param_shapes,
                          batch_logprobs, dataset_ce, train_mle)
 from reference import step_logprobs
 
 
-def tiny_model(seed=0, attention=True, vs=6, vt=6, hidden=4):
-    return Seq2Seq(vs, vt, hidden=hidden, attention=attention, max_len=12,
-                   seed=seed)
+def tiny_model(seed=0, vs=6, vt=6, hidden=4):
+    return Seq2Seq(vs, vt, hidden=hidden, max_len=12, seed=seed)
 
 
-def zero_model(vs=5, vt=5, hidden=4, attention=True):
-    shapes = _param_shapes(vs, vt, hidden, attention)
+def zero_model(vs=5, vt=5, hidden=4):
+    shapes = _param_shapes(vs, vt, hidden)
     params = {name: Tensor(np.zeros(shape)) for name, shape in shapes}
-    return Seq2Seq(vs, vt, hidden=hidden, attention=attention, params=params)
+    return Seq2Seq(vs, vt, hidden=hidden, params=params)
 
 
 class TestEncode:
@@ -83,17 +83,15 @@ class TestDecodeStep:
         with pytest.raises(ContractError):
             b.decode_step(state, BOS, ctx)
 
-    @pytest.mark.parametrize("attention", [True, False])
     @pytest.mark.parametrize("pad", [0, 2])
-    def test_untaped_advance_is_the_taped_step(self, attention, pad):
+    def test_untaped_advance_is_the_taped_step(self, pad):
         # decoding runs the training step without a tape, as advance (the
         # cell) then readout (attention and the output layer) on the same
         # rows, attending to its one source with no mask; the taped step
         # gets an explicit mask over `pad` more positions of junk.  Under 8
         # positions numpy sums in order, so a masked position adds an exact
-        # zero.  Without attention the feed is never read; readout leaves
-        # it zero
-        m = tiny_model(3, attention=attention, vt=7)
+        # zero
+        m = tiny_model(3, vt=7)
         ctx, _ = m.encode([4, 5, 3])
         r = np.random.default_rng(pad)
         k, s = 4, ctx.enc.shape[1]
@@ -111,15 +109,14 @@ class TestDecodeStep:
             logits, fed = m._readout(Tensor(enc), mask.astype(np.float32),
                                      state[0])
         assert tape.nodes
-        want_feed = fed.data if attention else np.zeros_like(feed)
         for got, want in zip(untaped, (state[0].data, state[1].data,
-                                       want_feed, logits.data)):
+                                       fed.data, logits.data)):
             np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))
     def test_random_states_normalized(self, seed):
-        m = tiny_model(seed % 7, attention=seed % 2 == 0)
+        m = tiny_model(seed % 7)
         rng = np.random.default_rng(seed)
         src = list(rng.integers(4, 6, size=rng.integers(1, 5)))
         ctx, state = m.encode(src)
@@ -195,7 +192,7 @@ class TestSequenceLogprob:
 class TestGradients:
     def test_full_loss_fd(self):
         vs, vt, hidden = 5, 5, 3
-        shapes = _param_shapes(vs, vt, hidden, True)
+        shapes = _param_shapes(vs, vt, hidden)
         rng = np.random.default_rng(0)
         params = [Tensor(rng.uniform(-0.3, 0.3, size=s)) for _, s in shapes]
         c = gen_task(TaskSpec("copy", vocab=1, min_len=1, max_len=3, pairs=2, seed=1))
@@ -203,7 +200,7 @@ class TestGradients:
 
         def build(ps):
             named = {name: p for (name, _), p in zip(shapes, ps)}
-            model = Seq2Seq(vs, vt, hidden=hidden, attention=True, params=named)
+            model = Seq2Seq(vs, vt, hidden=hidden, params=named)
             loss, _ = model.mle_loss(batch)
             return loss
 
@@ -275,15 +272,27 @@ class TestCheckpointing:
         m.save(path)
         back = Seq2Seq.load(path)
         assert (back.src_vocab, back.tgt_vocab, back.hidden,
-                back.attention, back.max_len) == (m.src_vocab, m.tgt_vocab,
-                                                  m.hidden, m.attention, m.max_len)
+                back.max_len) == (m.src_vocab, m.tgt_vocab, m.hidden,
+                                  m.max_len)
         pairs = [SequencePair([4, 5], [5, EOS])]
         assert np.array_equal(batch_logprobs(back, pairs),
                               batch_logprobs(m, pairs))
 
     def test_resave_bit_identical(self, tmp_path):
-        m = tiny_model(seed=10, attention=False)
+        m = tiny_model(seed=10)
         a, b = tmp_path / "a.fdq", tmp_path / "b.fdq"
         m.save(a)
         Seq2Seq.load(a).save(b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_meta_without_attention_is_refused(self, tmp_path):
+        # meta slot 3 was the attention flag; every model attends, so a
+        # file that says 0 there does not describe a model
+        path = tmp_path / "m.fdq"
+        tiny_model().save(path)
+        named = load_tensors(path)
+        assert named["meta"][3] == 1.0
+        named["meta"][3] = 0.0
+        save_tensors(path, named)
+        with pytest.raises(CheckpointError, match=f"{path}: not a seq2seq"):
+            Seq2Seq.load(path)

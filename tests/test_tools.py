@@ -1,9 +1,11 @@
 """The artifact digest harness runs clean and reruns byte-identically;
-the quick demo runs clean, every demo imports only names fdq has, and
-src keeps no helper that only code outside it uses."""
+the quick demo runs clean, every demo imports only names fdq has and
+passes only keywords its callables take, and src keeps no helper that
+only code outside it uses."""
 
 import ast
 import importlib
+import inspect
 import os
 import runpy
 import subprocess
@@ -47,19 +49,63 @@ def test_gradcheck_demo_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def demo_faults(source):
+    """The fdq names source imports and fdq lacks, and the keywords it
+    passes to an fdq callable (imported, or read off an imported fdq
+    module) that the callable's signature does not take."""
+    tree = ast.parse(source)
+    bound, faults = {}, []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and node.module.split(".")[0] == "fdq"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if hasattr(module, alias.name):
+                    bound[alias.asname or alias.name] = getattr(module,
+                                                                alias.name)
+                else:
+                    faults.append(f"{node.module}.{alias.name}")
+    assert bound or faults, "imports nothing from fdq"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, name = node.func, ast.unparse(node.func)
+        if isinstance(func, ast.Name):
+            target = bound.get(func.id)
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and inspect.ismodule(bound.get(func.value.id))):
+            target = getattr(bound[func.value.id], func.attr, None)
+            if target is None:
+                faults.append(name)
+        else:
+            continue
+        if target is None or not callable(target):
+            continue
+        params = inspect.signature(target).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        faults += [f"{name}({kw.arg}=)" for kw in node.keywords
+                   if kw.arg is not None and kw.arg not in params]
+    return faults
+
+
 @pytest.mark.parametrize("demo", sorted(
     p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_imports_exist(demo):
-    # the slow demos are run by hand, so a name a refactor removes from
-    # fdq would break them unseen; this parses them and runs nothing
-    tree = ast.parse((ROOT / "demos" / demo).read_text(encoding="utf-8"))
-    names = [(node.module, alias.name) for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom)
-             and node.module.split(".")[0] == "fdq" for alias in node.names]
-    assert names
-    missing = [f"{module}.{name}" for module, name in names
-               if not hasattr(importlib.import_module(module), name)]
-    assert missing == []
+    # the slow demos are run by hand, so a name or keyword a refactor
+    # removes from fdq would break them unseen; this parses them and runs
+    # nothing
+    assert demo_faults((ROOT / "demos" / demo).read_text(
+        encoding="utf-8")) == []
+
+
+def test_demo_check_finds_a_removed_keyword():
+    source = (ROOT / "demos" / "02_length_control.py").read_text(
+        encoding="utf-8")
+    broken = source.replace("hidden=48,", "hidden=48, attention=False,", 1)
+    assert broken != source
+    assert demo_faults(broken) == ["Seq2Seq(attention=)"]
 
 
 # the module-level functions and classes src/fdq keeps though no src module

@@ -31,7 +31,7 @@ CONFIG = {
     "task": {"name": "copy", "vocab": 6, "min_len": 1, "max_len": 5,
              "pairs": 200},
     "model": {"hidden": 24, "max_len": 8},
-    "train": {"epochs": 8, "lr": 5e-3, "patience": 2},
+    "train": {"epochs": 8, "lr": 5e-3},
     "q": {"family": "backward_opt1", "hidden": 16, "epochs": 10,
           "backward": {"hidden": 16, "epochs": 5},
           "buckets": [[1, 2], [3, None]],
