@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .data import read_text
+from .decode import MODES
 from .errors import ConfigError, ContractError
 
 DEFAULT_CONFIG = {
@@ -43,8 +44,7 @@ DEFAULT_CONFIG = {
                      "lr": 5e-3},
         "buckets": [[1, 2], [3, 4], [5, 7], [8, 12], [13, None]],
         "rollout": {"positions": 4, "samples": 2, "beam": 7,
-                    "metric": "bleu", "prefix_source": "gold",
-                    "pairs": None},
+                    "metric": "bleu", "pairs": None},
     },
     "decode": {"mode": "sbs", "beam": 7, "weight": 1.0, "length": None,
                "cap": None, "mask_eos": True, "use_length_protocol": False,
@@ -160,10 +160,12 @@ def apply_overrides(config, assignments):
 
 def validate_config(config):
     """Range checks that name the offending key."""
-    if config["q"]["family"] not in Q_FAMILIES:
-        raise ConfigError(
-            f"config key 'q.family': {config['q']['family']!r} is not one "
-            f"of {Q_FAMILIES}")
+    for key, known in (("q.family", Q_FAMILIES), ("decode.modes", MODES)):
+        value = reduce(dict.get, key.split("."), config)
+        for item in value if isinstance(value, list) else [value]:
+            if item not in known:
+                raise ConfigError(
+                    f"config key {key!r}: {item!r} is not one of {known}")
     for key, lo in (("task.pairs", 1), ("model.hidden", 1),
                     ("model.max_len", 1), ("train.epochs", 0),
                     ("train.batch_size", 1), ("q.epochs", 0),
@@ -171,11 +173,16 @@ def validate_config(config):
                     ("q.backward.hidden", 1), ("q.backward.epochs", 0),
                     ("q.backward.batch_size", 1), ("q.rollout.beam", 1),
                     ("q.rollout.positions", 1), ("q.rollout.samples", 1),
-                    ("decode.beam", 1)):
+                    ("decode.beam", 1), ("train.clip_norm", 0)):
         value = reduce(dict.get, key.split("."), config)
         if value < lo:
             raise ConfigError(
                 f"config key {key!r}: must be >= {lo}, got {value}")
+    # a zero rate trains nothing, and a negative one climbs the loss
+    for key in ("train.lr", "q.lr", "q.backward.lr"):
+        value = reduce(dict.get, key.split("."), config)
+        if not value > 0:
+            raise ConfigError(f"config key {key!r}: must be > 0, got {value}")
     pairs = config["q"]["rollout"]["pairs"]
     if pairs is not None and pairs < 1:
         raise ConfigError(f"config key 'q.rollout.pairs': must be >= 1 "

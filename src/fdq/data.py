@@ -291,11 +291,11 @@ def read_text(path):
         raise LoadError(f"{path}: not UTF-8 text") from exc
 
 
-def write_ndjson(path, records, separators=(",", ":")):
-    """One JSON object per line; rollout files keep json's spaced separators."""
+def write_ndjson(path, records):
+    """One compact JSON object per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, separators=separators) + "\n")
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
 def check_ids(seq, vocab, role):

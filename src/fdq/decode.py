@@ -12,9 +12,9 @@ candidate's combined score is
 where qterm is the scorer's fresh estimate for the extended prefix.  The
 previous step's q contribution is replaced, never accumulated: Q estimates
 the same future quantity at every step, and summing estimates of one
-quantity would double-count it.  The exhaustive oracle reuses the same
-expansion code with an unbounded keep limit, so score arithmetic agrees
-bitwise and ties resolve identically.
+quantity would double-count it.  The exhaustive oracle is the same
+search with a beam wider than any step's candidates, so score arithmetic
+agrees bitwise and ties resolve identically.
 
 The live beam is kept as rows of one length in token order, so a step is
 batched: a scorer call, a sort, a cell call or gather and a readout cover it.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -260,22 +260,20 @@ class Engine:
         return self.settle(beam, scores, (np.zeros(1, np.int64),
                                           np.array([tok], np.int64)))[0]
 
-    def search(self, live, config, keep_all=False, length=None):
+    def search(self, live, config, length=None):
         """The best `beam` finished DecodedHyps of a search from
         the live beam, by (-combined, tokens); the only loop over positions.
 
         Positions start after the live beam's length.  It ends once `beam`
-        hypotheses have finished (never, with keep_all).  A demanded length
-        L bars EOS before position L+1, where the rows with EOS in their
-        own top `beam` are admitted and the best log p among them is the
-        only entry; if none is, the first step that finishes anything ends
-        it.
+        hypotheses have finished.  A demanded length L bars EOS before
+        position L+1, where the rows with EOS in their own top `beam` are
+        admitted and the best log p among them is the only entry; if none
+        is, the first step that finishes anything ends it.
         """
         start = len(live.tokens[0])
         cap = config.cap if config.cap is not None else self.model.max_len
         cap = max(cap, start, 0 if length is None else length + 1)
         pool = []
-        limit = None if keep_all else config.beam
         stop = config.beam if length is None else 1
         for pos in range(start + 1, cap + 2):
             if live is None:
@@ -290,9 +288,9 @@ class Engine:
                     pool = [min(admitted, key=lambda h: (-h.logp, h.tokens))]
                     break
             live, finished = self.settle(live, scores,
-                                         self.ranked(scores, limit))
+                                         self.ranked(scores, config.beam))
             pool.extend(finished)
-            if not keep_all and len(pool) >= stop:
+            if len(pool) >= stop:
                 break
         pool.sort(key=lambda h: (-h.combined, h.tokens))
         return pool[:config.beam]
@@ -314,11 +312,11 @@ def _admitted_eos(beam, scores, limit):
     return _finished(beam, scores, np.flatnonzero(rank < limit).tolist())
 
 
-def _run(model, scorer, src, config, keep_all=False, length=None):
+def _run(model, scorer, src, config, length=None):
     """Engine.search from the root of a fresh engine over src."""
     config.validate()
     eng = Engine(model, scorer, src, config)
-    return eng.search(eng.root, config, keep_all, length)
+    return eng.search(eng.root, config, length)
 
 
 def beam_search(model, src, config=None):
@@ -335,14 +333,17 @@ def exhaustive_decode(model, scorer, src, config=None):
     """Global argmax of the combined objective over all capped sequences.
 
     Refuses search spaces beyond |V|^cap = 10^6; memory grows with the
-    live frontier, so in practice keep |V| and cap tiny.
+    live frontier, so in practice keep |V| and cap tiny.  A beam of
+    |V|^cap exceeds every step's candidates and every finished sequence,
+    so the search never cuts.
     """
     config = config or DecodeConfig(mode="exhaustive")
     cap = config.cap if config.cap is not None else model.max_len
     if model.tgt_vocab ** cap > EXHAUSTIVE_GUARD:
         raise SearchSpaceError(
             f"search space {model.tgt_vocab}^{cap} exceeds {EXHAUSTIVE_GUARD}")
-    return _run(model, scorer, src, config, keep_all=True)[0]
+    return _run(model, scorer, src,
+                replace(config, beam=model.tgt_vocab ** cap))[0]
 
 
 def length_forced_select(model, regressor, src, length, config=None):

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpointed
-from .data import (BOS, EOS, PAD, Corpus, SequencePair, batch_iter,
+from .data import (BOS, EOS, Corpus, SequencePair, batch_iter,
                    check_ids, is_ids, pad_ids, read_ndjson, write_ndjson)
 from .decode import NEG_SENTINEL, DecodeConfig, Engine
 from .errors import ConfigError, ContractError, DimensionError
@@ -216,12 +216,12 @@ def swap_corpus(corpus):
                   dict(corpus.provenance, swapped=True))
 
 
-def train_backward_model(corpus, schedule, hidden=64, max_len=21, log=None):
+def train_backward_model(corpus, schedule, hidden=64, max_len=21):
     """A standard seq2seq fit on the swapped corpus, modelling p(X|Y)."""
     swapped = swap_corpus(corpus)
     model = Seq2Seq(len(corpus.tgt_vocab), len(corpus.src_vocab),
                     hidden=hidden, max_len=max_len, seed=schedule.seed)
-    train_mle(model, swapped, schedule, log=log)
+    train_mle(model, swapped, schedule)
     return model
 
 
@@ -351,22 +351,18 @@ class RolloutConfig:
     samples: int = 2        # sampled actions per position
     beam: int = 7           # completion beam width
     metric: str = "bleu"    # or "rouge2"
-    prefix_source: str = "gold"   # or "decoded"
     seed: int = 0
 
     def validate(self):
         if self.metric not in ("bleu", "rouge2"):
             raise ConfigError(f"unknown rollout metric {self.metric!r}")
-        if self.prefix_source not in ("gold", "decoded"):
-            raise ConfigError(
-                f"unknown prefix source {self.prefix_source!r}")
         if self.positions < 1 or self.samples < 1 or self.beam < 1:
             raise ConfigError("rollout budget must be positive")
         return self
 
 
 def generate_rollouts(model, corpus, config=None):
-    """Sample one action per chosen position, beam-complete, score.
+    """Sample actions after gold prefixes, beam-complete, score.
 
     Each record carries the inputs needed to recompute its own label:
     the metric of `completed` against the pair's gold target.  Records
@@ -381,40 +377,30 @@ def generate_rollouts(model, corpus, config=None):
     records = []
     for i, pair in enumerate(corpus.pairs):
         gold = list(pair.tgt[:-1])
-        # one engine per pair: the root is forced along base, and every
+        # one engine per pair: the root is forced along gold, and every
         # completion searches on from it
         eng = Engine(model, None, pair.src, complete_cfg)
-        if config.prefix_source == "gold":
-            base = gold
-        else:
-            base = list(eng.search(eng.root, complete_cfg)[0].content)
-        n = len(base)
-        if n == 0:
-            continue
+        ids = eng.ids[True, True]
+        n = len(gold)
         rng = substream(config.seed, "rollout", i)
         k = min(config.positions, n)
         positions = sorted(int(t) + 1 for t in rng.permutation(n)[:k])
         root = eng.root
         for t in positions:
-            for tok in base[len(root.tokens[0]):t - 1]:
+            for tok in gold[len(root.tokens[0]):t - 1]:
                 root = eng.force(root, tok)
-            # one ancestral draw per sample; PAD and BOS are barred
-            probs = np.exp(root.logprobs[0].astype(np.float64))
-            probs[PAD] = 0.0
-            probs[BOS] = 0.0
+            # one ancestral draw per sample over the engine's candidates
+            probs = np.exp(root.logprobs[0, ids].astype(np.float64))
             probs /= probs.sum()
             for j in range(config.samples):
                 sample_seed = stream_key(config.seed, "action", i, t, j) % (2 ** 63)
                 action_rng = np.random.default_rng(sample_seed)
-                y_t = int(action_rng.choice(model.tgt_vocab, p=probs))
-                prefix = base[:t - 1] + [y_t]
-                if y_t == EOS:
-                    completed = list(prefix)
-                else:
-                    completed = list(eng.search(eng.force(root, y_t),
-                                                complete_cfg)[0].tokens)
-                content = completed[:-1] if completed[-1] == EOS else completed
-                q = float(score(content, gold))
+                y_t = int(action_rng.choice(ids, p=probs))
+                prefix = gold[:t - 1] + [y_t]
+                # every completion ends in EOS
+                completed = prefix if y_t == EOS else list(eng.search(
+                    eng.force(root, y_t), complete_cfg)[0].tokens)
+                q = float(score(completed[:-1], gold))
                 records.append({
                     "src": [int(x) for x in pair.src],
                     "prefix": [int(x) for x in prefix],
@@ -427,9 +413,8 @@ def generate_rollouts(model, corpus, config=None):
 
 
 def save_rollouts(path, records):
-    """Newline-delimited JSON, one record per line, spaced separators."""
-    write_ndjson(path, ({k: rec[k] for k in ROLLOUT_FIELDS} for rec in records),
-                 separators=(", ", ": "))
+    """Newline-delimited JSON, one record per line."""
+    write_ndjson(path, ({k: rec[k] for k in ROLLOUT_FIELDS} for rec in records))
 
 
 def load_rollouts(path):

@@ -147,16 +147,44 @@ class TestParsing:
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("setting", [
+        "train.lr=0", "train.lr=-0.05", "q.lr=0", "q.lr=-1e-3",
+        "q.backward.lr=0", "q.backward.lr=-1e-3"])
+    def test_non_positive_rate_exits_two_and_names_it(
+            self, rig_config, tmp_path, capsys, setting):
+        # checked before anything runs: a zero rate saved an unmoved model
+        # marked trained, and a negative one climbed the loss
+        assert run("train", rig_config, tmp_path / "run", setting) == 2
+        key = setting.split("=")[0]
+        assert f"config key '{key}': must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_clip_norm_still_means_off(self, rig_config):
+        config = apply_overrides(load_config(rig_config), ["train.clip_norm=0"])
+        assert validate_config(config)["train"]["clip_norm"] == 0
+
+    def test_unknown_compare_mode_exits_two_and_names_it(self, rig, tmp_path,
+                                                         capsys):
+        # a typo used to become a FAILED row of a table that exited 0
+        cfg, out = rig
+        copy_forward(out, tmp_path)
+        code = run("compare", cfg, tmp_path, 'decode.modes=["lenght_q"]')
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config key 'decode.modes': 'lenght_q' is not one of" in err
+        assert not (tmp_path / "compare.json").exists()
+
     @pytest.mark.parametrize("command, setting", [
         ("train", "q.backward.hidden=0"), ("train", "q.backward.epochs=-1"),
         ("train", "q.backward.batch_size=0"), ("train-q", "q.rollout.beam=0"),
         ("train-q", "q.rollout.positions=0"),
-        ("train-q", "q.rollout.samples=0")])
+        ("train-q", "q.rollout.samples=0"), ("train", "train.clip_norm=-1")])
     def test_out_of_range_count_exits_two_and_names_it(
             self, rig, tmp_path, capsys, command, setting):
         # checked before anything runs: a bad backward schedule used to
         # fail (or, at epochs=-1, pass untrained) after forward.fdq was
-        # saved, and a rollout beam of 0 to raise an IndexError
+        # saved, a rollout beam of 0 to raise an IndexError, and a
+        # negative clip norm to turn clipping off
         cfg, out = rig
         if command == "train":
             out = tmp_path / "run"  # where nothing may be saved
@@ -231,17 +259,22 @@ class TestTrain:
         # a typo, and the retired keys of options no workload set
         bad = tmp_path / "bad.json"
         for key in ("decode.beem", "model.attention", "train.optimizer",
-                    "train.patience", "decode.nbest", "eval.smooth"):
-            section, name = key.split(".")
-            bad.write_text(json.dumps({section: {name: 3}}), encoding="utf-8")
+                    "train.patience", "decode.nbest", "eval.smooth",
+                    "q.rollout.prefix_source"):
+            doc = 3
+            for part in reversed(key.split(".")):
+                doc = {part: doc}
+            bad.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["train", "--config", str(bad)]) == 2
             assert f"unknown config key '{key}'" in capsys.readouterr().err
 
     def test_divergence_exits_three(self, rig, tmp_path, capsys):
         cfg, _ = rig
-        # a finite lr, which float32 parameters overflow to inf
-        code = run("train", cfg, tmp_path / "r", "train.lr=1e300",
-                   "train.epochs=2", "task.pairs=40")
+        # a finite lr, which float32 parameters overflow to inf; inf - inf
+        # then makes the NaN the divergence check catches
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            code = run("train", cfg, tmp_path / "r", "train.lr=1e300",
+                       "train.epochs=2", "task.pairs=40")
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 

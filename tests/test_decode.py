@@ -597,6 +597,23 @@ class TestExhaustive:
         assert got.tokens == best.tokens
         assert got.tokens[-1] == EOS and len(got.tokens) <= 2
 
+    def test_beam_one_is_still_the_brute_force_argmax(self):
+        # the oracle sets its own beam, so a config's beam of 1 cuts nothing
+        content = [y for y in range(6) if y not in (PAD, BOS, EOS)]
+        greedy_missed = 0
+        for seed in range(6):
+            m = tiny_model(seed)
+            cfg = DecodeConfig(beam=1, cap=3)
+            got = exhaustive_decode(m, None, [4, 5], cfg)
+            logp = {seq + (EOS,): sum(step_logprobs(m, [4, 5], [*seq, EOS]))
+                    for n in range(4)
+                    for seq in itertools.product(content, repeat=n)}
+            best = max(logp, key=logp.get)
+            assert got.tokens == best
+            assert got.logp == pytest.approx(logp[best], abs=BATCH_ATOL)
+            greedy_missed += beam_search(m, [4, 5], cfg)[0].tokens != best
+        assert greedy_missed, "beam 1 found the argmax on every model"
+
     def test_guard_refuses_large_spaces(self):
         m = tiny_model(0, vt=20)
         with pytest.raises(SearchSpaceError):
@@ -812,9 +829,10 @@ class TestDecodeCorpus:
                     seed=10)
         cfg = DecodeConfig(mode="outcome_q", beam=3, weight=1e308)
         scorer = CallableScorer(lambda prefix, y: -10.0, len(c.tgt_vocab))
-        with pytest.raises(ContractError, match="at weight 1e\\+308"):
-            guided_beam_search(m, scorer, c.pairs[0].src, cfg)
-        records, stats = decode_corpus(m, c, cfg, lambda pair: scorer)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ContractError, match="at weight 1e\\+308"):
+                guided_beam_search(m, scorer, c.pairs[0].src, cfg)
+            records, stats = decode_corpus(m, c, cfg, lambda pair: scorer)
         assert stats["errors"] == 2
         assert records[0] == {"id": 0, "error": "ContractError: scorer "
                               "returned a qterm that overflows at weight "
