@@ -16,8 +16,7 @@ from functools import partial
 from pathlib import Path
 
 from .config import (Q_FAMILIES, RunManifest, apply_overrides, config_hash,
-                     default_config, load_config, timed, validate_config,
-                     write_json)
+                     default_config, load_config, timed, write_json)
 from .data import (TaskSpec, Vocab, gen_task, load_corpus, read_ndjson,
                    save_corpus, split, write_ndjson)
 from .decode import DecodeConfig, RegressorScorer, decode_corpus
@@ -231,11 +230,9 @@ def cmd_train_q(config, out, manifest):
                       hidden=q["hidden"], dev=records[cut:] or None)
     with timed(manifest, "train_q"):
         q_model = fit()
-    if family == "backward_opt2":
-        counts = sorted(q_model.example_counts.items())
-        for i, count in counts:
-            print(f"bucket_{i} examples={count}")
-        manifest.metrics["bucket_examples"] = {str(i): c for i, c in counts}
+    for i, count in sorted(getattr(q_model, "example_counts", {}).items()):
+        print(f"bucket_{i} examples={count}")
+        manifest.metrics.setdefault("bucket_examples", {})[str(i)] = count
     report = getattr(q_model, "dev_report", None)
     if report:
         print(f"mse={report['mse']:.4f} baseline_mse={report['baseline_mse']:.4f}")
@@ -469,7 +466,7 @@ def effective_config(args):
         config["out"] = args.out
     if args.seed is not None:
         config["seed"] = args.seed
-    return validate_config(config)
+    return config
 
 
 def main(argv=None):

@@ -1,12 +1,11 @@
 """Experiment configuration: strict JSON documents plus run manifests.
 
 A config is one JSON file merged over :data:`DEFAULT_CONFIG`.  Parsing is
-strict: any key absent from the defaults is rejected by name, and leaf
-values must keep the default's JSON type (:data:`NULLABLE` gives the type
-of each key whose default is null, :data:`ITEMS` the elements of each
-list).  ``--set key.path=value``
-overrides reuse the same rules, so a sweep can never silently typo a
-knob into a no-op.
+strict: any key absent from the defaults is rejected by name, and a leaf
+value must keep the default's JSON type (:data:`NULLABLE` types the null
+defaults) and pass the checks :data:`RULES` gives its key.  ``--set
+key.path=value`` overrides reuse the same rules, so a sweep can never
+silently typo a knob into a no-op, and a bad value fails where it enters.
 """
 
 import hashlib
@@ -16,15 +15,15 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .data import read_text
+from .data import TASKS, read_text
 from .decode import MODES
 from .errors import ConfigError, ContractError
+from .value import ROLLOUT_METRICS
 
 DEFAULT_CONFIG = {
     "task": {"name": "copy", "vocab": 12, "min_len": 1, "max_len": 8,
@@ -70,13 +69,48 @@ def _is_number(value):
             and abs(value) <= sys.float_info.max)
 
 
-# what every element of each list-valued key must be, and its check
-ITEMS = {"split": ("a finite number", _is_number),
-         "decode.weights": ("a finite number", _is_number),
-         "decode.modes": ("a string", lambda v: isinstance(v, str)),
-         "q.buckets": ("an [int, int or null] pair",
-                       lambda v: isinstance(v, list) and len(v) == 2
-                       and type(v[0]) is int and type(v[1]) in (int, type(None)))}
+def _each(what, ok):
+    return lambda v: ok(v) or f"every element must be {what}, got {v!r}"
+
+
+def _at_least(lo):
+    return lambda v: v >= lo or f"must be >= {lo}, got {v}"
+
+
+def _one_of(known):
+    return lambda v: v in known or f"{v!r} is not one of {known}"
+
+
+def _positive(v):
+    # a zero rate trains nothing, and a negative one climbs the loss
+    return v > 0 or f"must be > 0, got {v}"
+
+
+# the checks each key's value (each element, for a list) must pass after
+# its type check; each returns True or what is wrong
+RULES = {
+    "task.name": [_one_of(TASKS)], "task.pairs": [_at_least(1)],
+    "split": [_each("a finite number", _is_number)],
+    "model.hidden": [_at_least(1)], "model.max_len": [_at_least(1)],
+    "train.epochs": [_at_least(0)], "train.batch_size": [_at_least(1)],
+    "train.lr": [_positive], "train.clip_norm": [_at_least(0)],
+    "q.family": [_one_of(Q_FAMILIES)], "q.hidden": [_at_least(1)],
+    "q.epochs": [_at_least(0)], "q.batch_size": [_at_least(1)],
+    "q.lr": [_positive], "q.backward.hidden": [_at_least(1)],
+    "q.backward.epochs": [_at_least(0)],
+    "q.backward.batch_size": [_at_least(1)], "q.backward.lr": [_positive],
+    "q.buckets": [_each("an [int, int or null] pair", lambda v: (
+        isinstance(v, list) and len(v) == 2 and type(v[0]) is int
+        and type(v[1]) in (int, type(None))))],
+    "q.rollout.positions": [_at_least(1)], "q.rollout.samples": [_at_least(1)],
+    "q.rollout.beam": [_at_least(1)], "q.rollout.pairs": [_at_least(1)],
+    "q.rollout.metric": [_one_of(ROLLOUT_METRICS)],
+    "decode.mode": [_one_of(MODES)], "decode.beam": [_at_least(1)],
+    "decode.weight": [_at_least(0)], "decode.length": [_at_least(1)],
+    "decode.cap": [_at_least(0)],
+    "decode.modes": [_each("a string", lambda v: isinstance(v, str)),
+                     _one_of(MODES)],
+    "decode.weights": [_each("a finite number", _is_number), _at_least(0)]}
 
 
 def _check_type(path, value, default):
@@ -96,11 +130,10 @@ def _check_type(path, value, default):
         want = type(default).__name__.replace("float", "finite float")
         got = value if isinstance(value, float) else type(value).__name__
         raise ConfigError(f"config key {path!r}: expected {want}, got {got}")
-    what, check = ITEMS.get(path, (None, None))
-    for item in value if check else ():
-        if not check(item):
-            raise ConfigError(f"config key {path!r}: every element must be "
-                              f"{what}, got {item!r}")
+    for check in RULES.get(path, ()):
+        for item in value if isinstance(value, list) else [value]:
+            if (wrong := check(item)) is not True:
+                raise ConfigError(f"config key {path!r}: {wrong}")
 
 
 def _merge(base, update, default, prefix=""):
@@ -155,40 +188,6 @@ def apply_overrides(config, assignments):
         for part in reversed(key.split(".")):
             value = {part: value}
         _merge(config, value, DEFAULT_CONFIG)
-    return config
-
-
-def validate_config(config):
-    """Range checks that name the offending key."""
-    for key, known in (("q.family", Q_FAMILIES), ("decode.modes", MODES)):
-        value = reduce(dict.get, key.split("."), config)
-        for item in value if isinstance(value, list) else [value]:
-            if item not in known:
-                raise ConfigError(
-                    f"config key {key!r}: {item!r} is not one of {known}")
-    for key, lo in (("task.pairs", 1), ("model.hidden", 1),
-                    ("model.max_len", 1), ("train.epochs", 0),
-                    ("train.batch_size", 1), ("q.epochs", 0),
-                    ("q.batch_size", 1), ("q.hidden", 1),
-                    ("q.backward.hidden", 1), ("q.backward.epochs", 0),
-                    ("q.backward.batch_size", 1), ("q.rollout.beam", 1),
-                    ("q.rollout.positions", 1), ("q.rollout.samples", 1),
-                    ("decode.beam", 1), ("train.clip_norm", 0)):
-        value = reduce(dict.get, key.split("."), config)
-        if value < lo:
-            raise ConfigError(
-                f"config key {key!r}: must be >= {lo}, got {value}")
-    # a zero rate trains nothing, and a negative one climbs the loss
-    for key in ("train.lr", "q.lr", "q.backward.lr"):
-        value = reduce(dict.get, key.split("."), config)
-        if not value > 0:
-            raise ConfigError(f"config key {key!r}: must be > 0, got {value}")
-    pairs = config["q"]["rollout"]["pairs"]
-    if pairs is not None and pairs < 1:
-        raise ConfigError(f"config key 'q.rollout.pairs': must be >= 1 "
-                          f"when set, got {pairs}")
-    if any(w < 0 for w in config["decode"]["weights"]):
-        raise ConfigError("config key 'decode.weights': weights must be >= 0")
     return config
 
 

@@ -153,8 +153,7 @@ class DecodedHyp:
 
     @property
     def content(self):
-        return self.tokens[:-1] if self.tokens and self.tokens[-1] == EOS \
-            else self.tokens
+        return self.tokens[:-1]
 
     def __len__(self):
         return len(self.content)
@@ -254,7 +253,7 @@ class Engine:
     def force(self, beam, tok):
         """The one-row beam that extends row 0 of beam by content token tok,
         scored and advanced by the step a searched candidate takes."""
-        if tok in (PAD, BOS, EOS) or not 0 <= tok < self.model.tgt_vocab:
+        if tok not in self.ids[True, False]:
             raise ContractError(f"cannot force non-content token {tok}")
         scores = self.expand(beam)
         return self.settle(beam, scores, (np.zeros(1, np.int64),
@@ -338,12 +337,16 @@ def exhaustive_decode(model, scorer, src, config=None):
     so the search never cuts.
     """
     config = config or DecodeConfig(mode="exhaustive")
+    return _run(model, scorer, src, _exhaustive(model, config))[0]
+
+
+def _exhaustive(model, config):
+    """config at the exhaustive beam |V|^cap, if within EXHAUSTIVE_GUARD."""
     cap = config.cap if config.cap is not None else model.max_len
     if model.tgt_vocab ** cap > EXHAUSTIVE_GUARD:
         raise SearchSpaceError(
             f"search space {model.tgt_vocab}^{cap} exceeds {EXHAUSTIVE_GUARD}")
-    return _run(model, scorer, src,
-                replace(config, beam=model.tgt_vocab ** cap))[0]
+    return replace(config, beam=model.tgt_vocab ** cap)
 
 
 def length_forced_select(model, regressor, src, length, config=None):
@@ -405,6 +408,8 @@ def decode_corpus(model, corpus, config, scorer_factory=None, backward=None):
         raise ConfigError(f"{config.mode} decoding requires a scorer factory")
     if config.mode == "mmi_rerank" and backward is None:
         raise ConfigError("mmi_rerank requires a backward model")
+    if config.mode == "exhaustive":  # one size check for every pair
+        config = _exhaustive(model, config)
     records = []
     times = []
     for i, pair in enumerate(corpus.pairs):
@@ -442,8 +447,7 @@ def _decode_pair(model, pair, config, scorer_factory, backward):
     if mode == "length_q" or (mode == "sbs" and config.use_length_protocol):
         length = config.length if config.length is not None else pair.n
         return length_forced_select(model, scorer, pair.src, length, config)
-    if mode == "exhaustive":
-        return exhaustive_decode(model, scorer, pair.src, config)
     if mode == "sbs":
         return beam_search(model, pair.src, config)[0]
+    # exhaustive too: decode_corpus set its beam
     return guided_beam_search(model, scorer, pair.src, config)[0]

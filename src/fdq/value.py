@@ -342,6 +342,8 @@ def train_backward_q_option2(corpus, schedule, buckets=DEFAULT_BUCKETS,
 
 # -- rollouts -------------------------------------------------------------------
 
+ROLLOUT_METRICS = ("bleu", "rouge2")
+
 
 @dataclass
 class RolloutConfig:
@@ -350,11 +352,11 @@ class RolloutConfig:
     positions: int = 4      # distinct prefix positions per pair
     samples: int = 2        # sampled actions per position
     beam: int = 7           # completion beam width
-    metric: str = "bleu"    # or "rouge2"
+    metric: str = "bleu"    # one of ROLLOUT_METRICS
     seed: int = 0
 
     def validate(self):
-        if self.metric not in ("bleu", "rouge2"):
+        if self.metric not in ROLLOUT_METRICS:
             raise ConfigError(f"unknown rollout metric {self.metric!r}")
         if self.positions < 1 or self.samples < 1 or self.beam < 1:
             raise ConfigError("rollout budget must be positive")

@@ -8,7 +8,7 @@ import pytest
 
 from fdq.checkpoint import load_tensors, save_tensors
 from fdq.cli import _key, load_task, main
-from fdq.config import apply_overrides, load_config, validate_config
+from fdq.config import apply_overrides, load_config
 from fdq.decode import DecodeConfig, RegressorScorer, decode_corpus
 from fdq.seq2seq import Seq2Seq, TrainSchedule
 from fdq.value import (BackwardRegressor, LengthRegressor,
@@ -104,7 +104,7 @@ def opt1_rig(rig, tmp_path_factory):
 
 
 def task_config(cfg):
-    config = validate_config(load_config(cfg))
+    config = load_config(cfg)
     config["seed"] = 1
     return config
 
@@ -161,7 +161,36 @@ class TestParsing:
 
     def test_zero_clip_norm_still_means_off(self, rig_config):
         config = apply_overrides(load_config(rig_config), ["train.clip_norm=0"])
-        assert validate_config(config)["train"]["clip_norm"] == 0
+        assert config["train"]["clip_norm"] == 0
+
+    @pytest.mark.parametrize("setting, message", [
+        ("decode.mode=sbss", "'sbss' is not one of"),
+        ("q.rollout.metric=bleuu", "'bleuu' is not one of"),
+        ("decode.weight=-1", "must be >= 0"),
+        ("decode.length=0", "must be >= 1"),
+        ("decode.cap=-1", "must be >= 0"),
+        ("task.name=copyy", "'copyy' is not one of")])
+    def test_bad_value_exits_two_before_anything_is_written(
+            self, rig_config, tmp_path, capsys, setting, message):
+        # the first five used to pass train and be saved into config.json,
+        # to fail only a later command that read them; the task typo
+        # failed only after --out was made
+        assert run("train", rig_config, tmp_path / "run", setting) == 2
+        key = setting.split("=")[0]
+        assert f"config key '{key}': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_task_typo_exits_two_at_eval(self, rig_config, tmp_path, capsys):
+        # eval reads no task, so the typo used to pass it
+        for name in ("hyp", "ref"):
+            (tmp_path / f"{name}.ndjson").write_text(
+                '{"id": 0, "hyp": "a b"}\n', encoding="utf-8")
+        code = run("eval", rig_config, tmp_path / "run", "task.name=copyy",
+                   f"eval.hyp={tmp_path / 'hyp.ndjson'}",
+                   f"eval.ref={tmp_path / 'ref.ndjson'}")
+        assert code == 2
+        assert "config key 'task.name': 'copyy'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_compare_mode_exits_two_and_names_it(self, rig, tmp_path,
                                                          capsys):
@@ -211,7 +240,7 @@ class TestTrain:
         assert doc["metrics"]["dev_ppl"] > 1.0
         assert "train" in doc["wall_times"]
         from fdq.config import config_hash
-        effective = validate_config(load_config(cfg))
+        effective = load_config(cfg)
         effective["out"] = str(out)
         effective["seed"] = 1
         assert doc["config_hash"] == config_hash(effective)
@@ -518,6 +547,22 @@ class TestDecode:
         first = (out / "decode.ndjson").read_bytes()
         assert run("decode", cfg, out) == 0
         assert (out / "decode.ndjson").read_bytes() == first
+
+    def test_too_large_exhaustive_space_exits_two(self, rig, tmp_path,
+                                                  capsys):
+        # 10^8 sequences at the default cap: decode used to exit 0 with an
+        # error record for every pair; compare now fails the cell once
+        cfg, out = rig
+        copy_forward(out, tmp_path)
+        assert run("decode", cfg, tmp_path, "decode.mode=exhaustive") == 2
+        assert "search space 10^8 exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "decode.ndjson").exists()
+        code = run("compare", cfg, tmp_path, 'decode.modes=["exhaustive"]',
+                   "decode.weights=[0.0]")
+        assert code == 0
+        rows = json.loads((tmp_path / "compare.json").read_text())["rows"]
+        assert [row["status"] for row in rows] == ["ok", "failed", "failed"]
+        assert rows[2]["error"].startswith("SearchSpaceError: search space")
 
     def test_mmi_q_weight_zero_matches_sbs_hyps(self, opt2_rig):
         cfg, out2 = opt2_rig

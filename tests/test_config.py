@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdq.config import (DEFAULT_CONFIG, ITEMS, RunManifest, apply_overrides,
-                        config_hash, default_config, load_config, timed,
-                        validate_config)
+from fdq.config import (DEFAULT_CONFIG, RULES, RunManifest, apply_overrides,
+                        config_hash, default_config, load_config, timed)
 from fdq.errors import ConfigError, ContractError
 
 
@@ -169,9 +168,10 @@ class TestOverrides:
     def test_every_list_key_types_its_elements(self):
         lists = {path: value for path, value in leaves(DEFAULT_CONFIG)
                  if isinstance(value, list)}
-        assert set(lists) == set(ITEMS)
         for path, value in lists.items():
-            assert all(ITEMS[path][1](item) for item in value), path
+            # the first rule types the elements
+            assert "every element" in RULES[path][0](object()), path
+            assert all(RULES[path][0](item) is True for item in value), path
 
     @given(st.integers(min_value=-2 ** 62, max_value=2 ** 62))
     @settings(max_examples=25, deadline=None)
@@ -205,32 +205,53 @@ class TestConfigHash:
         assert config_hash(via_file) == config_hash(via_set)
 
 
+# leaves with no RULES entry and a default that is not a bool
+UNCHECKED = {
+    "seed": "any int seeds the substreams",
+    "task.vocab": "num2words takes 0",
+    "task.min_len": "TaskSpec checks it with task.max_len at load_task",
+    "task.max_len": "TaskSpec checks it with task.min_len at load_task",
+    "out": "a path", "decode.input": "a path", "eval.hyp": "a path",
+    "eval.ref": "a path"}
+
+
 class TestValidate:
     def test_default_config_is_valid(self):
-        assert validate_config(default_config()) is not None
+        for path, value in leaves(DEFAULT_CONFIG):
+            for check in RULES.get(path, ()):
+                for item in value if isinstance(value, list) else [value]:
+                    if item is not None:
+                        assert check(item) is True, path
+
+    def test_every_key_is_ruled_or_unchecked_for_a_reason(self):
+        for path, value in leaves(DEFAULT_CONFIG):
+            assert ((path in RULES) + isinstance(value, bool)
+                    + (path in UNCHECKED)) == 1, path
+        assert set(RULES) | set(UNCHECKED) <= dict(leaves(DEFAULT_CONFIG)).keys()
 
     def test_bad_family_is_named(self):
-        cfg = default_config()
-        cfg["q"]["family"] = "psychic"
         with pytest.raises(ConfigError, match="q.family"):
-            validate_config(cfg)
+            apply_overrides(default_config(), ["q.family=psychic"])
 
     def test_zero_pairs_is_named(self):
-        cfg = apply_overrides(default_config(), ["task.pairs=0"])
         with pytest.raises(ConfigError, match="task.pairs"):
-            validate_config(cfg)
+            apply_overrides(default_config(), ["task.pairs=0"])
 
     def test_rollout_pairs_must_be_positive(self):
-        cfg = apply_overrides(default_config(), ["q.rollout.pairs=-40"])
         with pytest.raises(ConfigError, match="q.rollout.pairs"):
-            validate_config(cfg)
+            apply_overrides(default_config(), ["q.rollout.pairs=-40"])
         cfg = apply_overrides(default_config(), ["q.rollout.pairs=1"])
-        assert validate_config(cfg)["q"]["rollout"]["pairs"] == 1
+        assert cfg["q"]["rollout"]["pairs"] == 1
 
     def test_negative_weight_grid_is_named(self):
-        cfg = apply_overrides(default_config(), ["decode.weights=[0,-1]"])
         with pytest.raises(ConfigError, match="decode.weights"):
-            validate_config(cfg)
+            apply_overrides(default_config(), ["decode.weights=[0,-1]"])
+
+    def test_bad_value_in_a_file_is_refused_at_load(self, tmp_path):
+        # even where a later --set would replace it, as for a bad type
+        path = write_config(tmp_path, {"decode": {"mode": "sbss"}})
+        with pytest.raises(ConfigError, match="'decode.mode': 'sbss' is not"):
+            load_config(path)
 
 
 class TestRunManifest:

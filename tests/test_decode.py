@@ -777,6 +777,18 @@ class TestDecodeCorpus:
             assert r["ms"] == 0.0
             assert r["len"] == len(r["hyp"].split()) if r["hyp"] else r["len"] == 0
 
+    def test_exhaustive_space_is_refused_before_any_pair(self):
+        # the guard reads only the model and the cap; it used to fail every
+        # pair alike, one error record each
+        c = gen_task(TaskSpec("copy", vocab=4, min_len=1, max_len=3,
+                              pairs=3, seed=13))
+        m = Seq2Seq(len(c.src_vocab), len(c.tgt_vocab), hidden=8, max_len=8, seed=7)
+        with pytest.raises(SearchSpaceError, match=f"{len(c.tgt_vocab)}\\^8"):
+            decode_corpus(m, c, DecodeConfig(mode="exhaustive"))
+        records, stats = decode_corpus(m, c, DecodeConfig(mode="exhaustive",
+                                                          cap=2))
+        assert stats["errors"] == 0 and len(records) == 3
+
     def test_empty_corpus(self):
         c = gen_task(TaskSpec("copy", vocab=4, pairs=1, seed=13))
         c.pairs = []

@@ -114,6 +114,8 @@ UNUSED_IN_SRC = {
     "mul": "criterion 1 and demo 01 compose losses with it",
     "CallableScorer": "the tests and demo 01 adapt plain functions with it",
     "exact_length_rate": "fdqbench's exact_len_rate quality metric",
+    "exhaustive_decode": "criterion 2 and demo 01 check search against it; "
+                         "decode_corpus runs the same search itself",
 }
 
 
