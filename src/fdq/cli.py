@@ -53,14 +53,14 @@ def _require(path, hint):
 def load_task(config):
     """Regenerate the task corpus and its split from the global seed."""
     t = config["task"]
-    corpus = gen_task(TaskSpec(t["name"], vocab=t["vocab"],
-                               min_len=t["min_len"], max_len=t["max_len"],
-                               pairs=t["pairs"], seed=_seed(config, "data")))
+    corpus = gen_task(_from_section(TaskSpec, t, task=t["name"],
+                                    seed=_seed(config, "data")))
     return split(corpus, config["split"], seed=_seed(config, "split"))
 
 
-def _check_vocab(model, corpus, out):
-    """The corpus must use the vocabularies `fdq train` saved by dev.json."""
+def _forward(config, out, corpus):
+    """forward.fdq, once its key holds and corpus has dev.json's vocabs."""
+    model = _load(config, out, FORWARD, Seq2Seq, "rerun `fdq train`")
     want = (len(corpus.src_vocab), len(corpus.tgt_vocab))
     got = (model.src_vocab, model.tgt_vocab)
     if got != want:
@@ -73,6 +73,7 @@ def _check_vocab(model, corpus, out):
         if saved.decode(range(len(saved))) != vocab.decode(range(len(vocab))):
             raise ConfigError(f"{path} differs from the task's {side} vocab;"
                               f" {FORWARD} was trained on another task or seed")
+    return model
 
 
 def _made_from(config, name):
@@ -100,8 +101,10 @@ def _key(config, out, name):
            for f in files}})
 
 
-def _write_key(config, out, name):
+def _write_key(config, out, name, manifest, label):
+    """Write the key of out/name and list out/name in manifest as label."""
     (out / f"{name}.key").write_text(_key(config, out, name), encoding="utf-8")
+    manifest.artifacts[label] = str(out / name)
 
 
 def _check_key(config, out, name, hint):
@@ -157,10 +160,9 @@ def cmd_train(config, out, manifest):
     print(f"dev_ppl={ppl:.4f}")
     manifest.metrics["dev_ppl"] = ppl
     model.save(out / FORWARD)
-    manifest.artifacts["forward"] = str(out / FORWARD)
     save_corpus(dev, out / "dev.json")
     # the keys cover the vocabulary sidecars save_corpus wrote
-    _write_key(config, out, FORWARD)
+    _write_key(config, out, FORWARD, manifest, "forward")
     manifest.artifacts["dev_corpus"] = str(out / "dev.json")
     # any backward-family experiment gets the exact backward model, so
     # the mmi_rerank baseline in `compare` works without extra steps
@@ -176,8 +178,7 @@ def cmd_train(config, out, manifest):
         print(f"backward_dev_ce={ce:.4f}")
         manifest.metrics["backward_dev_ce"] = ce
         backward.save(out / BACKWARD)
-        _write_key(config, out, BACKWARD)
-        manifest.artifacts["backward"] = str(out / BACKWARD)
+        _write_key(config, out, BACKWARD, manifest, "backward")
     write_json(out / "config.json", config)
     manifest.artifacts["config"] = str(out / "config.json")
     print(f"config_hash={manifest.config_hash}")
@@ -188,9 +189,9 @@ def _rollouts(config, out, model, train, manifest):
     """Rollout records, generated or else reused from out if its key holds."""
     rc = config["q"]["rollout"]
     rpath = out / ROLLOUTS
-    manifest.artifacts["rollouts"] = str(rpath)
     if rpath.exists():
         _check_key(config, out, ROLLOUTS, "delete it to generate new rollouts")
+        manifest.artifacts["rollouts"] = str(rpath)
         records = load_rollouts(rpath)
         print(f"rollouts={len(records)} (loaded)")
         return records
@@ -199,15 +200,14 @@ def _rollouts(config, out, model, train, manifest):
     with timed(manifest, "rollouts"):
         records = generate_rollouts(model, source, rcfg)
     save_rollouts(rpath, records)
-    _write_key(config, out, ROLLOUTS)
+    _write_key(config, out, ROLLOUTS, manifest, "rollouts")
     print(f"rollouts={len(records)} (generated)")
     return records
 
 
 def cmd_train_q(config, out, manifest):
-    model = _load(config, out, FORWARD, Seq2Seq, "rerun `fdq train`")
     train, dev, _ = load_task(config)
-    _check_vocab(model, train, out)
+    model = _forward(config, out, train)
     q = config["q"]
     family = q["family"]
     sched = _from_section(TrainSchedule, q, seed=_seed(config, "q"))
@@ -239,8 +239,7 @@ def cmd_train_q(config, out, manifest):
         manifest.metrics.update(report)
     path = out / Q_FILE.format(family)
     q_model.save(path)
-    _write_key(config, out, path.name)
-    manifest.artifacts["q"] = str(path)
+    _write_key(config, out, path.name, manifest, "q")
     print(f"config_hash={manifest.config_hash}")
     return 0
 
@@ -269,6 +268,13 @@ def _build_scorer(config, out, mode):
     return (lambda pair: scorer(q)), None
 
 
+def _decode(config, out, model, corpus, **given):
+    """decode_corpus's (records, stats) under the decode section and given."""
+    dcfg = _from_section(DecodeConfig, config["decode"], **given)
+    scorer_factory, backward = _build_scorer(config, out, dcfg.mode)
+    return decode_corpus(model, corpus, dcfg, scorer_factory, backward)
+
+
 def _reference_records(corpus):
     # same record shape as decode output, so either file can stand in as
     # the reference side of an eval
@@ -280,25 +286,21 @@ def _reference_records(corpus):
 
 
 def cmd_decode(config, out, manifest):
-    model = _load(config, out, FORWARD, Seq2Seq, "rerun `fdq train`")
     d = config["decode"]
     if d["input"] is not None:
         corpus = load_corpus(_require(d["input"], "decode.input must exist"))
     else:
         _, corpus, _ = load_task(config)
-    _check_vocab(model, corpus, out)
-    dcfg = _from_section(DecodeConfig, d)
-    scorer_factory, backward = _build_scorer(config, out, dcfg.mode)
+    model = _forward(config, out, corpus)
     with timed(manifest, "decode"):
-        records, stats = decode_corpus(model, corpus, dcfg, scorer_factory,
-                                       backward)
+        records, stats = _decode(config, out, model, corpus)
     write_ndjson(out / "decode.ndjson", records)
     write_ndjson(out / "refs.ndjson", _reference_records(corpus))
     manifest.artifacts["decode"] = str(out / "decode.ndjson")
     manifest.artifacts["refs"] = str(out / "refs.ndjson")
     manifest.metrics.update(stats)
     print(f"pairs={stats['pairs']} errors={stats['errors']} "
-          f"mode={dcfg.mode} weight={dcfg.weight}")
+          f"mode={d['mode']} weight={d['weight']}")
     return 0
 
 
@@ -333,6 +335,13 @@ def _metric_table(hyps, refs):
     }
 
 
+def _write_csv(out, name, manifest, header, rows):
+    """Write out/name, one comma-joined line per row; the manifest's csv."""
+    lines = [",".join(line) for line in (header, *rows)]
+    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest.artifacts["csv"] = str(out / name)
+
+
 def _eval_records(path, required):
     """The records of an eval input: int ids, each once, and string hyps."""
     records = read_ndjson(path, required,
@@ -360,11 +369,9 @@ def cmd_eval(config, out, manifest):
               "config": {"smooth": True, "bleu": bleu_echo,
                          "hyp": str(hyp_path), "ref": str(ref_path)}}
     write_json(out / "eval.json", report)
-    lines = ["metric,value"]
-    lines += [f"{name},{value:.6f}" for name, value in metrics.items()]
-    (out / "eval.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out, "eval.csv", manifest, ("metric", "value"),
+               [(name, f"{value:.6f}") for name, value in metrics.items()])
     manifest.artifacts["report"] = str(out / "eval.json")
-    manifest.artifacts["csv"] = str(out / "eval.csv")
     manifest.metrics.update(metrics)
     for name, value in metrics.items():
         print(f"{name}={value:.4f}")
@@ -387,9 +394,8 @@ def cmd_compare(config, out, manifest):
     if not d["weights"]:
         raise ConfigError("config key 'decode.weights': compare needs a "
                           "non-empty weight grid")
-    model = _load(config, out, FORWARD, Seq2Seq, "rerun `fdq train`")
     _, corpus, _ = load_task(config)
-    _check_vocab(model, corpus, out)
+    model = _forward(config, out, corpus)
     for family in Q_FAMILIES:
         # a missing Q file fails its cells; a stale one fails the table
         name = Q_FILE.format(family)
@@ -404,37 +410,29 @@ def cmd_compare(config, out, manifest):
         for mode, weight in cells:
             row = {"mode": mode, "weight": weight}
             try:
-                dcfg = _from_section(DecodeConfig, d, mode=mode, weight=0.0
-                                     if weight is None else weight)
-                scorer_factory, backward = _build_scorer(config, out, mode)
-                records, stats = decode_corpus(model, corpus, dcfg,
-                                               scorer_factory, backward)
+                records, stats = _decode(config, out, model, corpus, mode=mode,
+                                         weight=0.0 if weight is None else weight)
                 hyps, refs, _ = _aligned_tokens(records, ref_records)
                 metrics = _metric_table(hyps, refs)
                 row.update(status="ok", errors=stats["errors"], **metrics)
             except FdqError as exc:  # a failed cell must not kill the table
                 row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
             rows.append(row)
+    lines = []
+    for row in rows:
+        ok = row["status"] == "ok"
+        print(f"mode={row['mode']} weight={row['weight']} " + (
+            f"bleu={row['bleu']:.4f} distinct2={row['distinct2']:.4f}" if ok
+            else f"FAILED ({row['error']})"))
+        lines.append([row["mode"], "" if row["weight"] is None
+                      else f"{row['weight']}", row["status"],
+                      *(f"{row[k]:.6f}" if ok else "" for k in METRICS)])
     table = {"rows": rows, "winners": _pick_winners(rows),
              "cells": len(rows), "baselines": ["sbs", "mmi_rerank"]}
     write_json(out / "compare.json", table)
-    lines = [",".join(("mode", "weight", "status") + METRICS)]
-    for row in rows:
-        cells_text = [f"{row[k]:.6f}" if row["status"] == "ok" else ""
-                      for k in METRICS]
-        weight = "" if row["weight"] is None else f"{row['weight']}"
-        lines.append(",".join([row["mode"], weight, row["status"]]
-                              + cells_text))
-    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out, "compare.csv", manifest, ("mode", "weight", "status")
+               + METRICS, lines)
     manifest.artifacts["table"] = str(out / "compare.json")
-    manifest.artifacts["csv"] = str(out / "compare.csv")
-    for row in rows:
-        if row["status"] == "ok":
-            print(f"mode={row['mode']} weight={row['weight']} "
-                  f"bleu={row['bleu']:.4f} distinct2={row['distinct2']:.4f}")
-        else:
-            print(f"mode={row['mode']} weight={row['weight']} FAILED "
-                  f"({row['error']})")
     return 0
 
 

@@ -30,20 +30,18 @@ DEFAULT_CONFIG = {
              "pairs": 500},
     "split": [0.8, 0.1, 0.1],
     "model": {"hidden": 32, "max_len": 12},
-    "train": {"epochs": 10, "batch_size": 32, "lr": 5e-3, "clip_norm": 5.0},
+    "train": {"epochs": 10, "lr": 5e-3, "clip_norm": 5.0},
     "q": {
         "family": "length",
         "hidden": 32,
         "epochs": 30,
-        "batch_size": 32,
         "lr": 5e-3,
         # schedule for the full backward model (family backward_opt1 and
         # the mmi_rerank baseline both need one)
-        "backward": {"hidden": 32, "epochs": 30, "batch_size": 32,
-                     "lr": 5e-3},
+        "backward": {"hidden": 32, "epochs": 30, "lr": 5e-3},
         "buckets": [[1, 2], [3, 4], [5, 7], [8, 12], [13, None]],
-        "rollout": {"positions": 4, "samples": 2, "beam": 7,
-                    "metric": "bleu", "pairs": None},
+        "rollout": {"positions": 4, "samples": 2, "metric": "bleu",
+                    "pairs": None},
     },
     "decode": {"mode": "sbs", "beam": 7, "weight": 1.0, "length": None,
                "cap": None, "mask_eos": True, "use_length_protocol": False,
@@ -92,18 +90,17 @@ RULES = {
     "task.name": [_one_of(TASKS)], "task.pairs": [_at_least(1)],
     "split": [_each("a finite number", _is_number)],
     "model.hidden": [_at_least(1)], "model.max_len": [_at_least(1)],
-    "train.epochs": [_at_least(0)], "train.batch_size": [_at_least(1)],
-    "train.lr": [_positive], "train.clip_norm": [_at_least(0)],
+    "train.epochs": [_at_least(0)], "train.lr": [_positive],
+    "train.clip_norm": [_at_least(0)],
     "q.family": [_one_of(Q_FAMILIES)], "q.hidden": [_at_least(1)],
-    "q.epochs": [_at_least(0)], "q.batch_size": [_at_least(1)],
-    "q.lr": [_positive], "q.backward.hidden": [_at_least(1)],
-    "q.backward.epochs": [_at_least(0)],
-    "q.backward.batch_size": [_at_least(1)], "q.backward.lr": [_positive],
+    "q.epochs": [_at_least(0)], "q.lr": [_positive],
+    "q.backward.hidden": [_at_least(1)], "q.backward.epochs": [_at_least(0)],
+    "q.backward.lr": [_positive],
     "q.buckets": [_each("an [int, int or null] pair", lambda v: (
         isinstance(v, list) and len(v) == 2 and type(v[0]) is int
         and type(v[1]) in (int, type(None))))],
     "q.rollout.positions": [_at_least(1)], "q.rollout.samples": [_at_least(1)],
-    "q.rollout.beam": [_at_least(1)], "q.rollout.pairs": [_at_least(1)],
+    "q.rollout.pairs": [_at_least(1)],
     "q.rollout.metric": [_one_of(ROLLOUT_METRICS)],
     "decode.mode": [_one_of(MODES)], "decode.beam": [_at_least(1)],
     "decode.weight": [_at_least(0)], "decode.length": [_at_least(1)],

@@ -85,14 +85,14 @@ class Corpus:
     def __len__(self):
         return len(self.pairs)
 
-    def validate(self):
+    def validate(self, where=""):
         for k, pair in enumerate(self.pairs):
             if not pair.tgt or pair.tgt[-1] != EOS:
-                raise ContractError(f"pair {k}: target must end with EOS")
+                raise ContractError(f"{where}pair {k}: target must end with EOS")
             if any(not 0 <= t < len(self.src_vocab) for t in pair.src):
-                raise ContractError(f"pair {k}: source id out of range")
+                raise ContractError(f"{where}pair {k}: source id out of range")
             if any(not 0 <= t < len(self.tgt_vocab) for t in pair.tgt):
-                raise ContractError(f"pair {k}: target id out of range")
+                raise ContractError(f"{where}pair {k}: target id out of range")
         return self
 
 
@@ -359,4 +359,5 @@ def load_corpus(path):
     pairs = [SequencePair(rec["src"], rec["tgt"])
              for rec in read_ndjson(path, ("src", "tgt"),
                                     (("src", is_ids), ("tgt", is_ids)))]
-    return Corpus(pairs, src_vocab, tgt_vocab, {"cache": str(path)}).validate()
+    return Corpus(pairs, src_vocab, tgt_vocab,
+                  {"cache": str(path)}).validate(f"{path}: ")

@@ -466,16 +466,16 @@ class OutcomePredictor(Checkpointed):
         return ad.affine(self.p["head2/w"], self.p["head2/b"], hid)
 
     def _graph(self, srcs, prefixes):
-        """Prediction Tensor [B,1] of the id lists srcs[b], prefixes[b]."""
+        """Prediction Tensor [B,1] of the checked id lists srcs[b], prefixes[b]."""
+        for src, prefix in zip(srcs, prefixes, strict=True):
+            check_ids(src, self.src_vocab, "source")
+            check_ids(prefix, self.tgt_vocab, "prefix")
         hx = self._encode("x", *pad_ids(srcs))
         hy = self._encode("y", *pad_ids(prefixes))
         return self._head(hx, hy)
 
     def predict(self, srcs, prefixes):
         """Predicted outcomes [B] of the pairs (X, y_{1:t}); untaped."""
-        for src, prefix in zip(srcs, prefixes, strict=True):
-            check_ids(src, self.src_vocab, "source")
-            check_ids(prefix, self.tgt_vocab, "prefix")
         return self._graph(srcs, prefixes).data[:, 0].astype(np.float64)
 
     def meta(self):

@@ -205,15 +205,13 @@ class TestParsing:
 
     @pytest.mark.parametrize("command, setting", [
         ("train", "q.backward.hidden=0"), ("train", "q.backward.epochs=-1"),
-        ("train", "q.backward.batch_size=0"), ("train-q", "q.rollout.beam=0"),
         ("train-q", "q.rollout.positions=0"),
         ("train-q", "q.rollout.samples=0"), ("train", "train.clip_norm=-1")])
     def test_out_of_range_count_exits_two_and_names_it(
             self, rig, tmp_path, capsys, command, setting):
         # checked before anything runs: a bad backward schedule used to
         # fail (or, at epochs=-1, pass untrained) after forward.fdq was
-        # saved, a rollout beam of 0 to raise an IndexError, and a
-        # negative clip norm to turn clipping off
+        # saved, and a negative clip norm to turn clipping off
         cfg, out = rig
         if command == "train":
             out = tmp_path / "run"  # where nothing may be saved
@@ -289,7 +287,8 @@ class TestTrain:
         bad = tmp_path / "bad.json"
         for key in ("decode.beem", "model.attention", "train.optimizer",
                     "train.patience", "decode.nbest", "eval.smooth",
-                    "q.rollout.prefix_source"):
+                    "q.rollout.prefix_source", "train.batch_size",
+                    "q.batch_size", "q.backward.batch_size", "q.rollout.beam"):
             doc = 3
             for part in reversed(key.split(".")):
                 doc = {part: doc}
@@ -490,6 +489,31 @@ class TestTrainQ:
         assert run("train-q", cfg, out2, *sets) == 2
         assert f"{rpath}:3: fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["vocab", -1])
+    def test_out_of_vocab_rollout_id_exits_two(self, rig, tmp_path, capsys,
+                                               bad):
+        # an id past the vocabulary used to raise an IndexError, and a
+        # negative one to index the embedding from its end and train
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        copy_forward(out, out2)
+        sets = ("q.family=outcome", "q.epochs=2", "q.hidden=8",
+                "q.rollout.pairs=10")
+        assert run("train-q", cfg, out2, *sets) == 0
+        (out2 / "q_outcome.fdq").unlink()
+        if bad == "vocab":
+            bad = len(load_task(task_config(cfg))[0].tgt_vocab)
+        rpath = out2 / "rollouts.ndjson"
+        lines = rpath.read_text().splitlines()
+        rec = json.loads(lines[0])
+        rec["prefix"][-1] = bad
+        rpath.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert run("train-q", cfg, out2, *sets) == 2
+        assert f"prefix id {bad} outside vocabulary" in capsys.readouterr().err
+        assert not (out2 / "q_outcome.fdq").exists()
+
     def test_stale_q_exits_two(self, rig, opt1_rig, tmp_path, capsys):
         # a Q file decodes only next to the models its key names
         cfg, out = rig
@@ -663,6 +687,18 @@ class TestDecode:
         assert run("decode", cfg, out, f"decode.input={corpus}") == 2
         err = capsys.readouterr().err
         assert f"{corpus}:2: " in err and why in err
+
+    def test_input_breaking_a_corpus_rule_exits_two_and_names_it(
+            self, rig, tmp_path, capsys):
+        cfg, out = rig
+        corpus = input_corpus(out, tmp_path)
+        lines = (out / "dev.json").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["tgt"] = rec["tgt"][:-1]  # no EOS
+        corpus.write_text("\n".join(lines[:2] + [json.dumps(rec)]) + "\n")
+        assert run("decode", cfg, out, f"decode.input={corpus}") == 2
+        assert f"{corpus}: pair 2: target must end with EOS" in \
+            capsys.readouterr().err
 
     def test_forward_missing_a_parameter_exits_two(self, rig, opt2_rig,
                                                    tmp_path, capsys):

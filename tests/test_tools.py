@@ -1,13 +1,14 @@
 """The artifact digest harness runs clean and reruns byte-identically;
 the quick demo runs clean, every demo imports only names fdq has and
-passes only keywords its callables take, and src keeps no helper that
-only code outside it uses."""
+passes only keywords its callables take, src keeps no helper that only
+code outside it uses, and the line counter reads deltas against a parent."""
 
 import ast
 import importlib
 import inspect
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -136,3 +137,30 @@ def test_src_keeps_no_helper_src_does_not_use():
                 isinstance(node.value, ast.Name) and node.value.id == "np"):
             used.add(node.attr)
     assert defined - used == set(UNUSED_IN_SRC)
+
+
+def test_src_lines_reads_each_delta_against_a_parent(tmp_path, capsys):
+    main = runpy.run_path(str(ROOT / "tools" / "src_lines.py"))["main"]
+
+    def table(change, parent):
+        assert main(["src_lines.py", str(change), str(parent)]) == 0
+        rows = [line.split("\t") for line in
+                capsys.readouterr().out.splitlines()]
+        return {name: tuple(map(int, cols)) for name, *cols in rows}
+
+    same = table(ROOT, ROOT)
+    assert "cli.py" in same and "total" in same
+    assert all(delta == 0 and was == now
+               for was, now, delta in same.values())
+    change = tmp_path / "change"
+    shutil.copytree(ROOT / "src", change / "src")
+    path = change / "src" / "fdq" / "cli.py"
+    kept = [line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()][:-3]
+    path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    moved = table(change, ROOT)
+    was = same["cli.py"][0]
+    assert moved["cli.py"] == (was, was - 3, -3)
+    assert moved["total"][2] == -3
+    assert all(moved[name] == same[name] for name in same
+               if name not in ("cli.py", "total"))

@@ -543,6 +543,15 @@ class TestOutcomePredictor:
         with pytest.raises(ContractError):
             train_outcome_q([], TrainSchedule(), 8, 8)
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_training_checks_record_ids(self, bad):
+        # a negative id would index the embedding from its end and train
+        records = [{"src": [4, 5], "prefix": [4, bad], "t": 2,
+                    "completed": [4, EOS], "q": 0.5, "seed": 0}]
+        with pytest.raises(ContractError, match=f"prefix id {bad} outside"):
+            train_outcome_q(records, TrainSchedule(epochs=1, seed=1), 8, 8,
+                            hidden=4)
+
 
 class TestScorers:
     def test_outcome_scorer_matches_predictor(self, outcome_rig):
