@@ -16,6 +16,7 @@ tags to be exactly its class's one, which `Checkpointed.save` writes first.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -75,14 +76,20 @@ def load_tensors(path):
     shapes = []
     for k in range(count):
         (name_len,) = struct.unpack("<Q", take(8, f"entry {k} name length"))
-        name = bytes(take(name_len, f"entry {k} name")).decode("utf-8")
+        try:
+            name = bytes(take(name_len, f"entry {k} name")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: entry {k} name is not UTF-8") from exc
         (rank,) = struct.unpack("<Q", take(8, f"entry {k} rank"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"entry {k} dims"))
         shapes.append((name, dims))
     out = {}
     for name, dims in shapes:
-        size = int(np.prod(dims, dtype=np.int64)) if dims else 1
-        data = np.frombuffer(take(4 * size, f"tensor {name}"), dtype="<f4")
+        data = np.frombuffer(take(4 * math.prod(dims), f"tensor {name}"),
+                             dtype="<f4")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name} is not finite")
         out[name] = data.reshape(dims).astype(np.float32, copy=True)
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
@@ -93,10 +100,10 @@ class Checkpointed:
     """Parameter format and save/load of a model whose Tensor dict is self.p.
 
     A subclass sets TYPE_TAG and defines meta(), the hyperparameter list
-    stored as the "meta" entry, and the classmethod from_meta(meta, params);
-    load refuses a file whose type tags are not exactly its own, and
-    from_named a stored meta or a set of tensor names that the model it
-    builds does not reproduce.
+    stored as the "meta" entry; from_meta(meta, params) rebuilds the model,
+    by default as cls(*meta, params=params) over ints.  load refuses a file
+    whose type tags are not exactly its own, and from_named a stored meta
+    or a set of tensor names that the model it builds does not reproduce.
     """
 
     def params(self):
@@ -106,6 +113,10 @@ class Checkpointed:
         named = {name: t.data for name, t in self.p.items()}
         named["meta"] = np.array(self.meta(), dtype=np.float32)
         return named
+
+    @classmethod
+    def from_meta(cls, meta, params):
+        return cls(*map(int, meta), params=params)
 
     @classmethod
     def from_named(cls, named):
@@ -140,6 +151,6 @@ class Checkpointed:
         del named[TYPE_PREFIX + cls.TYPE_TAG]
         try:
             return cls.from_named(named)
-        except (LookupError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"{path}: not a {cls.TYPE_TAG} model ({exc!r})") from exc

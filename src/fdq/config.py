@@ -11,7 +11,6 @@ silently typo a knob into a no-op, and a bad value fails where it enters.
 import hashlib
 import json
 import platform
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import TASKS, read_text
+from .data import TASKS, is_number, read_text
 from .decode import MODES
 from .errors import ConfigError, ContractError
 from .value import ROLLOUT_METRICS
@@ -60,13 +59,6 @@ NULLABLE = {"decode.length": int, "decode.cap": int, "q.rollout.pairs": int,
             "decode.input": str, "eval.hyp": str, "eval.ref": str}
 
 
-def _is_number(value):
-    """A JSON number that is a finite float; json also parses NaN, Infinity
-    and integers too large for a float."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
 def _each(what, ok):
     return lambda v: ok(v) or f"every element must be {what}, got {v!r}"
 
@@ -88,7 +80,7 @@ def _positive(v):
 # its type check; each returns True or what is wrong
 RULES = {
     "task.name": [_one_of(TASKS)], "task.pairs": [_at_least(1)],
-    "split": [_each("a finite number", _is_number)],
+    "split": [_each("a finite number", is_number)],
     "model.hidden": [_at_least(1)], "model.max_len": [_at_least(1)],
     "train.epochs": [_at_least(0)], "train.lr": [_positive],
     "train.clip_norm": [_at_least(0)],
@@ -107,7 +99,7 @@ RULES = {
     "decode.cap": [_at_least(0)],
     "decode.modes": [_each("a string", lambda v: isinstance(v, str)),
                      _one_of(MODES)],
-    "decode.weights": [_each("a finite number", _is_number), _at_least(0)]}
+    "decode.weights": [_each("a finite number", is_number), _at_least(0)]}
 
 
 def _check_type(path, value, default):
@@ -120,7 +112,7 @@ def _check_type(path, value, default):
     elif isinstance(default, int):
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif isinstance(default, float):
-        ok = _is_number(value)
+        ok = is_number(value)
     else:
         ok = isinstance(value, type(default))
     if not ok:

@@ -10,6 +10,7 @@ Token conventions used everywhere downstream:
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,13 +87,8 @@ class Corpus:
         return len(self.pairs)
 
     def validate(self, where=""):
-        for k, pair in enumerate(self.pairs):
-            if not pair.tgt or pair.tgt[-1] != EOS:
-                raise ContractError(f"{where}pair {k}: target must end with EOS")
-            if any(not 0 <= t < len(self.src_vocab) for t in pair.src):
-                raise ContractError(f"{where}pair {k}: source id out of range")
-            if any(not 0 <= t < len(self.tgt_vocab) for t in pair.tgt):
-                raise ContractError(f"{where}pair {k}: target id out of range")
+        check_pairs(self.pairs, len(self.src_vocab), len(self.tgt_vocab),
+                    where)
         return self
 
 
@@ -308,9 +304,25 @@ def check_ids(seq, vocab, role):
                             f"of {vocab}")
 
 
+def check_pairs(pairs, src_vocab, tgt_vocab, where=""):
+    """ContractError naming the pair unless each target ends with EOS and
+    check_ids passes its source and target."""
+    for k, pair in enumerate(pairs):
+        if not pair.tgt or pair.tgt[-1] != EOS:
+            raise ContractError(f"{where}pair {k}: target must end with EOS")
+        check_ids(pair.src, src_vocab, f"{where}pair {k}: source")
+        check_ids(pair.tgt, tgt_vocab, f"{where}pair {k}: target")
+
+
 def is_ids(value):
     """True for a list of int ids (bools are not ids)."""
     return isinstance(value, list) and all(type(t) is int for t in value)
+
+
+def is_number(value):
+    """True for a JSON number that is a finite float: json also parses NaN,
+    Infinity and integers too large for a float (bools are not numbers)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def read_ndjson(path, required=(), kinds=(), exact=False):

@@ -275,8 +275,6 @@ class Engine:
         pool = []
         stop = config.beam if length is None else 1
         for pos in range(start + 1, cap + 2):
-            if live is None:
-                break
             scores = self.expand(live, allow_content=pos <= cap,
                                  allow_eos=length is None or pos > length)
             if length is not None and pos == length + 1:

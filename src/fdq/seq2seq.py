@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import LSTMParams, Tape, Tensor, backward
 from .checkpoint import Checkpointed
-from .data import EOS, batch_iter, check_ids, make_batch
+from .data import batch_iter, check_ids, check_pairs, make_batch
 from .errors import ContractError, TrainingDivergenceError
 from .optim import OptimState, optimizer_step
 from .seeding import stream_key, substream
@@ -254,8 +254,7 @@ class Seq2Seq(Checkpointed):
     def decode_step(self, state, prev_token, ctx):
         """Feed one token to a [1,H] state; returns (log-probs [Vt], state)."""
         prev = int(prev_token)
-        if not 0 <= prev < self.tgt_vocab:
-            raise ContractError(f"previous token {prev} outside target vocab")
+        check_ids([prev], self.tgt_vocab, "previous token")
         h, c = self.advance(state, ctx, np.array([prev]))
         feed, logits = self.readout(h, ctx)
         logprobs = ad.log_softmax(Tensor(logits[0])).data
@@ -280,13 +279,8 @@ def batch_logprobs(model, pairs):
     """
     if not pairs:
         return np.zeros(0, dtype=np.float64)
-    if any(not p.tgt or p.tgt[-1] != EOS for p in pairs):
-        raise ContractError("every target must end with EOS")
-    for p in pairs:
-        check_ids(p.src, model.src_vocab, "source")
+    check_pairs(pairs, model.src_vocab, model.tgt_vocab)
     batch = make_batch(pairs)
-    if batch.tgt_out.min() < 0 or batch.tgt_out.max() >= model.tgt_vocab:
-        raise ContractError("target token id out of vocabulary range")
     return forced_logprobs(model.forced(batch), batch.tgt_out, batch.tgt_mask)
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .checkpoint import Checkpointed
-from .data import (BOS, EOS, Corpus, SequencePair, batch_iter,
-                   check_ids, is_ids, pad_ids, read_ndjson, write_ndjson)
+from .data import (BOS, EOS, Corpus, SequencePair, batch_iter, check_ids,
+                   is_ids, is_number, pad_ids, read_ndjson, write_ndjson)
 from .decode import NEG_SENTINEL, DecodeConfig, Engine
 from .errors import ConfigError, ContractError, DimensionError
 from .metrics import rouge2, sentence_bleu
@@ -42,12 +42,9 @@ from .optim import optimizer_step  # noqa: F401
 DEFAULT_BUCKETS = ((1, 2), (3, 4), (5, 7), (8, 12), (13, None))
 
 ROLLOUT_FIELDS = ("src", "prefix", "t", "completed", "q", "seed")
-# the check of each rollout field; q is a number finite as a float64
 ROLLOUT_KINDS = (("src", is_ids), ("prefix", is_ids), ("completed", is_ids),
                  ("t", lambda v: type(v) is int),
-                 ("seed", lambda v: type(v) is int),
-                 ("q", lambda v: type(v) in (int, float)
-                  and abs(v) <= 1.7976931348623157e308))
+                 ("seed", lambda v: type(v) is int), ("q", is_number))
 
 
 def _require_trained(model, role):
@@ -88,10 +85,6 @@ class _MlpRegressor(Checkpointed):
 
     def meta(self):
         return [self.hidden]
-
-    @classmethod
-    def from_meta(cls, meta, params):
-        return cls(int(meta[0]), params=params)
 
 
 class LengthRegressor(_MlpRegressor):
@@ -481,11 +474,6 @@ class OutcomePredictor(Checkpointed):
     def meta(self):
         return [self.src_vocab, self.tgt_vocab, self.hidden]
 
-    @classmethod
-    def from_meta(cls, meta, params):
-        vs, vt, hidden = (int(x) for x in meta)
-        return cls(vs, vt, hidden, params=params)
-
 
 def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
                     dev=None):
@@ -565,7 +553,7 @@ class PartialBackwardScorer:
         if not t:
             rows = (np.zeros((b, 0, model.hidden), np.float32),
                     *np.zeros((2, b, model.hidden), np.float32))
-        elif rows is None or model is not self.ensemble.nearest_model(t):
+        elif model is not self.ensemble.nearest_model(t):
             ids = np.array(beam.tokens, dtype=np.int64)
             rows = (r.data for r in model._encode_graph(ids, None))
         enc, h, c = rows

@@ -197,3 +197,32 @@ class TestModelFormat:
         save_tensors(path, named)
         with pytest.raises(CheckpointError, match=f"{path}: not a .*b1/"):
             PartialBackwardEnsemble.load(path)
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("model", [
+        Seq2Seq(5, 6, hidden=1, seed=1),
+        LengthRegressor(1, seed=1),
+        BackwardRegressor(1, seed=1),
+        OutcomePredictor(5, 6, hidden=1, seed=1),
+        PartialBackwardEnsemble(((1, 2), (3, None)),
+                                {1: Seq2Seq(6, 5, hidden=1)}),
+    ], ids=lambda m: type(m).__name__)
+    def test_every_truncation_and_byte_flip_loads_or_is_refused(
+            self, tmp_path, model):
+        path = tmp_path / "m.fdq"
+        model.save(path)
+        raw = path.read_bytes()
+        damaged = [raw[:n] for n in range(len(raw))]
+        damaged += [raw[:i] + bytes([raw[i] ^ 0x80]) + raw[i + 1:]
+                    for i in range(len(raw))]
+        loaded = 0
+        for blob in damaged:
+            path.write_bytes(blob)
+            try:
+                type(model).load(path)
+                loaded += 1
+            except CheckpointError:
+                pass
+        # a sign flip in a weight still loads
+        assert 0 < loaded < len(raw)

@@ -700,6 +700,40 @@ class TestDecode:
         assert f"{corpus}: pair 2: target must end with EOS" in \
             capsys.readouterr().err
 
+    def test_input_with_an_empty_source_exits_two_and_names_it(
+            self, rig, tmp_path, capsys):
+        cfg, out = rig
+        corpus = input_corpus(out, tmp_path)
+        lines = (out / "dev.json").read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["src"] = []
+        corpus.write_text("\n".join(lines[:2] + [json.dumps(rec)]) + "\n")
+        assert run("decode", cfg, out, f"decode.input={corpus}") == 2
+        assert f"{corpus}: pair 2: source sequence is empty" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, why", [
+        ("nan_tensor", "tensor out/b is not finite"),
+        ("bad_name", "name is not UTF-8")])
+    def test_unloadable_forward_exits_two_and_names_it(
+            self, rig, tmp_path, capsys, damage, why):
+        cfg, out = rig
+        out2 = tmp_path / "r"
+        out2.mkdir()
+        copy_forward(out, out2)
+        path = out2 / "forward.fdq"
+        if damage == "nan_tensor":
+            named = load_tensors(path)
+            named["out/b"][0] = np.nan
+            save_tensors(path, named)
+        else:
+            # the first match is the manifest entry: names precede payloads
+            raw = path.read_bytes()
+            path.write_bytes(raw.replace(b"out/b", b"out/\xff", 1))
+        assert run("decode", cfg, out2) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and why in err
+
     def test_forward_missing_a_parameter_exits_two(self, rig, opt2_rig,
                                                    tmp_path, capsys):
         cfg, out = rig

@@ -1,5 +1,7 @@
 """Corpus generation, vocab, loading, splitting, batching."""
 
+import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,7 +13,10 @@ from fdq import data as d
 from fdq.data import (BOS, EOS, PAD, UNK, Corpus, SequencePair, TaskSpec,
                       Vocab, batch_iter, build_vocab, gen_task, load_corpus,
                       number_words, save_corpus, split)
-from fdq.errors import ConfigError, LoadError
+from fdq.config import apply_overrides, default_config
+from fdq.errors import ConfigError, ContractError, LoadError
+from fdq.seq2seq import Seq2Seq, batch_logprobs
+from fdq.value import load_rollouts
 
 
 def corpus_fingerprint(c):
@@ -227,3 +232,47 @@ class TestCacheRoundTrip:
         with pytest.raises(LoadError, match=f"{path.name}:3: ") as err:
             load_corpus(path)
         assert why in str(err.value)
+
+
+class TestPairRule:
+    # Corpus.validate and batch_logprobs share one check, so both name the
+    # pair and the offending id alike
+    @pytest.mark.parametrize("bad, why", [
+        (SequencePair([9], [4, EOS]), "source id 9 outside vocabulary of 7"),
+        (SequencePair([4], [8, EOS]), "target id 8 outside vocabulary of 6"),
+        (SequencePair([4], [4]), "target must end with EOS"),
+        (SequencePair([], [4, EOS]), "source sequence is empty")])
+    def test_corpus_and_batch_scores_name_the_pair(self, bad, why):
+        pairs = [SequencePair([4], [4, EOS]), bad]
+        corpus = Corpus(pairs, Vocab(["a", "b", "c"]), Vocab(["x", "y"]))
+        message = re.escape(f"pair 1: {why}")
+        with pytest.raises(ContractError, match=f"^in.json: {message}$"):
+            corpus.validate("in.json: ")
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            batch_logprobs(Seq2Seq(7, 6, hidden=2), pairs)
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("value, ok", [
+        (True, False), (float("nan"), False), (float("inf"), False),
+        (float("-inf"), False), (2 ** 1100, False), (0, True), (-1.5, True)],
+        ids=["true", "nan", "inf", "-inf", "2**1100", "0", "-1.5"])
+    def test_config_floats_and_rollout_q_share_it(self, tmp_path, value, ok):
+        assert d.is_number(value) is ok
+        # -1.5 passes the number rule; decode.weight's own rule refuses it
+        try:
+            apply_overrides(default_config(),
+                            [f"decode.weight={json.dumps(value)}"])
+            refused = ""
+        except ConfigError as exc:
+            refused = str(exc)
+        assert ("expected finite float" in refused) is not ok
+        path = tmp_path / "rollouts.ndjson"
+        path.write_text(json.dumps({"src": [4], "prefix": [4], "t": 1,
+                                    "completed": [4, EOS], "q": value,
+                                    "seed": 0}) + "\n", encoding="utf-8")
+        if ok:
+            assert load_rollouts(path)[0]["q"] == value
+        else:
+            with pytest.raises(LoadError, match=re.escape("for ['q']")):
+                load_rollouts(path)
