@@ -90,7 +90,10 @@ def load_tensors(path):
                              dtype="<f4")
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name} is not finite")
-        out[name] = data.reshape(dims).astype(np.float32, copy=True)
+        try:  # a dim beyond intp or a rank beyond numpy's limit
+            out[name] = data.reshape(dims).astype(np.float32, copy=True)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: tensor {name} shape: {exc}") from exc
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes")
     return out

@@ -19,6 +19,11 @@ agrees bitwise and ties resolve identically.
 The live beam is kept as rows of one length in token order, so a step is
 batched: a scorer call, a sort, a cell call or gather and a readout cover it.
 
+A scorer with a `ceiling` on its qterm scores a step in two phases: the
+`beam` candidates of highest base log p, the lowest combined of which is
+tau, then those others with base + weight * ceiling >= tau.  Each skipped
+one ranks below `beam` scored ones, so the search is full scoring's.
+
 Ties everywhere: higher combined score first, then the lexicographically
 smaller token tuple (lower token id, then shorter prefix); a search
 returns its n-best as a list of DecodedHyps in that order.
@@ -48,7 +53,8 @@ EXHAUSTIVE_GUARD = 10 ** 6
 
 # A row batched into a K-row matmul rounds differently in float32 than the
 # row alone: by 1e-6 to 8e-6 in log p for trained lab models, within this.
-# A kept row rounds as in its step's B*V cell call, then its K-row readout.
+# A kept row rounds as in the cell call that scored it, then its K-row
+# readout; two-phase scoring's batch sizes move length_q and mmi_q floats.
 BATCH_ATOL = 1e-5
 
 
@@ -81,29 +87,33 @@ class DecodeConfig:
 class CallableScorer:
     """Adapts fn(prefix_tuple, candidate_id) -> float; for tests and demos."""
 
+    ceiling = None
+
     def __init__(self, fn, vocab):
         self.fn = fn
         self.vocab = vocab
 
-    def score_candidates(self, beam, ctx):
-        return np.array([[self.fn(tokens, y) for y in range(self.vocab)]
-                         for tokens in beam.tokens], dtype=np.float64), None
+    def score_candidates(self, beam, ctx, cand):
+        return np.array([self.fn(beam.tokens[i // self.vocab], i % self.vocab)
+                         for i in cand.tolist()], dtype=np.float64), None
 
 
 class RegressorScorer:
     """qterm = estimator.predict(h_t) on the candidates' decoder states."""
 
+    ceiling = None
+
     def __init__(self, regressor):
         self.regressor = regressor
 
-    def score_candidates(self, beam, ctx):
-        h = beam.children(ctx)[0]
-        return np.asarray(self.regressor.predict(h),
-                          dtype=np.float64).reshape(len(beam), -1), None
+    def score_candidates(self, beam, ctx, cand):
+        return self.regressor.predict(beam.children(ctx, cand)[0]), None
 
 
 class LengthScorer(RegressorScorer):
     """qterm = -((L - t) - Qhat(h_t))^2 with speculative per-candidate h_t."""
+
+    ceiling = 0.0  # a negated square
 
     def __init__(self, regressor, length):
         if length is None:
@@ -111,8 +121,8 @@ class LengthScorer(RegressorScorer):
         super().__init__(regressor)
         self.length = int(length)
 
-    def score_candidates(self, beam, ctx):
-        qhat, rows = super().score_candidates(beam, ctx)
+    def score_candidates(self, beam, ctx, cand):
+        qhat, rows = super().score_candidates(beam, ctx, cand)
         remaining = self.length - (len(beam.tokens[0]) + 1)
         return -((remaining - qhat) ** 2), rows
 
@@ -127,19 +137,18 @@ class _Beam:
     state: DecoderState    # [B,H] decoder rows
     logprobs: np.ndarray   # [B,V] next-token log-probs
     scorer_rows: object    # the scorer's rows, or None
-    advanced: tuple = None  # children() (h, c), once made
+    advanced: list = None  # children()'s (cand, (h, c)) batches
 
     def __len__(self):
         return len(self.tokens)
 
-    def children(self, ctx):
-        """The decoder cell's (h, c) of every candidate (b, y) at row
-        b*V + y; made at most once.  Only the kept rows are read out."""
-        if self.advanced is None:
-            b, vocab = len(self), ctx.owner.tgt_vocab
-            self.advanced = ctx.owner.advance(self.state.take(np.repeat(
-                np.arange(b), vocab)), ctx, np.tile(np.arange(vocab), b))
-        return self.advanced
+    def children(self, ctx, cand):
+        """The decoder cell's [K,H] (h, c) of the flat candidate ids cand;
+        settle gathers the kept rows from them and reads out only those."""
+        parents, ys = np.divmod(cand, ctx.owner.tgt_vocab)
+        h, c = ctx.owner.advance(self.state.take(parents), ctx, ys)
+        self.advanced = [*(self.advanced or ()), (cand, (h, c))]
+        return h, c
 
 
 @dataclass
@@ -167,12 +176,13 @@ class Engine:
     after BOS; force extends a beam by a chosen token, and search runs on
     from any beam.
 
-    A scorer, consulted only at a nonzero weight, has one method:
-    score_candidates(beam, ctx) returns (qterm, rows).  qterm[b, y] is the
-    qterm of extending beam row b by id y, EOS scored like any token;
-    rows is None or the scorer's rows of every candidate, (b, y) at row
-    b*V + y.  The source is ctx.src and the root has no scorer rows, so a
-    scorer keeps no per-source state and serves any number of searches.
+    A scorer, consulted only at a nonzero weight, has a `ceiling` (None or
+    a bound on its qterms) and one method: score_candidates(beam, ctx,
+    cand) takes flat candidate ids b*V + y, never PAD or BOS, and returns
+    (qterm[k] of extending row b by y for cand[k], EOS scored like any
+    token; None or the scorer's rows of cand's content candidates).  The
+    source is ctx.src and the root has no scorer rows, so a scorer serves
+    any number of searches.
     """
 
     def __init__(self, model, scorer, src, config):
@@ -188,26 +198,48 @@ class Engine:
         self.root = _Beam([()], np.zeros(1), np.zeros(1), state,
                           logprobs[None], None)
 
-    def expand(self, beam, allow_content=True, allow_eos=True):
+    def expand(self, beam, allow_content=True, allow_eos=True, limit=None):
         """[B, V] float64 (base, qterm, combined) of every extension, the
-        ids that may be candidates now, and the scorer's rows or None."""
+        ids that may be candidates now, and None or the scorer's (cand,
+        rows) batches.  Given a limit, a scorer with a ceiling scores what
+        can rank in the top `limit`; the rest have combined -inf."""
         base = beam.cum[:, None] + beam.logprobs.astype(np.float64)
-        if self.weight != 0.0:
-            qterm, rows = self.scorer.score_candidates(beam, self.ctx)
-            qterm = np.asarray(qterm, dtype=np.float64)
-            if qterm.shape != base.shape:
-                raise ContractError(f"scorer returned shape {qterm.shape}, "
-                                    f"want {base.shape}")
-            combined = base + self.weight * qterm
-            if not np.isfinite(combined).all():
-                # NaN or -inf scores would be ranked by position, not score
-                what = ("a non-finite qterm" if not np.isfinite(qterm).all()
-                        else f"a qterm that overflows at weight {self.weight}")
-                raise ContractError(f"scorer returned {what}")
-        else:  # base + 0 * qterm, bit for bit
-            qterm, rows, combined = np.zeros_like(base), None, base
-        return (base, qterm, combined, self.ids[allow_content, allow_eos],
-                rows)
+        ids = self.ids[allow_content, allow_eos]
+        if self.weight == 0.0:  # base + 0 * qterm, bit for bit
+            return base, np.zeros_like(base), base, ids, None
+        cand = (np.arange(len(beam))[:, None] * base.shape[1] + ids).ravel()
+        qterm, combined = np.zeros_like(base), np.full_like(base, -np.inf)
+        ceiling, first = self.scorer.ceiling, cand
+        if ceiling is not None and limit is not None and limit < len(cand):
+            first = cand[np.argsort(-base.take(cand), kind="stable")[:limit]]
+        batches = [self._score(beam, first, base, qterm, combined)]
+        if len(first) < len(cand):  # the second phase
+            tau = combined.take(first).min()
+            rest = cand[(combined.take(cand) == -np.inf) &
+                        (base.take(cand) + self.weight * ceiling >= tau)]
+            if len(rest):
+                batches.append(self._score(beam, rest, base, qterm, combined))
+        return base, qterm, combined, ids, batches if batches[0] else None
+
+    def _score(self, beam, cand, base, qterm, combined):
+        """Score candidates cand into qterm and combined; the scorer's rows
+        as (cand's content candidates, rows), or None."""
+        q, rows = self.scorer.score_candidates(beam, self.ctx, cand)
+        q = np.asarray(q, dtype=np.float64)
+        if q.shape != cand.shape:
+            raise ContractError(f"scorer returned shape {q.shape}, "
+                                f"want {cand.shape}")
+        total = base.take(cand) + self.weight * q
+        if not np.isfinite(total).all():
+            # NaN or -inf scores would be ranked by position, not score
+            what = ("a non-finite qterm" if not np.isfinite(q).all()
+                    else f"a qterm that overflows at weight {self.weight}")
+            raise ContractError(f"scorer returned {what}")
+        if self.scorer.ceiling is not None and (q > self.scorer.ceiling).any():
+            raise ContractError("scorer returned a qterm above its ceiling")
+        qterm.put(cand, q)
+        combined.put(cand, total)
+        return None if rows is None else (cand[cand % base.shape[1] != EOS], rows)
 
     def ranked(self, scores, limit=None):
         """(parent rows, ys) of the best `limit` candidates (all if None) of
@@ -226,9 +258,9 @@ class Engine:
 
         The content candidates form the new beam in token order, or None
         if there are none; the finished keep the chosen order.  Their rows
-        are gathered from the rows of every candidate, the scorer's and, if
-        made, the decoder cell's; else one advance makes the cell's.  One
-        readout of the kept rows gives their feed and next log-probs.
+        are gathered from the scored candidates', the scorer's and, if made,
+        the decoder cell's; else one advance makes the cell's.  One readout
+        of the kept rows gives their feed and next log-probs.
         """
         base, qterm, _, _, rows = scores
         parents, ys = chosen
@@ -240,14 +272,14 @@ class Engine:
         parents, ys = parents[grow], ys[grow]
         kept = parents * self.model.tgt_vocab + ys
         h, c = (self.model.advance(beam.state.take(parents), self.ctx, ys)
-                if beam.advanced is None else (r[kept] for r in beam.advanced))
+                if beam.advanced is None else _gather(beam.advanced, kept))
         feed, logits = self.model.readout(h, self.ctx)
         live = _Beam([beam.tokens[i] + (y,) for i, y in
                       zip(parents.tolist(), ys.tolist())],
                      base[parents, ys], qterm[parents, ys],
                      DecoderState(h, c, feed, self.model),
                      log_softmax(Tensor(logits)).data,
-                     None if rows is None else tuple(r[kept] for r in rows))
+                     None if rows is None else _gather(rows, kept))
         return live, finished
 
     def force(self, beam, tok):
@@ -275,9 +307,12 @@ class Engine:
         pool = []
         stop = config.beam if length is None else 1
         for pos in range(start + 1, cap + 2):
+            # EOS's rank within its own row reads every candidate
+            admit = length is not None and pos == length + 1
             scores = self.expand(live, allow_content=pos <= cap,
-                                 allow_eos=length is None or pos > length)
-            if length is not None and pos == length + 1:
+                                 allow_eos=length is None or pos > length,
+                                 limit=None if admit else config.beam)
+            if admit:
                 admitted = _admitted_eos(live, scores, config.beam)
                 if admitted:
                     # footnote rule: the pool competes on likelihood, not
@@ -291,6 +326,14 @@ class Engine:
                 break
         pool.sort(key=lambda h: (-h.combined, h.tokens))
         return pool[:config.beam]
+
+
+def _gather(batches, want):
+    """The rows of the candidates want from (cand, rows) batches."""
+    ids = np.concatenate([cand for cand, _ in batches])
+    order = np.argsort(ids)
+    at = order[np.searchsorted(ids, want, sorter=order)]
+    return tuple(np.concatenate(r)[at] for r in zip(*(r for _, r in batches)))
 
 
 def _finished(beam, scores, rows):

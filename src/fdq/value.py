@@ -495,13 +495,10 @@ def train_outcome_q(records, schedule, src_vocab, tgt_vocab, hidden=64,
 # -- scorers wiring the estimators into guided search ---------------------------
 
 
-def candidate_step(table, lstm, h, c, vocab):
-    """One LSTM step from each [B,H] row of (h, c) on every id below vocab:
-    the [B*V,H] (h, c) Tensors, candidate (b, y) at row b*V + y."""
-    b = h.shape[0]
-    h, c = (Tensor(np.repeat(s, vocab, axis=0)) for s in (h, c))
-    x = ad.rows(table, np.tile(np.arange(vocab), b))
-    return ad.lstm_step(lstm, x, h, c)
+def candidate_step(table, lstm, h, c, ys):
+    """One LSTM step from each [K,H] row of (h, c) on id ys[k]: the [K,H]
+    (h, c) Tensors."""
+    return ad.lstm_step(lstm, ad.rows(table, ys), Tensor(h), Tensor(c))
 
 
 class OutcomeScorer:
@@ -509,62 +506,68 @@ class OutcomeScorer:
 
     Its rows are the prefix encoder's (h, c) and the source encoding hx,
     one per beam row; the root has none, so its step encodes the source
-    and starts from zero (h, c).  A step is one LSTM step over B*V rows.
+    and starts from zero (h, c).  A step is one LSTM step over B*V rows,
+    which keeps its floats, and cand's are read from them.
     """
+
+    ceiling = None
 
     def __init__(self, predictor):
         self.q = predictor
 
-    def score_candidates(self, beam, ctx):
+    def score_candidates(self, beam, ctx, cand):
         b, v = len(beam), ctx.owner.tgt_vocab
         rows = beam.scorer_rows
         if rows is None:
             rows = (*np.zeros((2, 1, self.q.hidden), np.float32),
                     self.q._encode("x", np.array([ctx.src]), None).data)
-        h, c = candidate_step(self.q.p["emb_y"],
-                              lstm_params(self.q.p, "enc_y"), *rows[:2], v)
-        hx = np.repeat(rows[2], v, axis=0)
-        out = self.q._head(Tensor(hx), h)
-        return (out.data[:, 0].astype(np.float64).reshape(b, v),
-                (h.data, c.data, hx))
+        h, c, hx = (np.repeat(r, v, axis=0) for r in rows)
+        h, c = candidate_step(self.q.p["emb_y"], lstm_params(self.q.p, "enc_y"),
+                              h, c, np.tile(np.arange(v), b))
+        out = self.q._head(Tensor(hx), h).data[:, 0].astype(np.float64)
+        grow = cand[cand % v != EOS]
+        return out[cand], (h.data[grow], c.data[grow], hx[grow])
 
 
 class PartialBackwardScorer:
     """qterm = bucket-model estimate of log p(ctx.src | prefix + candidate).
 
     Its rows are the bucket model's encoder outputs enc [N,t,H] and last
-    state (h, c) over each prefix, empty at the root.  A step is one
-    encoder step over the B*V candidates, then one decoder pass of those
-    rows over the shared target ctx.src + EOS.  At a bucket edge, where
-    the candidates' model did not make the rows, the prefixes are encoded
-    afresh; an empty bucket's lengths take the nearest populated bucket's
-    model and carry on its rows.  EOS closes the sequence, so its qterm
-    is the row's admitted qterm (a fresh score agrees up to BATCH_ATOL).
+    state (h, c) over each prefix, empty at the root.  A call is one
+    encoder step over the content candidates asked for, then one decoder
+    pass of those rows over the shared target ctx.src + EOS.  At a bucket
+    edge, where the candidates' model did not make the rows, the prefixes
+    are encoded afresh; an empty bucket's lengths take the nearest
+    populated bucket's model and carry on its rows.  EOS closes the
+    sequence, so its qterm is the row's admitted qterm (a fresh score
+    agrees up to BATCH_ATOL).
     """
+
+    ceiling = 0.0  # a log-probability
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
 
-    def score_candidates(self, beam, ctx):
-        b, v = len(beam), ctx.owner.tgt_vocab
+    def score_candidates(self, beam, ctx, cand):
+        parents, ys = np.divmod(cand, ctx.owner.tgt_vocab)
         t = len(beam.tokens[0])
         model = self.ensemble.nearest_model(t + 1)
         rows = beam.scorer_rows
         if not t:
-            rows = (np.zeros((b, 0, model.hidden), np.float32),
-                    *np.zeros((2, b, model.hidden), np.float32))
+            rows = (np.zeros((len(beam), 0, model.hidden), np.float32),
+                    *np.zeros((2, len(beam), model.hidden), np.float32))
         elif model is not self.ensemble.nearest_model(t):
             ids = np.array(beam.tokens, dtype=np.int64)
             rows = (r.data for r in model._encode_graph(ids, None))
-        enc, h, c = rows
+        go = ys != EOS
+        enc, h, c = (r[parents[go]] for r in rows)
         h, c = candidate_step(model.p["src_embed"],
-                              lstm_params(model.p, "enc"), h, c, v)
-        enc = np.concatenate([np.repeat(enc, v, axis=0), h.data[:, None]],
-                             axis=1)
+                              lstm_params(model.p, "enc"), h, c, ys[go])
+        enc = np.concatenate([enc, h.data[:, None]], axis=1)
         tgt = np.array([BOS, *ctx.src, EOS])
-        tgt_in, tgt_out, ones = (np.broadcast_to(a, (b * v, len(tgt) - 1))
+        tgt_in, tgt_out, ones = (np.broadcast_to(a, (len(enc), len(tgt) - 1))
                                  for a in (tgt[:-1], tgt[1:], np.float32(1)))
         steps = model.decode_forced(Tensor(enc), None, h, c, tgt_in)
-        out = forced_logprobs(steps, tgt_out, ones).reshape(b, v)
-        out[:, EOS] = beam.qterm if t else NEG_SENTINEL
+        out = beam.qterm[parents] if t else np.full(len(cand), NEG_SENTINEL)
+        out[go] = forced_logprobs(steps, tgt_out, ones)
         return out, (enc, h.data, c.data)

@@ -94,7 +94,8 @@ def length_forced_select(model, regressor, src, length, config):
         if live is None:
             break
         scores = eng.expand(live, allow_content=pos <= cap,
-                            allow_eos=pos > length)
+                            allow_eos=pos > length,
+                            limit=None if pos == length + 1 else config.beam)
         if pos == length + 1:
             admitted = decode._admitted_eos(live, scores, config.beam)
             if admitted:
@@ -110,22 +111,26 @@ class ReencodingBackwardScorer:
     """The partial-backward scorer with no rows: every step scores each
     content candidate's whole prefix afresh, as the pair (prefix + y,
     src + EOS), through batch_logprobs under the candidates' bucket model.
-    PAD and BOS score 0; EOS keeps the row's admitted qterm."""
+    EOS keeps the row's admitted qterm.  It has no ceiling, so it is asked
+    for every candidate: the full scoring the carried scorer's two-phase
+    steps must agree with."""
+
+    ceiling = None
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
 
-    def score_candidates(self, beam, ctx):
+    def score_candidates(self, beam, ctx, cand):
         t = len(beam.tokens[0])
         tgt = [*ctx.src, EOS]
-        vocab = ctx.owner.tgt_vocab
-        content = [y for y in range(vocab) if y not in (PAD, BOS, EOS)]
+        parents, ys = np.divmod(cand, ctx.owner.tgt_vocab)
+        go = ys != EOS
         model = self.ensemble.nearest_model(t + 1)
-        pairs = [SequencePair(list(tokens) + [y], tgt)
-                 for tokens in beam.tokens for y in content]
-        out = np.zeros((len(beam), vocab), dtype=np.float64)
-        out[:, content] = batch_logprobs(model, pairs).reshape(len(beam), -1)
-        out[:, EOS] = beam.qterm if t else decode.NEG_SENTINEL
+        pairs = [SequencePair(list(beam.tokens[b]) + [y], tgt)
+                 for b, y in zip(parents[go].tolist(), ys[go].tolist())]
+        out = np.empty(len(cand), dtype=np.float64)
+        out[go] = batch_logprobs(model, pairs)
+        out[~go] = beam.qterm[parents[~go]] if t else decode.NEG_SENTINEL
         return out, None
 
 

@@ -15,6 +15,19 @@ from fdq.value import (BackwardRegressor, LengthRegressor, OutcomePredictor,
                        PartialBackwardEnsemble)
 
 
+def one_entry(name, dims, payload=b""):
+    """The bytes of an FDQ1 file holding one tensor entry, built by hand."""
+    encoded = name.encode("utf-8")
+    return (MAGIC + struct.pack("<IQQ", 1, 1, len(encoded)) + encoded
+            + struct.pack(f"<Q{len(dims)}Q", len(dims), *dims) + payload)
+
+
+# shapes numpy cannot hold: a dim beyond intp beside a 0, so no payload,
+# and a rank above numpy's 64 over one float
+UNHOLDABLE = {"huge_dim": ((0, 2 ** 63), b""),
+              "deep_rank": ((1,) * 70, struct.pack("<f", 0.5))}
+
+
 def sample_tensors(seed=0):
     r = np.random.default_rng(seed)
     return {
@@ -133,6 +146,14 @@ class TestCorruption:
         save_tensors(path, {"x": np.ones(1, dtype=np.float32)})
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_tensors(path)
+
+    @pytest.mark.parametrize("case", sorted(UNHOLDABLE))
+    def test_unholdable_shape_names_the_tensor(self, tmp_path, case):
+        path = tmp_path / "m.fdq"
+        path.write_bytes(one_entry("out/b", *UNHOLDABLE[case]))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{path}: tensor out/b shape: ")):
             load_tensors(path)
 
 

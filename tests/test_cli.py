@@ -15,6 +15,7 @@ from fdq.value import (BackwardRegressor, LengthRegressor,
                        PartialBackwardEnsemble, PartialBackwardScorer,
                        backward_examples, length_examples, mse,
                        train_backward_model)
+from test_checkpoint import UNHOLDABLE, one_entry
 
 RIG_CONFIG = {
     "task": {"name": "copy", "vocab": 6, "min_len": 1, "max_len": 5,
@@ -714,7 +715,9 @@ class TestDecode:
 
     @pytest.mark.parametrize("damage, why", [
         ("nan_tensor", "tensor out/b is not finite"),
-        ("bad_name", "name is not UTF-8")])
+        ("bad_name", "name is not UTF-8"),
+        ("huge_dim", "tensor out/b shape: "),
+        ("deep_rank", "tensor out/b shape: ")])
     def test_unloadable_forward_exits_two_and_names_it(
             self, rig, tmp_path, capsys, damage, why):
         cfg, out = rig
@@ -726,10 +729,12 @@ class TestDecode:
             named = load_tensors(path)
             named["out/b"][0] = np.nan
             save_tensors(path, named)
-        else:
+        elif damage == "bad_name":
             # the first match is the manifest entry: names precede payloads
             raw = path.read_bytes()
             path.write_bytes(raw.replace(b"out/b", b"out/\xff", 1))
+        else:  # a hand-built one-entry file in place of the model
+            path.write_bytes(one_entry("out/b", *UNHOLDABLE[damage]))
         assert run("decode", cfg, out2) == 2
         err = capsys.readouterr().err
         assert f"{path}: " in err and why in err

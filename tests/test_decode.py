@@ -339,19 +339,19 @@ class TestBatchedStep:
                                        atol=BATCH_ATOL)
 
     def test_kept_readout_matches_candidate_readout(self):
-        # settle gathers the kept rows' cell states from the B*V candidates
+        # settle gathers the kept rows' cell states from the candidates
         # the scorer read, and reads out only those rows as one K-row
-        # batch; each agrees with its row of a readout over all B*V
+        # batch; each agrees with its row of a readout over all of them
         m = tiny_model(3, vt=9, hidden=8)
         scorer = LengthScorer(LengthRegressor(8, seed=2), 4)
         eng, live = live_beam(m, scorer, [4, 5, 3], 2)
         scores = eng.expand(live, allow_eos=False)
-        h, c = live.children(eng.ctx)
+        [(cand, (h, c))] = live.advanced  # every allowed candidate, in order
         feed, logits = m.readout(h, eng.ctx)
         parents, ys = eng.ranked(scores, 4)
         nxt, _ = eng.settle(live, scores, (parents, ys))
         order = np.lexsort((ys, parents))
-        kept = parents[order] * m.tgt_vocab + ys[order]
+        kept = np.searchsorted(cand, parents[order] * m.tgt_vocab + ys[order])
         np.testing.assert_array_equal(nxt.state.h, h[kept])
         np.testing.assert_array_equal(nxt.state.c, c[kept])
         logprobs = log_softmax(Tensor(logits[kept])).data
@@ -371,8 +371,8 @@ class TestBatchedStep:
 
         def coarse(base):
             class Coarse(base):
-                def score_candidates(self, beam, ctx):
-                    qterm, rows = super().score_candidates(beam, ctx)
+                def score_candidates(self, beam, ctx, cand):
+                    qterm, rows = super().score_candidates(beam, ctx, cand)
                     return np.floor(2 * qterm), rows
             return Coarse
 
@@ -380,7 +380,8 @@ class TestBatchedStep:
             # the prefix encoder's (h, c) after tok: its row of the step
             # on every id
             step = candidate_step(q.p["emb_y"], lstm_params(q.p, "enc_y"),
-                                  *prefix, vt)
+                                  *(np.repeat(s, vt, axis=0) for s in prefix),
+                                  np.arange(vt))
             return [s.data[tok:tok + 1] for s in step]
 
         predictor = OutcomePredictor(9, vt, hidden=hidden, seed=3)
@@ -454,17 +455,21 @@ class TestBatchedStep:
         for steps in (1, 2):
             eng, live = live_beam(m, scorer, [4, 5], steps)
             assert len(live) > 1
-            batch, rows = scorer.score_candidates(live, eng.ctx)
-            assert batch.shape == (len(live), vt)
+            ids = eng.ids[True, True]  # n ids, n - 1 of them content
+            n = len(ids)
+            cand = (np.arange(len(live))[:, None] * vt + ids).ravel()
+            batch, rows = scorer.score_candidates(live, eng.ctx, cand)
+            assert batch.shape == (len(live) * n,)
             assert (rows is None) == (family in ("callable", "length"))
             for b in range(len(live)):
                 alone, own = scorer.score_candidates(beam_row(live, b),
-                                                     eng.ctx)
-                np.testing.assert_allclose(batch[b], alone[0], rtol=0,
-                                           atol=BATCH_ATOL)
+                                                     eng.ctx, ids)
+                np.testing.assert_allclose(batch[b * n:(b + 1) * n], alone,
+                                           rtol=0, atol=BATCH_ATOL)
                 for got, want in zip(rows or (), own or (), strict=True):
-                    np.testing.assert_allclose(got[b * vt:(b + 1) * vt], want,
-                                               rtol=0, atol=BATCH_ATOL)
+                    np.testing.assert_allclose(
+                        got[b * (n - 1):(b + 1) * (n - 1)], want,
+                        rtol=0, atol=BATCH_ATOL)
 
     @pytest.mark.parametrize("family", ["outcome", "partial_backward"])
     def test_one_scorer_serves_many_searches(self, family):
@@ -500,7 +505,8 @@ class TestBatchedStep:
         src = [4, 5]
         for steps in (1, 2, 3):
             eng, live = live_beam(m, scorer, src, steps)
-            eos = scorer.score_candidates(live, eng.ctx)[0][:, EOS]
+            eos = scorer.score_candidates(
+                live, eng.ctx, np.arange(len(live)) * vt + EOS)[0]
             for b, tokens in enumerate(live.tokens):
                 fresh = batch_logprobs(ensemble.nearest_model(steps), [
                     SequencePair(list(tokens), src + [EOS])])[0]
@@ -579,8 +585,8 @@ class TestBatchedStep:
     def test_scorer_shape_is_checked(self):
         m = tiny_model(6)
         flat = CallableScorer(lambda prefix, y: 0.0, m.tgt_vocab)
-        flat.score_candidates = lambda beam, ctx: (np.zeros(m.tgt_vocab),
-                                                   None)
+        flat.score_candidates = lambda beam, ctx, cand: (
+            np.zeros(m.tgt_vocab), None)
         with pytest.raises(ContractError, match="shape"):
             guided_beam_search(m, flat, [4, 5],
                                DecodeConfig(mode="mmi_q", weight=1.0))
@@ -706,6 +712,102 @@ class TestLengthForced:
     def test_scorer_requires_length(self):
         with pytest.raises(ConfigError):
             LengthScorer(ConstantRegressor(1.0), None)
+
+
+def full(scorer):
+    """The scorer without its ceiling: asked for every allowed candidate."""
+    scorer.ceiling = None
+    return scorer
+
+
+def searched(model, scorer, src, config, length=None):
+    """Engine.search from the root of a fresh engine over src."""
+    eng = Engine(model, scorer, src, config)
+    return eng.search(eng.root, config, length)
+
+
+class TestTwoPhaseScoring:
+    @pytest.mark.parametrize("weight", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("beam", [1, 3, 7])
+    def test_pruned_search_is_full_search(self, beam, weight):
+        # on bigram rigs, a scorer with a ceiling finds the tokens the same
+        # scorer finds when asked for every candidate, and its floats move
+        # only by the changed batch sizes; the heads are scaled so that
+        # their estimates spread across candidates
+        asked = Counter()
+
+        def counted(scorer):
+            def score(beam_, ctx, cand, own=scorer.score_candidates):
+                asked[scorer.ceiling is None] += len(cand)
+                return own(beam_, ctx, cand)
+            scorer.score_candidates = score
+            return scorer
+
+        src = [4, 5]
+        for seed in range(20):
+            table = 4.0 * np.random.default_rng(seed).normal(size=(9, 9))
+            m = bigram_model(table)
+            reg = LengthRegressor(m.hidden, seed=seed)
+            ensemble = PartialBackwardEnsemble(((1, 2), (3, None)), {
+                i: Seq2Seq(9, 6, hidden=4, seed=100 * seed + i)
+                for i in range(2)})
+            for head in (reg, *ensemble.models.values()):
+                for t in head.p.values():
+                    t.data *= 3
+            length = 1 + seed % 4
+            arms = [  # (mode, scorer factory, demanded length)
+                ("length_q", lambda: LengthScorer(reg, length), length),
+                ("length_q", lambda: LengthScorer(reg, length), None),
+                ("mmi_q", lambda: PartialBackwardScorer(ensemble), None)]
+            for mode, make, demanded in arms:
+                cfg = DecodeConfig(mode=mode, beam=beam, weight=weight)
+                got, want = (searched(m, counted(scorer), src, cfg, demanded)
+                             for scorer in (make(), full(make())))
+                assert [h.tokens for h in got] == [h.tokens for h in want]
+                for g, w in zip(got, want):
+                    for field in ("logp", "q_term", "combined"):
+                        assert getattr(g, field) == pytest.approx(
+                            getattr(w, field), rel=0, abs=BATCH_ATOL)
+        assert asked[False] < asked[True]  # the ceiling pruned something
+
+    def test_a_qterm_above_the_ceiling_is_refused(self):
+        m = tiny_model(6)
+        above = CallableScorer(lambda prefix, y: 0.25 if y == 3 else -1.0,
+                               m.tgt_vocab)
+        above.ceiling = 0.0
+        with pytest.raises(ContractError, match="above its ceiling"):
+            guided_beam_search(m, above, [4, 5],
+                               DecodeConfig(mode="mmi_q", beam=7, weight=1.0))
+
+    def test_admitted_step_and_force_score_every_candidate(self):
+        # EOS's rank within its own row, at position L+1, reads every
+        # candidate of the row, so that step asks for all of them; the
+        # other steps ask for fewer.  A forced token is scored with all
+        # of its row's candidates too.
+        m = bigram_model(4.0 * np.random.default_rng(0).normal(size=(9, 9)))
+        reg = LengthRegressor(m.hidden, seed=0)
+        asked = []
+
+        class Recording(LengthScorer):
+            def score_candidates(self, beam, ctx, cand):
+                asked.append((len(beam.tokens[0]), len(beam), len(cand)))
+                return super().score_candidates(beam, ctx, cand)
+
+        length, beam = 3, 3
+        cfg = DecodeConfig(mode="length_q", beam=beam, weight=1.0)
+        eng = Engine(m, Recording(reg, length), [4, 5], cfg)
+        eng.search(eng.root, cfg, length)
+        per_step = Counter()
+        rows = {}
+        for t, b, n in asked:
+            per_step[t] += n
+            rows[t] = b
+        content = m.tgt_vocab - 3  # not PAD, BOS or EOS
+        assert per_step[length] == rows[length] * (content + 1)
+        assert all(per_step[t] < rows[t] * content for t in range(length))
+        asked.clear()
+        eng.force(eng.root, 4)
+        assert asked == [(0, 1, content + 1)]
 
 
 class TestMmiRerank:

@@ -1,11 +1,13 @@
 """The artifact digest harness runs clean and reruns byte-identically;
 the quick demo runs clean, every demo imports only names fdq has and
 passes only keywords its callables take, src keeps no helper that only
-code outside it uses, and the line counter reads deltas against a parent."""
+code outside it uses, the line counter reads deltas against a parent, and
+the drift tool compares two trees' decode outputs."""
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import runpy
 import shutil
@@ -164,3 +166,33 @@ def test_src_lines_reads_each_delta_against_a_parent(tmp_path, capsys):
     assert moved["total"][2] == -3
     assert all(moved[name] == same[name] for name in same
                if name not in ("cli.py", "total"))
+
+
+def test_decode_drift_reads_tokens_and_float_deltas(tmp_path, capsys):
+    main = runpy.run_path(str(ROOT / "tools" / "decode_drift.py"))["main"]
+
+    def write(root, step, recs):
+        path = root / "steps" / step / "decode.ndjson"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs),
+                        encoding="utf-8")
+
+    def rec(hyp, logp, q_term):
+        return {"id": 0, "hyp": hyp, "logp": logp, "q_term": q_term,
+                "combined": logp + q_term}
+
+    error = {"id": 1, "error": "ContractError: scorer returned a NaN"}
+    write(tmp_path / "old", "a", [rec("x y", -1.0, -0.5), error])
+    write(tmp_path / "new", "a", [rec("x y", -1.0, -0.25), error])
+    write(tmp_path / "old", "b", [rec("x", -2.0, 0.0)])
+    write(tmp_path / "new", "b", [rec("y", -2.0, 0.0)])
+    write(tmp_path / "old", "c", [rec("x", -2.0, 0.0)])
+    assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "steps/a/decode.ndjson\ttokens equal\tlogp 0\tq_term 0.25\t"
+        "combined 0.25",
+        "steps/b/decode.ndjson\ttokens differ\tlogp 0\tq_term 0\t"
+        "combined 0",
+        "steps/c/decode.ndjson\tmissing"]
+    assert main([str(tmp_path / "old" / "steps" / "a"),
+                 str(tmp_path / "new" / "steps" / "a")]) == 0

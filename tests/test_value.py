@@ -582,10 +582,13 @@ class TestScorers:
         scorer = PartialBackwardScorer(ensemble)
         eng = Engine(forward, scorer, dev.pairs[0].src,
                      DecodeConfig(mode="mmi_q"))
-        vec, rows = scorer.score_candidates(eng.root, eng.ctx)
-        # the root's rows: one encoder step from zero state per candidate
-        vt, hidden = forward.tgt_vocab, ensemble.nearest_model(1).hidden
-        assert [r.shape for r in rows] == [(vt, 1, hidden), (vt, hidden),
-                                           (vt, hidden)]
+        ids = eng.ids[True, True]  # EOS and the content ids
+        vec, rows = scorer.score_candidates(eng.root, eng.ctx, ids)
+        # the root's rows: one encoder step from zero state per content
+        # candidate
+        hidden = ensemble.nearest_model(1).hidden
+        n = len(ids) - 1
+        assert [r.shape for r in rows] == [(n, 1, hidden), (n, hidden),
+                                           (n, hidden)]
         assert np.array_equal(rows[0][:, 0], rows[1])
-        assert vec[0, EOS] == NEG_SENTINEL
+        assert vec[ids == EOS] == [NEG_SENTINEL]

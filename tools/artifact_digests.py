@@ -9,9 +9,10 @@ copy task with seed 1.  After each step it prints one
 tab-separated line per file the step wrote (step, file, sha256) and one
 for the step's stdout.  For a decode output it also prints the sha256 of
 its `hyp` strings alone (file `decode.ndjson#hyp`), so a change that moves
-only score floats shows equal token digests.  Run it at two source trees
-into two fresh directories and diff the outputs: equal lines mean equal
-bytes.
+only score floats shows equal token digests, and keeps a copy of it as
+OUT_DIR/steps/<step>/decode.ndjson for tools/decode_drift.py.  Run it at
+two source trees into two fresh directories and diff the outputs: equal
+lines mean equal bytes.
 
 Before hashing, manifests drop `wall_times` and the decode stats'
 `total_ms`, and the absolute OUT_DIR prefix is removed from every file.
@@ -23,6 +24,7 @@ depend on the core count.
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +125,9 @@ def main(argv):
                 if path.name == "decode.ndjson":
                     print(f"{step}\t{path.relative_to(out)}#hyp\t"
                           f"{hyp_digest(path)}")
+                    kept = out / "steps" / step.replace(" ", "_")
+                    kept.mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(path, kept / path.name)
         stdout = proc.stdout.replace(prefix, b"")
         print(f"{step}\tstdout (exit {proc.returncode})\t"
               f"{hashlib.sha256(stdout).hexdigest()}")
