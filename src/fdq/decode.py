@@ -19,10 +19,12 @@ agrees bitwise and ties resolve identically.
 The live beam is kept as rows of one length in token order, so a step is
 batched: a scorer call, a sort, a cell call or gather and a readout cover it.
 
-A scorer with a `ceiling` on its qterm scores a step in two phases: the
-`beam` candidates of highest base log p, the lowest combined of which is
-tau, then those others with base + weight * ceiling >= tau.  Each skipped
-one ranks below `beam` scored ones, so the search is full scoring's.
+A scorer with a `ceiling` scores a step in two phases.  With bound =
+base + weight * ceiling, the first guesses tau, the `beam`-th best base +
+weight * min(parent's admitted qterm, ceiling), and scores the candidates
+with bound >= guess - GUESS_MARGIN; the second, those others with bound
+>= tau, the `beam`-th best combined so far.  Each skipped one ranks below
+`beam` scored ones, so the search is full scoring's whatever the guess.
 
 Ties everywhere: higher combined score first, then the lexicographically
 smaller token tuple (lower token id, then shorter prefix); a search
@@ -54,8 +56,14 @@ EXHAUSTIVE_GUARD = 10 ** 6
 # A row batched into a K-row matmul rounds differently in float32 than the
 # row alone: by 1e-6 to 8e-6 in log p for trained lab models, within this.
 # A kept row rounds as in the cell call that scored it, then its K-row
-# readout; two-phase scoring's batch sizes move length_q and mmi_q floats.
+# readout; two-phase scoring's batch sizes, which follow the guessed tau,
+# move length_q and mmi_q floats.
 BATCH_ATOL = 1e-5
+
+# A child's qterm is often a little below its parent's, so the first phase
+# reaches this far below the guessed tau and the second seldom runs; no
+# guess passes the bound of the top `beam` by base, so it holds them all.
+GUESS_MARGIN = 1.0
 
 
 @dataclass
@@ -202,7 +210,8 @@ class Engine:
         """[B, V] float64 (base, qterm, combined) of every extension, the
         ids that may be candidates now, and None or the scorer's (cand,
         rows) batches.  Given a limit, a scorer with a ceiling scores what
-        can rank in the top `limit`; the rest have combined -inf."""
+        the parents' admitted qterms say may rank in the top `limit`, then
+        the rest that still can; the others have combined -inf."""
         base = beam.cum[:, None] + beam.logprobs.astype(np.float64)
         ids = self.ids[allow_content, allow_eos]
         if self.weight == 0.0:  # base + 0 * qterm, bit for bit
@@ -211,12 +220,14 @@ class Engine:
         qterm, combined = np.zeros_like(base), np.full_like(base, -np.inf)
         ceiling, first = self.scorer.ceiling, cand
         if ceiling is not None and limit is not None and limit < len(cand):
-            first = cand[np.argsort(-base.take(cand), kind="stable")[:limit]]
+            bound = base.take(cand) + self.weight * ceiling
+            guess = np.partition((base + self.weight * np.minimum(
+                beam.qterm, ceiling)[:, None]).take(cand), -limit)[-limit]
+            first = cand[bound >= guess - GUESS_MARGIN]
         batches = [self._score(beam, first, base, qterm, combined)]
         if len(first) < len(cand):  # the second phase
-            tau = combined.take(first).min()
-            rest = cand[(combined.take(cand) == -np.inf) &
-                        (base.take(cand) + self.weight * ceiling >= tau)]
+            tau = np.partition(combined.take(first), -limit)[-limit]
+            rest = cand[(combined.take(cand) == -np.inf) & (bound >= tau)]
             if len(rest):
                 batches.append(self._score(beam, rest, base, qterm, combined))
         return base, qterm, combined, ids, batches if batches[0] else None

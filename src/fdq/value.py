@@ -537,9 +537,9 @@ class PartialBackwardScorer:
     encoder step over the content candidates asked for, then one decoder
     pass of those rows over the shared target ctx.src + EOS.  At a bucket
     edge, where the candidates' model did not make the rows, the prefixes
-    are encoded afresh; an empty bucket's lengths take the nearest
-    populated bucket's model and carry on its rows.  EOS closes the
-    sequence, so its qterm is the row's admitted qterm (a fresh score
+    are encoded afresh once per step; an empty bucket's lengths take the
+    nearest populated bucket's model and carry on its rows.  EOS closes
+    the sequence, so its qterm is the row's admitted qterm (a fresh score
     agrees up to BATCH_ATOL).
     """
 
@@ -547,6 +547,7 @@ class PartialBackwardScorer:
 
     def __init__(self, ensemble):
         self.ensemble = ensemble
+        self.edge = (None, None)  # the last edge beam and its fresh rows
 
     def score_candidates(self, beam, ctx, cand):
         parents, ys = np.divmod(cand, ctx.owner.tgt_vocab)
@@ -557,8 +558,11 @@ class PartialBackwardScorer:
             rows = (np.zeros((len(beam), 0, model.hidden), np.float32),
                     *np.zeros((2, len(beam), model.hidden), np.float32))
         elif model is not self.ensemble.nearest_model(t):
-            ids = np.array(beam.tokens, dtype=np.int64)
-            rows = (r.data for r in model._encode_graph(ids, None))
+            if self.edge[0] is not beam:  # a step's two phases share it
+                ids = np.array(beam.tokens, dtype=np.int64)
+                self.edge = beam, [r.data for r in
+                                   model._encode_graph(ids, None)]
+            rows = self.edge[1]
         go = ys != EOS
         enc, h, c = (r[parents[go]] for r in rows)
         h, c = candidate_step(model.p["src_embed"],

@@ -13,8 +13,9 @@ from fdq import autodiff as ad
 from fdq import seq2seq, value
 from fdq.autodiff import LSTMParams, Tape, Tensor
 from fdq.data import TaskSpec, gen_task, make_batch
-from fdq.decode import (DecodeConfig, LengthScorer, beam_search,
-                        guided_beam_search, length_forced_select)
+from fdq.decode import (BATCH_ATOL, DecodeConfig, Engine, LengthScorer,
+                        beam_search, guided_beam_search,
+                        length_forced_select)
 from fdq.seq2seq import Seq2Seq, TrainSchedule, masked_lstm
 from fdq.value import (LengthRegressor, OutcomePredictor, OutcomeScorer,
                        PartialBackwardEnsemble, PartialBackwardScorer,
@@ -101,13 +102,17 @@ def _search_counts(monkeypatch, search):
     ("beam", {"encode": 1, "advance": 4, "rows": 7, "decode_step": 1}),
     # beam 2, L=2: EOS is admitted at position 3.  The scorer's advances
     # make the rows of the candidates it scores, and the kept rows are
-    # gathered from them: 2 + 4 at position 1 and 2 + 1 at position 2 (the
-    # two phases), and all 14 at the admitted step (1 + 6 + 3 + 14 rows)
-    ("admitted", {"encode": 1, "advance": 6, "rows": 24,
+    # gathered from them.  This untrained model's log p spreads at most
+    # 0.1 over a step's candidates, within GUESS_MARGIN of the guessed
+    # tau, so the first phase scores all 6 and 12 of positions 1 and 2
+    # and no second phase runs; the admitted step scores all 14
+    # (1 + 6 + 12 + 14 rows)
+    ("admitted", {"encode": 1, "advance": 4, "rows": 33,
                   "decode_step": 1}),
     # beam 1, L=2: nothing is admitted, so the search runs to the cap of 8;
-    # at every position but the admitted one the first phase scores 1
-    ("fallback", {"encode": 1, "advance": 16, "rows": 51,
+    # one call per position scores all its candidates: 6 at positions 1
+    # and 2, 7 at 3 to 8 and EOS alone at 9 (1 + 12 + 42 + 1 rows)
+    ("fallback", {"encode": 1, "advance": 10, "rows": 56,
                   "decode_step": 1}),
 ])
 def test_search_decoder_calls(monkeypatch, search, want):
@@ -125,7 +130,7 @@ def test_search_decoder_calls(monkeypatch, search, want):
 
 def test_guided_search_reads_out_only_kept_rows(monkeypatch):
     # beam 2, L=2 as in "admitted": the length scorer reads the decoder
-    # cell of each candidate it scores, so advance makes 1 + 6 + 3 + 14
+    # cell of each candidate it scores, so advance makes 1 + 6 + 12 + 14
     # rows, but attention reads only the root's row and the 2 kept rows of
     # each of the two settled steps (EOS is admitted at the third)
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
@@ -137,19 +142,20 @@ def test_guided_search_reads_out_only_kept_rows(monkeypatch):
                          DecodeConfig(mode="length_q", beam=2))
     assert {"advance_rows": advanced["rows"],
             "attended_rows": attended["rows"]} == {
-        "advance_rows": 1 + 6 + 3 + 14, "attended_rows": 1 + 2 + 2}
+        "advance_rows": 1 + 6 + 12 + 14, "attended_rows": 1 + 2 + 2}
 
 
 def test_length_scorer_candidates_per_search(monkeypatch):
-    # beam 2, L=2 as in "admitted": of the 6 + 12 content candidates of
-    # positions 1 and 2, the two phases score 2 + 4 and 2 + 1; the admitted
-    # step scores all 14 of its candidates.  Full scoring asked for 32
+    # beam 2, L=2 as in "admitted": the first phase reaches every one of
+    # the 6 + 12 content candidates of positions 1 and 2, whose log p lie
+    # within GUESS_MARGIN of the guessed tau, and the admitted step scores
+    # all 14 of its candidates: one call per step, as full scoring
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
     scored = _counted(monkeypatch, LengthScorer, "score_candidates",
                       cand=lambda self, beam, ctx, cand: len(cand))
     length_forced_select(model, LengthRegressor(3, seed=0), [4, 5], 2,
                          DecodeConfig(mode="length_q", beam=2))
-    assert scored == {"calls": 5, "cand": 2 + 4 + 2 + 1 + 14}
+    assert scored == {"calls": 3, "cand": 6 + 12 + 14}
 
 
 def test_rollout_decoder_calls(monkeypatch):
@@ -247,7 +253,7 @@ def test_outcome_fit_step_tape_nodes(monkeypatch):
 
 
 @pytest.mark.parametrize("search, want", [
-    ("sbs", 89), ("length_q", 107), ("mmi_q", 257), ("outcome_q", 127),
+    ("sbs", 89), ("length_q", 94), ("mmi_q", 153), ("outcome_q", 127),
     ("outcome_q_weight_0", 89)])
 def test_tensor_constructions_per_pair(monkeypatch, search, want):
     # every Tensor one decoded pair builds, untaped ones included; the
@@ -257,9 +263,10 @@ def test_tensor_constructions_per_pair(monkeypatch, search, want):
     # crosses a bucket edge at its second step, where the prefixes are
     # encoded afresh.
     # The length_q search reads out only kept rows, and none at the step
-    # where EOS is admitted.  The length_q and mmi_q scorers score in two
-    # phases, one call each, so on this untrained rig, where the second
-    # phase prunes little, they build more than one full call did
+    # where EOS is admitted.  The length_q and mmi_q scorers' first phase
+    # reaches every candidate on this untrained rig, whose log p lie within
+    # GUESS_MARGIN of the guessed tau, so each step is one scorer call and
+    # they build what full scoring builds
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
     reg = LengthRegressor(3, seed=0)
     ensemble = PartialBackwardEnsemble(
@@ -289,10 +296,12 @@ def test_tensor_constructions_per_pair(monkeypatch, search, want):
 def test_partial_backward_scorer_sequences(monkeypatch):
     # the scorer carries its bucket encoder in the beam's rows, so a search
     # scores no SequencePair through batch_logprobs.  One encoder step per
-    # scorer call over the content candidates it scores: 2 + 4 of the
-    # root's 7 candidates (one is EOS), then 2 + 16 of 3 rows x 7.  Length
-    # 2 opens bucket 1, so each call of that step first encodes the 3
-    # one-token prefixes afresh under its model: two passes of 3 rows
+    # scorer call over the content candidates it scores.  The first phase
+    # reaches every candidate of this untrained rig, whose log p lie within
+    # GUESS_MARGIN of the guessed tau: 6 of the root's 7 candidates (one is
+    # EOS), then 18 of 3 rows x 7, one call per step.  Length 2 opens
+    # bucket 1, so that step first encodes the 3 one-token prefixes afresh
+    # under its model, once for the step: one pass of 3 rows
     model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
     buckets = {0: Seq2Seq(9, 6, hidden=3, seed=5),
                1: Seq2Seq(9, 6, hidden=3, seed=6)}
@@ -312,5 +321,28 @@ def test_partial_backward_scorer_sequences(monkeypatch):
     assert {"batch_logprobs": sum(s["calls"] for s in scored),
             "bucket_encodes": encodes["bucket"],
             "encoder_rows": steps["rows"]} == {
-        "batch_logprobs": 0, "bucket_encodes": 2,
-        "encoder_rows": 2 * 3 + 2 + 4 + 2 + 16}
+        "batch_logprobs": 0, "bucket_encodes": 1,
+        "encoder_rows": 3 + 6 + 18}
+
+
+def test_bucket_edge_encodes_once_per_step(monkeypatch):
+    # the two phases of a step call the scorer twice on one beam; at a
+    # bucket edge (length 1 ends bucket 0) the first call encodes the B
+    # prefixes afresh and the second reuses them, and each call's qterms
+    # are those of one call over both sets
+    model = Seq2Seq(6, 9, hidden=3, max_len=8, seed=4)
+    ensemble = PartialBackwardEnsemble(
+        ((1, 1), (2, None)), {0: Seq2Seq(9, 6, hidden=3, seed=5),
+                              1: Seq2Seq(9, 6, hidden=3, seed=6)})
+    scorer = PartialBackwardScorer(ensemble)
+    eng = Engine(model, scorer, [4, 5], DecodeConfig(mode="mmi_q", beam=3))
+    live = eng.force(eng.root, 4)
+    cand = np.arange(3, 9)
+    encodes = _counted(monkeypatch, Seq2Seq, "_encode_graph")
+    split = [scorer.score_candidates(live, eng.ctx, part)[0]
+             for part in (cand[:2], cand[2:])]
+    assert encodes["calls"] == 1
+    whole = PartialBackwardScorer(ensemble).score_candidates(
+        live, eng.ctx, cand)[0]
+    np.testing.assert_allclose(np.concatenate(split), whole, rtol=0,
+                               atol=BATCH_ATOL)

@@ -809,6 +809,79 @@ class TestTwoPhaseScoring:
         eng.force(eng.root, 4)
         assert asked == [(0, 1, content + 1)]
 
+    @pytest.mark.parametrize("beam", [1, 3, 7])
+    def test_a_wrong_guess_either_way_is_full_search(self, beam):
+        # qterms drop by 6 below their parent's at odd prefix lengths and
+        # rise by 6 above it at even ones, so the guessed tau is too high
+        # at one step and too low at the next.  Too high, the first phase
+        # misses candidates and a second follows; too low, the first scores
+        # more than it needs and no second runs.  The search is still the
+        # same scorer's when asked for every candidate
+        def jumpy(seed):
+            def fn(prefix, y):
+                spread = (stream_key("q", seed, *prefix, y) % 997) / 997.0
+                return -spread - 6.0 * (len(prefix) % 2)
+            return CallableScorer(fn, 9)
+
+        second = Counter()
+        for seed in range(10):
+            m = bigram_model(4.0 * np.random.default_rng(seed).normal(
+                size=(9, 9)))
+            cfg = DecodeConfig(mode="mmi_q", beam=beam, weight=1.0)
+            pruned = jumpy(seed)
+            pruned.ceiling = 0.0
+            calls, own = Counter(), pruned.score_candidates
+
+            def score(beam_, ctx, cand):
+                calls[len(beam_.tokens[0])] += 1
+                return own(beam_, ctx, cand)
+            pruned.score_candidates = score
+            got = searched(m, pruned, [4, 5], cfg)
+            want = searched(m, full(jumpy(seed)), [4, 5], cfg)
+            assert [h.tokens for h in got] == [h.tokens for h in want]
+            for g, w in zip(got, want):
+                for field in ("logp", "q_term", "combined"):
+                    assert getattr(g, field) == pytest.approx(
+                        getattr(w, field), rel=0, abs=BATCH_ATOL)
+            second.update(t % 2 for t, n in calls.items() if n == 2)
+            assert max(calls.values()) <= 2
+        assert second[1] and not second[0], second
+
+    @pytest.mark.parametrize("beam", [1, 3, 5])
+    def test_a_negative_ceiling_keeps_the_top_by_base_first(self, beam):
+        # the root's qterm, 0, sits above a ceiling of -3: unclipped, the
+        # guess would stand 3 above every candidate's bound, beyond the
+        # margin's reach, and the first phase would miss the top `beam` by
+        # base that the second phase's tau is read from.  The root has 7
+        # allowed candidates, so every beam here prunes
+        src = [4, 5]
+        for seed in range(10):
+            m = bigram_model(4.0 * np.random.default_rng(seed).normal(
+                size=(9, 9)))
+            cfg = DecodeConfig(mode="mmi_q", beam=beam, weight=1.0)
+            asked = []
+
+            def make():
+                return CallableScorer(lambda prefix, y: -3.0 - (stream_key(
+                    "q", seed, *prefix, y) % 997) / 997.0, m.tgt_vocab)
+
+            scorer = make()
+            scorer.ceiling, own = -3.0, scorer.score_candidates
+
+            def score(beam_, ctx, cand):
+                asked.append(cand)
+                return own(beam_, ctx, cand)
+            scorer.score_candidates = score
+            eng = Engine(m, scorer, src, cfg)
+            eng.expand(eng.root, limit=beam)
+            ids = eng.ids[True, True]
+            by_base = ids[np.argsort(-eng.root.logprobs[0, ids],
+                                     kind="stable")[:beam]]
+            assert set(by_base.tolist()) <= set(asked[0].tolist())
+            got = eng.search(eng.root, cfg)
+            want = searched(m, full(make()), src, cfg)
+            assert [h.tokens for h in got] == [h.tokens for h in want]
+
 
 class TestMmiRerank:
     def train_pair(self):

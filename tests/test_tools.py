@@ -183,16 +183,23 @@ def test_decode_drift_reads_tokens_and_float_deltas(tmp_path, capsys):
 
     error = {"id": 1, "error": "ContractError: scorer returned a NaN"}
     write(tmp_path / "old", "a", [rec("x y", -1.0, -0.5), error])
-    write(tmp_path / "new", "a", [rec("x y", -1.0, -0.25), error])
+    write(tmp_path / "new", "a", [rec("x y", -1.0, -0.5 + 4e-6), error])
     write(tmp_path / "old", "b", [rec("x", -2.0, 0.0)])
     write(tmp_path / "new", "b", [rec("y", -2.0, 0.0)])
     write(tmp_path / "old", "c", [rec("x", -2.0, 0.0)])
+    # equal tokens, but a float moved past BATCH_ATOL (1e-5)
+    write(tmp_path / "old", "d", [rec("x", -2.0, -0.5)])
+    write(tmp_path / "new", "d", [rec("x", -2.0, -0.25)])
     assert main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "steps/a/decode.ndjson\ttokens equal\tlogp 0\tq_term 0.25\t"
-        "combined 0.25",
+        "steps/a/decode.ndjson\ttokens equal\tlogp 0\tq_term 4e-06\t"
+        "combined 4e-06",
         "steps/b/decode.ndjson\ttokens differ\tlogp 0\tq_term 0\t"
         "combined 0",
-        "steps/c/decode.ndjson\tmissing"]
+        "steps/c/decode.ndjson\tmissing",
+        "steps/d/decode.ndjson\ttokens equal\tlogp 0\tq_term 0.25\t"
+        "combined 0.25\tover BATCH_ATOL"]
     assert main([str(tmp_path / "old" / "steps" / "a"),
                  str(tmp_path / "new" / "steps" / "a")]) == 0
+    assert main([str(tmp_path / "old" / "steps" / "d"),
+                 str(tmp_path / "new" / "steps" / "d")]) == 1

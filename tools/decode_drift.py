@@ -5,17 +5,22 @@
 For every decode.ndjson under OLD_OUT, in path order, and the file at the
 same relative path under NEW_OUT, prints one tab-separated line: the
 path, `tokens equal` or `tokens differ` (each record's `hyp`, or its
-error text, compared line by line), and the largest |new - old| of
-`logp`, `q_term` and `combined` over the records both decoded.  A file
-NEW_OUT lacks prints `missing`.  tools/artifact_digests.py keeps each
-decode step's output as OUT_DIR/steps/<step>/decode.ndjson, so two of
-its output trees compare step by step.  Exits 1 if any tokens differ or
-a file is missing.
+error text, compared line by line), the largest |new - old| of `logp`,
+`q_term` and `combined` over the records both decoded, and `over
+BATCH_ATOL` if any of them exceeds fdq.decode.BATCH_ATOL, the float drift
+batching may cause.  A file NEW_OUT lacks prints `missing`.
+tools/artifact_digests.py keeps each decode step's output as
+OUT_DIR/steps/<step>/decode.ndjson, so two of its output trees compare
+step by step.  Exits 1 if any tokens differ, a float moves past
+BATCH_ATOL or a file is missing.
 """
 
 import json
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from fdq.decode import BATCH_ATOL  # noqa: E402
 
 FIELDS = ("logp", "q_term", "combined")
 
@@ -48,10 +53,12 @@ def main(argv):
             print(f"{rel.as_posix()}\tmissing")
             continue
         equal, deltas = drift(records(old), records(new))
-        bad += not equal
+        over = max(deltas.values()) > BATCH_ATOL
+        bad += not equal or over
         print("\t".join([rel.as_posix(),
                          "tokens equal" if equal else "tokens differ",
-                         *(f"{f} {d:.3g}" for f, d in deltas.items())]))
+                         *(f"{f} {d:.3g}" for f, d in deltas.items()),
+                         *(["over BATCH_ATOL"] if over else [])]))
     return 1 if bad else 0
 
 
